@@ -1,9 +1,10 @@
 """Recovery-condition diagnostics for the agile-radar sensing matrix.
 
 Covers the brute-force spark census over all N-column submatrices, the
-mutual coherence (with a fast single-row shortcut that exploits the
-difference structure of the Gram matrix), Rayleigh tail bounds on the
-column cross-correlations, and the resulting sparsity guarantees.
+mutual coherence (with a shortcut that reads the Gram matrix's dependence on
+the column-cell difference alone from the operator's factors, in either
+bandwidth mode), Rayleigh tail bounds on the column cross-correlations, and
+the resulting sparsity guarantees.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, ResourceError, ShapeError
 from .sensing import SensingMatrix
-from .signal_model import TWO_PI, BandwidthMode, FrequencyCodes, RadarParams
+from .signal_model import (TWO_PI, BandwidthMode, FrequencyCodes, RadarParams,
+                           pulse_doppler_scalings)
 
 
 def min_singular_normalized(submatrix: np.ndarray) -> float:
@@ -111,18 +113,18 @@ def _validate_on_grid(value, step, name):
 def chi(params: RadarParams, codes: FrequencyCodes, p: float, q: float) -> complex:
     """Normalized cross-correlation of two sensing columns separated by (p, q).
 
-    chi = (1/N) sum_n exp(1j * (p * M * d_n + q * n)) for on-grid phase
-    offsets p = 2*pi*m/M and q = 2*pi*l/N.  Defined for the APPROXIMATE
-    model, where column inner products depend only on the index difference.
+    chi = (1/N) sum_n exp(1j * (p * M * d_n + q * n * zeta_n)) for on-grid
+    phase offsets p = 2*pi*m/M and q = 2*pi*l/N, with zeta_n from
+    ``pulse_doppler_scalings`` (1 in APPROXIMATE mode).  In either mode this
+    is the Gram entry of any two columns whose cells differ by (+m, +l),
+    divided by N.  APPROXIMATE mode is periodic in l, so the value also holds
+    for Doppler offset l - N; EXACT mode is not, and its negative Doppler
+    offsets are outside the q range accepted here.
     """
     _validate_on_grid(p, TWO_PI / params.n_hrr_bins, "p")
     _validate_on_grid(q, TWO_PI / params.n_pulses, "q")
-    if codes.n_pulses != params.n_pulses:
-        raise ShapeError(
-            f"codes has {codes.n_pulses} pulses, params expects {params.n_pulses}"
-        )
-    n_idx = np.arange(params.n_pulses)
-    vals = np.exp(1j * (p * params.n_hrr_bins * codes.codes + q * n_idx))
+    n_scaled = np.arange(params.n_pulses) * pulse_doppler_scalings(params, codes)
+    vals = np.exp(1j * (p * params.n_hrr_bins * codes.codes + q * n_scaled))
     return complex(vals.sum() / params.n_pulses)
 
 
@@ -131,48 +133,43 @@ class CoherenceSample:
     """Mutual coherence of one code realization."""
 
     mu: float
-    chi_abs: np.ndarray | None  # |chi| per column-difference index (shortcut only)
     method: str  # "shortcut" or "gram"
 
 
 def coherence(phi, method: str = "auto") -> CoherenceSample:
     """Mutual coherence: the largest normalized column cross-correlation.
 
-    ``method="shortcut"`` evaluates chi over the difference set
-    {N, ..., NM-1} only — every Gram entry is one of these values (or an
-    exactly-zero same-range-bin correlation), so the maximum over column
-    pairs collapses to a single row of differences.  Valid in APPROXIMATE
-    mode for any codes.  ``method="gram"`` forms all pairwise inner products
-    from the dense matrix and works in either mode; it also accepts a plain
-    complex matrix (columns normalized by their own norms).  ``"auto"``
-    picks the shortcut whenever the operator structure allows it.
+    ``method="shortcut"`` reads the operator's factors R (N x M) and D
+    (N x N).  Since zeta_n depends only on the pulse, columns whose cells
+    differ by (dm, dl) with dm >= 0 have inner product sum_n R[n, dm] D[n, dl]
+    for dl >= 0 and sum_n R[n, dm] conj(D[n, -dl]) for dl <= 0, whatever the
+    base cell.  So chi+ = D^T R / N and chi- = D^H R / N hold every
+    normalized Gram entry up to conjugation, and mu is their largest
+    magnitude off (dm, dl) = (0, 0), in either mode.  In APPROXIMATE mode the
+    columns of D are orthogonal, so the dm = 0 entries vanish exactly and are
+    not evaluated.  ``method="gram"`` forms all pairwise inner products from
+    the dense matrix; it also accepts a plain complex matrix (columns
+    normalized by their own norms).  ``"auto"`` picks the shortcut for every
+    ``SensingMatrix`` and the Gram route otherwise.
     """
     structured = isinstance(phi, SensingMatrix)
-    approx = structured and phi.params.mode is BandwidthMode.APPROXIMATE
     if method == "auto":
-        method = "shortcut" if approx else "gram"
+        method = "shortcut" if structured else "gram"
     if method == "shortcut":
         if not structured:
             raise DomainError(
                 "the difference shortcut needs the structured operator; "
                 "pass a SensingMatrix or use method='gram'"
             )
-        if not approx:
-            raise DomainError(
-                "the difference shortcut requires APPROXIMATE mode; per-pulse "
-                "Doppler stretching breaks the Gram difference structure"
-            )
-        N, M = phi.params.n_pulses, phi.params.n_hrr_bins
-        if M == 1:
-            return CoherenceSample(mu=0.0, chi_abs=np.empty(0), method=method)
-        m_idx = np.arange(1, M)
-        hop = np.exp(1j * TWO_PI * np.outer(phi.codes.codes, m_idx))  # (N, M-1)
-        l_idx = np.arange(N)
-        dft = np.exp(1j * TWO_PI * np.outer(l_idx, np.arange(N)) / N)  # (l, n)
-        chi_mat = (dft @ hop) / N  # (N, M-1): rows Doppler offset, cols hop offset
-        chi_abs = np.abs(chi_mat).flatten(order="F")  # index (l + m*N) - N
-        mu = float(min(chi_abs.max(), 1.0))
-        return CoherenceSample(mu=mu, chi_abs=chi_abs, method=method)
+        first = 1 if phi.params.mode is BandwidthMode.APPROXIMATE else 0
+        R = phi.hop_response[:, first:]
+        D = phi.doppler_response
+        chi_pos = np.abs(D.T @ R)  # (dl, dm - first), dl >= 0
+        chi_neg = np.abs(D.conj().T @ R)  # (-dl, dm - first), dl <= 0
+        if first == 0:
+            chi_pos[0, 0] = chi_neg[0, 0] = 0.0  # each column with itself
+        peak = max(chi_pos.max(initial=0.0), chi_neg.max(initial=0.0))
+        return CoherenceSample(mu=float(min(peak / phi.n_pulses, 1.0)), method=method)
     if method == "gram":
         if structured:
             dense = phi.to_dense()
@@ -186,7 +183,7 @@ def coherence(phi, method: str = "auto") -> CoherenceSample:
                 raise DomainError("matrix has a zero column; coherence undefined")
             gram = np.abs(dense.conj().T @ dense) / np.outer(norms, norms)
         np.fill_diagonal(gram, 0.0)
-        return CoherenceSample(mu=float(min(gram.max(), 1.0)), chi_abs=None, method=method)
+        return CoherenceSample(mu=float(min(gram.max(), 1.0)), method=method)
     raise ConfigurationError(f"unknown coherence method {method!r}")
 
 

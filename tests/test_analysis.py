@@ -184,6 +184,17 @@ def test_chi_matches_gram_entries_at_full_scale():
         assert val == pytest.approx(complex(inner), abs=1e-12)
 
 
+def test_chi_matches_gram_entries_exact_mode():
+    # zeta_n stretches the Doppler term: (0, 17) is far from zero here
+    params = RadarParams.abstract(64, 8, n_codes=8, relative_bandwidth=0.5)
+    codes = sample_codes(5, 64, 8)
+    dense = build_phi(params, codes).to_dense()
+    for m, ell in [(5, 3), (7, 0), (0, 63), (0, 17), (2, 17)]:
+        val = chi(params, codes, TWO_PI * m / 8, TWO_PI * ell / 64)
+        inner = np.vdot(dense[:, 0], dense[:, ell + m * 64]) / 64
+        assert val == pytest.approx(complex(inner), abs=1e-12)
+
+
 def test_chi_rejects_off_grid_and_out_of_range():
     params = RadarParams.abstract(8, 4, n_codes=4)
     codes = sample_codes(0, 8, 4)
@@ -224,32 +235,47 @@ def test_coherence_shortcut_matches_gram_continuous_codes():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_coherence_routes_agree_property(seed):
     codes = sample_codes(seed, 8, 2)
-    params = RadarParams.abstract(8, 2, n_codes=2)
-    phi = build_phi(params, codes)
-    assert coherence(phi, method="shortcut").mu == pytest.approx(
-        coherence(phi, method="gram").mu, abs=1e-12
-    )
+    for relative_bandwidth in (0.0, 0.5):
+        params = RadarParams.abstract(8, 2, n_codes=2, relative_bandwidth=relative_bandwidth)
+        phi = build_phi(params, codes)
+        assert coherence(phi, method="shortcut").mu == pytest.approx(
+            coherence(phi, method="gram").mu, abs=1e-12
+        )
 
 
-def test_coherence_chi_abs_index_layout():
-    params = RadarParams.abstract(8, 4, n_codes=4)
+@pytest.mark.parametrize("relative_bandwidth", [0.0, 0.3])
+def test_chi_matches_every_gram_entry(relative_bandwidth):
+    # every column pair whose cells differ by (+m, +l) correlates to chi(m, l)
+    params = RadarParams.abstract(8, 4, n_codes=4, relative_bandwidth=relative_bandwidth)
     codes = sample_codes(7, 8, 4)
-    sample = coherence(build_phi(params, codes), method="shortcut")
-    assert sample.chi_abs.shape == (24,)
-    for m, ell in [(1, 0), (2, 3), (3, 7)]:
-        expected = abs(chi(params, codes, TWO_PI * m / 4, TWO_PI * ell / 8))
-        assert sample.chi_abs[ell + m * 8 - 8] == pytest.approx(expected, abs=1e-12)
+    phi = build_phi(params, codes)
+    dense = phi.to_dense()
+    gram = dense.conj().T @ dense / 8
+    table = {(m, ell): chi(params, codes, TWO_PI * m / 4, TWO_PI * ell / 8)
+             for m in range(4) for ell in range(8)}
+    for a in range(32):
+        for b in range(32):
+            (ma, la), (mb, lb) = divmod(a, 8), divmod(b, 8)
+            if mb >= ma and lb >= la:
+                assert gram[a, b] == pytest.approx(table[mb - ma, lb - la], abs=1e-12)
+    off_origin = max(abs(v) for key, v in table.items() if key != (0, 0))
+    if params.mode is BandwidthMode.APPROXIMATE:
+        assert coherence(phi).mu == pytest.approx(off_origin, abs=1e-12)
+    else:  # negative Doppler offsets are not periodic images in EXACT mode
+        assert coherence(phi).mu >= off_origin - 1e-12
 
 
-def test_coherence_exact_mode_requires_gram():
-    params = RadarParams.abstract(8, 4, n_codes=4, relative_bandwidth=0.3,
-                                  mode=BandwidthMode.EXACT)
-    phi = build_phi(params, sample_codes(1, 8, 4))
-    with pytest.raises(DomainError):
-        coherence(phi, method="shortcut")
-    auto = coherence(phi, method="auto")
-    assert auto.method == "gram"
-    assert 0.0 <= auto.mu <= 1.0
+@pytest.mark.parametrize("relative_bandwidth", [0.1, 0.5])
+@pytest.mark.parametrize("n_codes", [16, None])
+def test_coherence_exact_mode_shortcut_matches_gram(relative_bandwidth, n_codes):
+    params = RadarParams.abstract(32, 16, n_codes=n_codes,
+                                  relative_bandwidth=relative_bandwidth)
+    assert params.mode is BandwidthMode.EXACT
+    for seed in range(4):
+        phi = build_phi(params, sample_codes(seed, 32, n_codes))
+        auto = coherence(phi, method="auto")
+        assert auto.method == "shortcut"
+        assert auto.mu == pytest.approx(coherence(phi, method="gram").mu, abs=1e-12)
 
 
 def test_coherence_single_bin_is_zero():
@@ -257,6 +283,15 @@ def test_coherence_single_bin_is_zero():
     codes = FrequencyCodes(np.zeros(8), n_codes=1)
     sample = coherence(build_phi(params, codes), method="auto")
     assert sample.mu == 0.0
+
+
+def test_coherence_single_bin_exact_mode_matches_gram():
+    # per-pulse Doppler stretching leaves same-range-bin columns correlated
+    params = RadarParams.abstract(8, 1, relative_bandwidth=0.5)
+    phi = build_phi(params, sample_codes(3, 8, None))
+    sample = coherence(phi, method="auto")
+    assert sample.mu > 0.1
+    assert sample.mu == pytest.approx(coherence(phi, method="gram").mu, abs=1e-12)
 
 
 def test_coherence_constant_codes_is_one():
