@@ -243,28 +243,44 @@ def _trial_seed(config: ExperimentConfig, sweep_idx: int, trial_idx: int) -> int
 
 # --- spark -------------------------------------------------------------------
 
-def _spark_trial(task):
-    seed, n_pulses, n_hrr_bins, n_codes, eps_svd, max_submatrices = task
-    codes = sample_codes(seed, n_pulses, n_codes)
-    params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes)
+def _spark_census(task):
+    codes, n_hrr_bins, eps_svd, max_submatrices = task
+    params = RadarParams.abstract(codes.codes.size, n_hrr_bins, n_codes=codes.n_codes)
     report = spark_enumeration(build_phi(params, codes), eps_svd, max_submatrices)
     hist = np.histogram(report.sigma_values, bins=_SIGMA_HIST_EDGES)[0]
     return report.sigma_omega, report.n_below_eps, hist, report.n_submatrices
 
 
 def run_spark(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Rank census over random code draws; one record per trial."""
+    """Rank census over random code draws; one record per trial.
+
+    The census depends on nothing but the code vector, so each distinct
+    vector is enumerated once and its outcome reused by every trial that
+    draws it (the 2000 default discrete trials hold about 680 vectors).
+    Serial runs take each census in trial order, right after its draw.
+    """
     if config.experiment != "spark":
         raise ConfigurationError(f"config is for {config.experiment!r}, not 'spark'")
     n_codes = config.n_codes if config.code_distribution == "discrete" else None
     if config.code_distribution == "discrete" and n_codes is None:
         n_codes = config.n_hrr_bins
-    tasks = [
-        (_trial_seed(config, 0, t), config.n_pulses, config.n_hrr_bins,
-         n_codes, config.eps_svd, config.max_submatrices)
-        for t in range(config.n_trials)
-    ]
-    outcomes = _run_tasks(_spark_trial, tasks, threads)
+    pooled = threads is not None and threads > 1
+    censuses = {}  # exact code vector -> census outcome
+    pending = {}  # pooled runs: distinct vectors left for the workers
+    keys = []
+    for t in range(config.n_trials):
+        codes = sample_codes(_trial_seed(config, 0, t), config.n_pulses, n_codes)
+        key = codes.codes.tobytes()
+        keys.append(key)
+        if key in censuses or key in pending:
+            continue
+        task = (codes, config.n_hrr_bins, config.eps_svd, config.max_submatrices)
+        if pooled:
+            pending[key] = task
+        else:
+            censuses[key] = _spark_census(task)
+    censuses.update(zip(pending, _run_tasks(_spark_census, list(pending.values()), threads)))
+    outcomes = [censuses[key] for key in keys]
     rows = [
         TrialRecord((t, sigma_omega, n_below))
         for t, (sigma_omega, n_below, _, _) in enumerate(outcomes)
