@@ -247,8 +247,13 @@ def _spark_census(task):
     codes, n_hrr_bins, eps_svd, max_submatrices = task
     params = RadarParams.abstract(codes.codes.size, n_hrr_bins, n_codes=codes.n_codes)
     report = spark_enumeration(build_phi(params, codes), eps_svd, max_submatrices)
-    hist = np.histogram(report.sigma_values, bins=_SIGMA_HIST_EDGES)[0]
-    return report.sigma_omega, report.n_below_eps, hist, report.n_submatrices
+    sigmas = report.sigma_values
+    hist = np.histogram(sigmas, bins=_SIGMA_HIST_EDGES)[0]
+    below = sigmas < eps_svd
+    below_max = float(sigmas[below].max()) if below.any() else None
+    above_min = float(sigmas[~below].min()) if not below.all() else None
+    return (report.sigma_omega, report.n_below_eps, hist, report.n_submatrices,
+            below_max, above_min)
 
 
 def run_spark(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -283,12 +288,14 @@ def run_spark(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     outcomes = [censuses[key] for key in keys]
     rows = [
         TrialRecord((t, sigma_omega, n_below))
-        for t, (sigma_omega, n_below, _, _) in enumerate(outcomes)
+        for t, (sigma_omega, n_below, *_) in enumerate(outcomes)
     ]
     sigma_omegas = np.array([o[0] for o in outcomes])
     n_below = np.array([o[1] for o in outcomes])
     n_evaluated = np.array([o[3] for o in outcomes])
     hist_total = np.sum([o[2] for o in outcomes], axis=0)
+    below_max = [o[4] for o in outcomes if o[4] is not None]
+    above_min = [o[5] for o in outcomes if o[5] is not None]
     aggregates = {
         "n_trials": config.n_trials,
         "n_submatrices": int(n_evaluated[0]),
@@ -299,6 +306,9 @@ def run_spark(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         "fraction_submatrices_deficient": float(n_below.sum() / n_evaluated.sum()),
         "sigma_omega_min": float(sigma_omegas.min()),
         "sigma_omega_max": float(sigma_omegas.max()),
+        # classification margins on either side of eps_svd (None when empty)
+        "sigma_below_eps_max": max(below_max, default=None),
+        "sigma_above_eps_min": min(above_min, default=None),
         "sigma_hist_edges": _SIGMA_HIST_EDGES,
         "sigma_hist_counts": hist_total,
         "sigma_omega_hist_counts": np.histogram(sigma_omegas, bins=_SIGMA_HIST_EDGES)[0],

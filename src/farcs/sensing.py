@@ -13,6 +13,7 @@ modulus.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -43,17 +44,30 @@ def build_R(codes: FrequencyCodes, n_hrr_bins: int) -> np.ndarray:
     return np.exp(1j * 2.0 * np.pi * np.outer(codes.codes, m_idx))
 
 
+def _doppler_matrix(n_scaled: np.ndarray) -> np.ndarray:
+    N = n_scaled.size
+    return np.exp(1j * 2.0 * np.pi * np.outer(n_scaled, np.arange(N)) / N)
+
+
+@functools.lru_cache(maxsize=16)
+def _inverse_dft(n_pulses: int) -> np.ndarray:
+    D = _doppler_matrix(np.arange(n_pulses, dtype=np.float64))
+    D.setflags(write=False)
+    return D
+
+
 def build_D(params: RadarParams, codes: FrequencyCodes) -> np.ndarray:
     """Doppler response matrix, shape (N, N): exp(1j 2 pi l n zeta_n / N).
 
     In APPROXIMATE mode (zeta = 1) this is the unnormalized inverse DFT
-    matrix; in EXACT mode each row n is stretched by its own zeta_n.
+    matrix, the same for every code realization: one read-only copy per N is
+    built and shared.  In EXACT mode each row n is stretched by its own
+    zeta_n.
     """
-    N = params.n_pulses
     zetas = pulse_doppler_scalings(params, codes)
-    n_scaled = np.arange(N) * zetas  # n * zeta_n per row
-    l_idx = np.arange(N)
-    return np.exp(1j * 2.0 * np.pi * np.outer(n_scaled, l_idx) / N)
+    if params.mode is BandwidthMode.APPROXIMATE:
+        return _inverse_dft(params.n_pulses)
+    return _doppler_matrix(np.arange(params.n_pulses) * zetas)
 
 
 class SensingMatrix:
@@ -155,8 +169,10 @@ class SensingMatrix:
     def row_gram(self) -> np.ndarray:
         """Phi @ Phi^H, shape (N, N): (R R^H) * (D D^H) elementwise.
 
-        In APPROXIMATE mode with continuous or full-alphabet codes this is
-        generally dense; for solvers it is cheap to factor once (N x N).
+        In APPROXIMATE mode D / sqrt(N) is unitary, so D D^H = N I and only
+        the diagonal of R R^H, all M, survives: the product is N*M*I for any
+        codes.  In EXACT mode it is generally dense; for solvers it is cheap
+        to factor once (N x N).
         """
         return (self._R @ self._R.conj().T) * (self._D @ self._D.conj().T)
 

@@ -1,5 +1,6 @@
 """Tests for recovery-condition diagnostics: spark census, coherence, bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from farcs import (
     spark_enumeration,
     union_bound,
 )
+from farcs.analysis import _orbit_table
 
 TWO_PI = 2.0 * np.pi
 
@@ -133,6 +135,62 @@ def test_spark_rejects_bad_eps():
     phi = _abstract_phi((0.0,) * 6, 3, n_codes=3)
     with pytest.raises(DomainError):
         spark_enumeration(phi, eps_svd=0.0)
+
+
+def _per_subset_sigmas(phi):
+    # reference route: one min_singular_normalized call per column subset
+    N, n_cols = phi.shape
+    dense = phi.to_dense()
+    return np.array([min_singular_normalized(dense[:, list(cols)])
+                     for cols in itertools.combinations(range(n_cols), N)])
+
+
+def test_orbit_table_invariants():
+    table = _orbit_table(6, 3, True)
+    assert table.reps.size == 1599
+    np.testing.assert_array_equal(table.orbit_of[table.reps], np.arange(1599))
+    sizes = np.bincount(table.orbit_of)
+    assert sizes.sum() == math.comb(18, 6)
+    # orbits of a group of order 2N = 12 have sizes dividing 12
+    assert np.all(12 % sizes == 0)
+    exact = _orbit_table(6, 3, False)
+    np.testing.assert_array_equal(exact.reps, np.arange(math.comb(18, 6)))
+    np.testing.assert_array_equal(exact.orbit_of, np.arange(math.comb(18, 6)))
+
+
+@pytest.mark.parametrize("n_pulses,n_hrr_bins", [(6, 3), (2, 32)])
+@pytest.mark.parametrize("discrete", [True, False])
+def test_spark_orbit_route_matches_per_subset(n_pulses, n_hrr_bins, discrete):
+    # N=2, M=32 gives NM = 64 columns: too many for a subset bit mask in an int64
+    n_codes = n_hrr_bins if discrete else None
+    codes = sample_codes(7, n_pulses, n_codes)
+    phi = build_phi(RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes), codes)
+    report = spark_enumeration(phi)
+    np.testing.assert_allclose(report.sigma_values, _per_subset_sigmas(phi),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_spark_exact_mode_matches_per_subset():
+    params = RadarParams.abstract(5, 3, relative_bandwidth=0.3)
+    phi = build_phi(params, sample_codes(3, 5, None))
+    report = spark_enumeration(phi)
+    expected = _per_subset_sigmas(phi)
+    np.testing.assert_allclose(report.sigma_values, expected, rtol=0.0, atol=1e-12)
+    # zeta_n breaks the symmetry: approximate-mode orbits would mix unequal sigmas
+    reps, orbit_of = _orbit_table(5, 3, True)
+    assert np.abs(expected - expected[reps][orbit_of]).max() > 1e-3
+
+
+def test_spark_count_matches_determinant_count():
+    # every entry is a sixth root of unity, so every 6x6 minor is an Eisenstein
+    # integer: a nonsingular minor has |det| >= 1, a singular one is 0
+    phi = _abstract_phi(tuple(h / 3 for h in (2, 1, 0, 2, 1, 2)), 3, n_codes=3)
+    dense = phi.to_dense()
+    subsets = np.array(list(itertools.combinations(range(18), 6)))
+    dets = np.linalg.det(np.moveaxis(dense[:, subsets], 1, 0))
+    singular = int(np.count_nonzero(np.abs(dets) < 0.5))
+    assert singular == 10635
+    assert spark_enumeration(phi).n_below_eps == singular
 
 
 def test_spark_batching_invariant():

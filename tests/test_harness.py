@@ -115,6 +115,9 @@ def test_run_spark_schema_and_known_rates():
     assert ag["fraction_trials_deficient"] == 1.0
     assert 0.0 < ag["fraction_submatrices_deficient"] < 1.0
     assert int(np.sum(ag["sigma_hist_counts"])) == 3 * math.comb(18, 6)
+    # singular minors sit at the rounding floor, nonsingular ones far above it
+    assert ag["sigma_below_eps_max"] < ag["eps_svd"] <= ag["sigma_above_eps_min"]
+    assert ag["sigma_above_eps_min"] > 0.05
 
 
 def test_run_spark_continuous_codes_full_rank():
@@ -122,6 +125,8 @@ def test_run_spark_continuous_codes_full_rank():
     ag = run_experiment(cfg).aggregates
     assert ag["fraction_trials_deficient"] == 0.0
     assert ag["sigma_omega_min"] > 1e-12
+    assert ag["sigma_below_eps_max"] is None
+    assert ag["sigma_above_eps_min"] == ag["sigma_omega_min"]
 
 
 def test_run_spark_continuous_census_min_sigma():
