@@ -32,8 +32,6 @@ from .sensing import (
     build_R,
     build_iwr_psi,
     build_phi,
-    dump_phi,
-    load_phi_dump,
     phi_row_sampling_check,
 )
 from .analysis import (

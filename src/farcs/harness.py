@@ -41,7 +41,9 @@ from .solvers import (
 
 EXPERIMENTS = ("spark", "mip", "phase", "noisy", "bounds")
 
-_SIGMA_HIST_EDGES = np.linspace(0.0, 1.2, 61)
+# bins 0.02 wide centred on 0, 0.02, ..., 1.2: sigma = 1 (orthogonal columns)
+# sits in the middle of a bin, so rounding cannot move it across an edge
+_SIGMA_HIST_EDGES = np.linspace(-0.01, 1.21, 62)
 
 
 @dataclass(frozen=True)
@@ -241,6 +243,16 @@ def _trial_seed(config: ExperimentConfig, sweep_idx: int, trial_idx: int) -> int
     return config.master_seed + sweep_idx * config.n_trials + trial_idx
 
 
+def _convergence(runs) -> dict:
+    """Convergence summary of one solver's (converged, iterations) runs."""
+    iterations = np.array([it for _, it in runs])
+    return {
+        "not_converged": sum(not ok for ok, _ in runs),
+        "iterations_p50": float(np.median(iterations)),
+        "iterations_max": int(iterations.max()),
+    }
+
+
 # --- spark -------------------------------------------------------------------
 
 def _spark_census(task):
@@ -405,11 +417,15 @@ def _phase_trial(task):
                           magnitude_threshold=settings.support_threshold)
     bp = basis_pursuit(phi, y, bp_cfg)
     bp_est = extract_support(bp.x_hat, K=sparsity, eps=settings.support_threshold)
-    return mf_est == truth, bp_est == truth
+    return mf_est == truth, bp_est == truth, (bp.converged, bp.iterations)
 
 
 def run_phase(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Noiseless exact-support rates for matched filtering and basis pursuit."""
+    """Noiseless exact-support rates for matched filtering and basis pursuit.
+
+    The sidecar also records, per sparsity, how many basis-pursuit solves
+    did not converge and the median and maximum of their iteration counts.
+    """
     if config.experiment != "phase":
         raise ConfigurationError(f"config is for {config.experiment!r}, not 'phase'")
     for k in config.sweep:
@@ -424,19 +440,24 @@ def run_phase(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     outcomes = _run_tasks(_phase_trial, tasks, threads)
     rows = []
     rates = {"mf": {}, "bp": {}}
+    convergence = {"bp": {}}
     idx = 0
     for k in config.sweep:
         mf_ok = bp_ok = 0
+        bp_runs = []
         for t in range(config.n_trials):
-            mf_success, bp_success = outcomes[idx]
+            mf_success, bp_success, bp_run = outcomes[idx]
             idx += 1
             rows.append(TrialRecord(("mf", k, t, bool(mf_success))))
             rows.append(TrialRecord(("bp", k, t, bool(bp_success))))
             mf_ok += mf_success
             bp_ok += bp_success
+            bp_runs.append(bp_run)
         rates["mf"][str(k)] = mf_ok / config.n_trials
         rates["bp"][str(k)] = bp_ok / config.n_trials
-    aggregates = {"success_rate": rates, "sparsities": list(config.sweep)}
+        convergence["bp"][str(k)] = _convergence(bp_runs)
+    aggregates = {"success_rate": rates, "sparsities": list(config.sweep),
+                  "convergence": convergence}
     return ExperimentResult("phase", ("solver", "K", "trial", "success"),
                             rows, aggregates, config_to_dict(config))
 
@@ -460,11 +481,16 @@ def _noisy_trial(task):
                              residual_tol=settings.lasso_objective_tol,
                              magnitude_threshold=settings.lasso_support_threshold)
     la = lasso(phi, y, settings.lasso_lambda_factor * sigma2, lasso_cfg)
-    return sp.support == truth, la.support == truth
+    return (sp.support == truth, la.support == truth,
+            (sp.converged, sp.iterations), (la.converged, la.iterations))
 
 
 def run_noisy(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Exact-support rates vs. noise power for subspace pursuit and lasso."""
+    """Exact-support rates vs. noise power for subspace pursuit and lasso.
+
+    The sidecar also records, per noise power and solver, how many solves
+    did not converge and the median and maximum of their iteration counts.
+    """
     if config.experiment != "noisy":
         raise ConfigurationError(f"config is for {config.experiment!r}, not 'noisy'")
     for db in config.sweep:
@@ -479,21 +505,27 @@ def run_noisy(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     outcomes = _run_tasks(_noisy_trial, tasks, threads)
     rows = []
     rates = {"sp": {}, "lasso": {}}
+    convergence = {"sp": {}, "lasso": {}}
     idx = 0
     for db in config.sweep:
         key = _fmt(float(db))
         sp_ok = la_ok = 0
+        sp_runs, la_runs = [], []
         for t in range(config.n_trials):
-            sp_success, la_success = outcomes[idx]
+            sp_success, la_success, sp_run, la_run = outcomes[idx]
             idx += 1
             rows.append(TrialRecord(("sp", float(db), t, bool(sp_success))))
             rows.append(TrialRecord(("lasso", float(db), t, bool(la_success))))
             sp_ok += sp_success
             la_ok += la_success
+            sp_runs.append(sp_run)
+            la_runs.append(la_run)
         rates["sp"][key] = sp_ok / config.n_trials
         rates["lasso"][key] = la_ok / config.n_trials
+        convergence["sp"][key] = _convergence(sp_runs)
+        convergence["lasso"][key] = _convergence(la_runs)
     aggregates = {"success_rate": rates, "sigma2_db": [float(d) for d in config.sweep],
-                  "n_scatterers": config.n_scatterers}
+                  "n_scatterers": config.n_scatterers, "convergence": convergence}
     return ExperimentResult("noisy", ("solver", "sigma2_db", "trial", "success"),
                             rows, aggregates, config_to_dict(config))
 

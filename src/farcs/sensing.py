@@ -14,7 +14,6 @@ modulus.
 from __future__ import annotations
 
 import functools
-import struct
 
 import numpy as np
 
@@ -73,9 +72,10 @@ def build_D(params: RadarParams, codes: FrequencyCodes) -> np.ndarray:
 class SensingMatrix:
     """Lazy N x NM sensing operator for one code realization.
 
-    Stores only the N x M and N x N factors; columns, products and the dense
-    matrix are formed on demand.  ``to_dense`` refuses to materialize more
-    than ``max_dense_entries`` complex values.
+    Stores only the N x M and N x N factors, plus their transposed and
+    conjugated copies once a product has run; columns, products and the
+    dense matrix are formed on demand.  ``to_dense`` refuses to materialize
+    more than ``max_dense_entries`` complex values.
     """
 
     def __init__(self, params: RadarParams, codes: FrequencyCodes,
@@ -147,24 +147,33 @@ class SensingMatrix:
 
     # --- products ----------------------------------------------------------
 
+    # The products work in the layout x[l + m*N] = X[m, l] (rows of X are
+    # range bins), so x.reshape(M, N) is X with no copy; they read
+    # contiguous copies of R^T, D^T, R^H and conj(D), built on first use.
+
+    @functools.cached_property
+    def _matvec_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.ascontiguousarray(self._R.T), np.ascontiguousarray(self._D.T)
+
+    @functools.cached_property
+    def _rmatvec_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.ascontiguousarray(self._R.conj().T), self._D.conj()
+
     def matvec(self, x) -> np.ndarray:
-        """Phi @ x for a length-NM vector, computed from the factors."""
+        """Phi @ x for a length-NM vector: R^T * (X D^T), summed over its rows."""
         x = np.asarray(x)
         if x.shape != (self.n_columns,):
             raise ShapeError(f"expected shape ({self.n_columns},), got {x.shape}")
-        N, M = self.params.n_pulses, self.params.n_hrr_bins
-        # x[l + m*N] = X[m, l]  ->  columns of X_lm are range bins
-        x_lm = x.reshape(M, N).T  # (N_l, M)
-        return np.sum(self._R * (self._D @ x_lm), axis=1)
+        R_t, D_t = self._matvec_factors
+        return np.sum(R_t * (x.reshape(R_t.shape) @ D_t), axis=0)
 
     def rmatvec(self, v) -> np.ndarray:
-        """Phi^H @ v for a length-N vector."""
+        """Phi^H @ v for a length-N vector: ((R^H * v) conj(D)), flattened."""
         v = np.asarray(v)
         if v.shape != (self.n_pulses,):
             raise ShapeError(f"expected shape ({self.n_pulses},), got {v.shape}")
-        weighted = np.conj(self._R) * v[:, None]  # (N, M)
-        out = self._D.conj().T @ weighted  # (N_l, M)
-        return out.flatten(order="F")
+        R_h, D_conj = self._rmatvec_factors
+        return ((R_h * v) @ D_conj).ravel()
 
     def row_gram(self) -> np.ndarray:
         """Phi @ Phi^H, shape (N, N): (R R^H) * (D D^H) elementwise.
@@ -229,79 +238,3 @@ def phi_row_sampling_check(phi: SensingMatrix, psi: np.ndarray,
             return False
     return True
 
-
-# --- export for cross-checking against external tools -----------------------
-
-_BIN_MAGIC = b"FARPHI01"
-
-
-def dump_phi(phi: SensingMatrix, path, fmt: str = "csv") -> None:
-    """Write the dense matrix with its dimensions and codes to ``path``.
-
-    ``fmt="csv"``: '#'-prefixed header lines (N, M, n_codes, codes), then one
-    row per line with interleaved real,imag fields at full precision.
-    ``fmt="bin"``: little-endian magic/header followed by float64 code and
-    entry pairs, row-major.
-    """
-    dense = phi.to_dense()
-    N, M = phi.params.n_pulses, phi.params.n_hrr_bins
-    n_codes = phi.codes.n_codes if phi.codes.is_discrete else -1
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write(f"# N={N}\n# M={M}\n# n_codes={n_codes}\n")
-            fh.write("# codes=" + ",".join(repr(float(c)) for c in phi.codes.codes) + "\n")
-            for row in dense:
-                fields = []
-                for z in row:
-                    fields.append(repr(float(z.real)))
-                    fields.append(repr(float(z.imag)))
-                fh.write(",".join(fields) + "\n")
-    elif fmt == "bin":
-        with open(path, "wb") as fh:
-            fh.write(_BIN_MAGIC)
-            fh.write(struct.pack("<qqq", N, M, n_codes))
-            fh.write(np.ascontiguousarray(phi.codes.codes, dtype="<f8").tobytes())
-            inter = np.empty((N, 2 * N * M), dtype="<f8")
-            inter[:, 0::2] = dense.real
-            inter[:, 1::2] = dense.imag
-            fh.write(inter.tobytes())
-    else:
-        raise ConfigurationError(f"unknown dump format {fmt!r}; use 'csv' or 'bin'")
-
-
-def load_phi_dump(path, fmt: str = "csv"):
-    """Read a matrix written by ``dump_phi``; returns (N, M, codes, dense)."""
-    if fmt == "csv":
-        header = {}
-        codes = None
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line[1:].strip().partition("=")
-                    if key == "codes":
-                        codes = np.array([float(v) for v in val.split(",")])
-                    else:
-                        header[key] = int(val)
-                    continue
-                vals = np.array([float(v) for v in line.split(",")])
-                rows.append(vals[0::2] + 1j * vals[1::2])
-        N, M = header["N"], header["M"]
-        dense = np.vstack(rows)
-    elif fmt == "bin":
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_BIN_MAGIC))
-            if magic != _BIN_MAGIC:
-                raise ConfigurationError(f"bad magic in {path}")
-            N, M, _ = struct.unpack("<qqq", fh.read(24))
-            codes = np.frombuffer(fh.read(8 * N), dtype="<f8").copy()
-            raw = np.frombuffer(fh.read(), dtype="<f8").reshape(N, 2 * N * M)
-            dense = raw[:, 0::2] + 1j * raw[:, 1::2]
-    else:
-        raise ConfigurationError(f"unknown dump format {fmt!r}; use 'csv' or 'bin'")
-    if dense.shape != (N, N * M):
-        raise ShapeError(f"dump has shape {dense.shape}, header says ({N}, {N * M})")
-    return N, M, codes, dense

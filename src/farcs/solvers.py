@@ -5,6 +5,10 @@ factored form) or a plain complex ndarray.  Results report the estimated
 coefficient vector, its support, the final residual norm and a convergence
 flag; ties in greedy selections and support extraction always resolve to the
 lowest column index so runs are reproducible.
+
+The iterative l1 solvers make one product each way per iteration: basis
+pursuit one Phi and one Phi^H in its projection, lasso one Phi^H for the
+gradient and one Phi at the new iterate.
 """
 
 from __future__ import annotations
@@ -272,11 +276,16 @@ def subspace_pursuit(phi, y, K: int, config: SolverConfig | None = None) -> Reco
 
 # --- basis pursuit (ADMM) -------------------------------------------------------
 
+def _norm(v) -> float:
+    """Euclidean norm of a vector, as one BLAS dot product."""
+    return math.sqrt(np.vdot(v, v).real)
+
+
 def _soft_threshold(v, kappa):
-    """Complex soft thresholding: shrink magnitudes, keep phases."""
-    mag = np.abs(v)
-    scale = np.maximum(1.0 - kappa / np.maximum(mag, 1e-300), 0.0)
-    return v * scale
+    """Complex soft thresholding: shrink magnitudes by kappa, keep phases."""
+    if kappa == 0:
+        return v.copy()  # the form below would divide 0 by 0 where v = 0
+    return v * (1.0 - kappa / np.maximum(np.abs(v), kappa))
 
 
 def basis_pursuit(phi, y, config: SolverConfig | None = None,
@@ -292,6 +301,8 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None,
     cfg = config or _BP_DEFAULTS
     y = _check_y(phi, y)
     n_rows, n_cols = _op_shape(phi)
+    if not rho > 0:
+        raise ConfigurationError(f"rho must be > 0, got {rho}")
     if not 0 < over_relaxation < 2:
         raise ConfigurationError(f"over_relaxation must be in (0, 2), got {over_relaxation}")
     y_norm = np.linalg.norm(y)
@@ -300,9 +311,10 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None,
 
     if isinstance(phi, SensingMatrix) and phi.is_row_orthogonal():
         scale = float(n_cols)
+        y_scaled = y / scale
 
         def project(v):
-            return v - _op_rmatvec(phi, (_op_matvec(phi, v) - y) / scale)
+            return v - _op_rmatvec(phi, _op_matvec(phi, v) / scale - y_scaled)
     else:
         gram = _op_row_gram(phi)
         try:
@@ -324,11 +336,11 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None,
         x_relaxed = over_relaxation * x + (1.0 - over_relaxation) * z
         z_new = _soft_threshold(x_relaxed + u, kappa)
         u = u + x_relaxed - z_new
-        primal = np.linalg.norm(x - z_new)
-        dual = rho * np.linalg.norm(z_new - z)
+        primal = _norm(x - z_new)
+        dual = rho * _norm(z_new - z)
         z = z_new
-        tol_primal = cfg.residual_tol * max(np.linalg.norm(x), np.linalg.norm(z), 1e-12)
-        tol_dual = cfg.residual_tol * max(rho * np.linalg.norm(u), 1e-12)
+        tol_primal = cfg.residual_tol * max(_norm(x), _norm(z), 1e-12)
+        tol_dual = cfg.residual_tol * max(rho * _norm(u), 1e-12)
         if primal <= tol_primal and dual <= tol_dual:
             converged = True
             break
@@ -344,7 +356,10 @@ def lasso(phi, y, lam: float, config: SolverConfig | None = None) -> RecoveryRes
 
     Minimizes 0.5 ||Phi x - y||^2 + lam ||x||_1 with the fixed step 1/L,
     L = ||Phi||_2^2 (exactly NM for row-orthogonal sensing matrices).  Stops
-    when the relative objective change drops under ``residual_tol``.  With
+    when the relative objective change drops under ``residual_tol``.  Each
+    iteration makes one product each way: Phi^H for the gradient and Phi at
+    the new iterate.  The residual Phi x - y is carried between iterations,
+    and the one at the extrapolated point w follows from linearity.  With
     lam >= ||Phi^H y||_inf the zero vector is already optimal and is
     returned from the zero initialization immediately.
     """
@@ -357,18 +372,21 @@ def lasso(phi, y, lam: float, config: SolverConfig | None = None) -> RecoveryRes
     x = np.zeros(n_cols, dtype=np.complex128)
     w = x
     momentum = 1.0
-    residual = _op_matvec(phi, x) - y
-    objective = 0.5 * np.linalg.norm(residual) ** 2
+    residual = _op_matvec(phi, x) - y  # Phi x - y
+    residual_w = residual  # Phi w - y
+    objective = 0.5 * np.vdot(residual, residual).real
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        grad = _op_rmatvec(phi, _op_matvec(phi, w) - y)
+        grad = _op_rmatvec(phi, residual_w)
         x_new = _soft_threshold(w - step * grad, step * lam)
+        residual_new = _op_matvec(phi, x_new) - y
         momentum_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
-        w = x_new + ((momentum - 1.0) / momentum_new) * (x_new - x)
-        x, momentum = x_new, momentum_new
-        residual = _op_matvec(phi, x) - y
-        new_objective = 0.5 * np.linalg.norm(residual) ** 2 + lam * np.sum(np.abs(x))
+        beta = (momentum - 1.0) / momentum_new
+        w = x_new + beta * (x_new - x)
+        residual_w = residual_new + beta * (residual_new - residual)
+        x, residual, momentum = x_new, residual_new, momentum_new
+        new_objective = 0.5 * np.vdot(residual, residual).real + lam * np.sum(np.abs(x))
         if abs(objective - new_objective) <= cfg.residual_tol * max(new_objective, 1e-12):
             converged = True
             objective = new_objective

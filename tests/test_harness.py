@@ -20,7 +20,7 @@ from farcs import (
     run_experiment,
 )
 from farcs.cli import main
-from farcs.harness import _fmt, _jsonable, run_mip, run_spark
+from farcs.harness import _SIGMA_HIST_EDGES, _fmt, _jsonable, run_mip, run_spark
 
 # small, fast configurations used throughout
 SPARK_TINY = dataclasses.replace(default_config("spark"), n_trials=3)
@@ -118,6 +118,16 @@ def test_run_spark_schema_and_known_rates():
     # singular minors sit at the rounding floor, nonsingular ones far above it
     assert ag["sigma_below_eps_max"] < ag["eps_svd"] <= ag["sigma_above_eps_min"]
     assert ag["sigma_above_eps_min"] > 0.05
+
+
+def test_sigma_hist_puts_unit_sigma_mid_bin():
+    # subsets with orthogonal columns have sigma = 1 up to rounding; an edge
+    # there would let the last bit pick the bin
+    counts = np.histogram([1.0 - 1e-15, 1.0, 1.0 + 1e-15], bins=_SIGMA_HIST_EDGES)[0]
+    assert counts.max() == 3
+    centres = 0.5 * (_SIGMA_HIST_EDGES[:-1] + _SIGMA_HIST_EDGES[1:])
+    assert np.isclose(centres, 1.0, rtol=0, atol=1e-12).sum() == 1
+    assert _SIGMA_HIST_EDGES[0] < 0.0 and _SIGMA_HIST_EDGES[-1] > 1.0
 
 
 def test_run_spark_continuous_codes_full_rank():
@@ -222,6 +232,27 @@ def test_run_noisy_rejects_bad_db():
     cfg = dataclasses.replace(NOISY_TINY, sweep=("loud",))
     with pytest.raises(ConfigurationError):
         run_experiment(cfg)
+
+
+def test_recovery_sidecars_report_solver_convergence():
+    phase = run_experiment(PHASE_TINY).aggregates["convergence"]
+    noisy = run_experiment(NOISY_TINY).aggregates["convergence"]
+    assert set(phase) == {"bp"} and set(phase["bp"]) == {"1", "2"}
+    assert set(noisy) == {"sp", "lasso"} and set(noisy["lasso"]) == {"15.0"}
+    for point in [*phase["bp"].values(), *noisy["sp"].values(), *noisy["lasso"].values()]:
+        assert point["not_converged"] == 0
+        assert 0 <= point["iterations_p50"] <= point["iterations_max"]
+    assert phase["bp"]["1"]["iterations_max"] > 1
+    # capped solvers stop short on every trial, and the sidecar says so
+    capped = dataclasses.replace(PHASE_TINY, solver=SolverSettings(bp_max_iter=5))
+    conv = run_experiment(capped).aggregates["convergence"]
+    assert conv == {"bp": {k: {"not_converged": 3, "iterations_p50": 5.0, "iterations_max": 5}
+                           for k in ("1", "2")}}
+    capped = dataclasses.replace(NOISY_TINY, sweep=(-15.0,),
+                                 solver=SolverSettings(lasso_max_iter=2))
+    conv = run_experiment(capped).aggregates["convergence"]
+    assert conv["lasso"] == {"-15.0": {"not_converged": 3, "iterations_p50": 2.0,
+                                       "iterations_max": 2}}
 
 
 def test_run_bounds_matches_direct_evaluation():

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from farcs.errors import (
-    ConfigurationError,
     DomainError,
     ResourceError,
     ShapeError,
@@ -17,8 +16,6 @@ from farcs.sensing import (
     build_R,
     build_iwr_psi,
     build_phi,
-    dump_phi,
-    load_phi_dump,
     phi_row_sampling_check,
 )
 from farcs.signal_model import (
@@ -139,6 +136,36 @@ def test_matvec_rmatvec_match_dense():
                         atol=1e-10)
 
 
+# EXACT mode, a single range bin, and two pulses with many range bins
+@pytest.mark.parametrize("n_pulses,n_hrr_bins", [(16, 4), (16, 1), (2, 32)])
+@pytest.mark.parametrize("relative_bandwidth", [0.0, 0.4])
+def test_matvec_rmatvec_match_dense_edge_shapes(n_pulses, n_hrr_bins, relative_bandwidth):
+    params = RadarParams.abstract(n_pulses, n_hrr_bins,
+                                  relative_bandwidth=relative_bandwidth)
+    phi = build_phi(params, sample_codes(31, n_pulses))
+    dense = phi.to_dense()
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(phi.n_columns) + 1j * rng.standard_normal(phi.n_columns)
+    v = rng.standard_normal(n_pulses) + 1j * rng.standard_normal(n_pulses)
+    assert_allclose(phi.matvec(x), dense @ x, rtol=0, atol=1e-12)
+    assert_allclose(phi.matvec(x.real), dense @ x.real, rtol=0, atol=1e-12)
+    assert_allclose(phi.rmatvec(v), dense.conj().T @ v, rtol=0, atol=1e-12)
+    assert phi.matvec(x).shape == (n_pulses,)
+    assert phi.rmatvec(v).shape == (phi.n_columns,)
+
+
+def test_product_factors_are_built_on_first_product():
+    phi = _phi(seed=12)
+    assert "_matvec_factors" not in vars(phi) and "_rmatvec_factors" not in vars(phi)
+    phi.matvec(np.ones(phi.n_columns))
+    phi.rmatvec(np.ones(phi.n_pulses))
+    R_t, D_t = vars(phi)["_matvec_factors"]
+    R_h, D_conj = vars(phi)["_rmatvec_factors"]
+    assert all(a.flags.c_contiguous for a in (R_t, D_t, R_h, D_conj))
+    assert_allclose(R_h, phi.hop_response.conj().T, atol=0)
+    assert_allclose(D_t, phi.doppler_response.T, atol=0)
+
+
 def test_matvec_shape_checks():
     phi = _phi()
     with pytest.raises(ShapeError):
@@ -241,21 +268,3 @@ def test_row_sampling_requires_integer_offsets():
     with pytest.raises(DomainError):
         phi_row_sampling_check(phi_h, psi, halves)
 
-
-# --- dumps ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("fmt", ["csv", "bin"])
-def test_dump_round_trip(tmp_path, fmt):
-    phi = _phi(n_pulses=6, n_hrr_bins=3, seed=8, n_codes=3)
-    path = tmp_path / f"phi.{fmt}"
-    dump_phi(phi, path, fmt=fmt)
-    n, m, codes, dense = load_phi_dump(path, fmt=fmt)
-    assert (n, m) == (6, 3)
-    assert np.array_equal(codes, phi.codes.codes)
-    assert np.array_equal(dense, phi.to_dense())
-
-
-def test_dump_rejects_unknown_format(tmp_path):
-    phi = _phi(n_pulses=4, n_hrr_bins=2, n_codes=2)
-    with pytest.raises(ConfigurationError):
-        dump_phi(phi, tmp_path / "phi.x", fmt="npz")

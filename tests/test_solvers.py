@@ -26,7 +26,7 @@ from farcs import (
     sample_codes,
     subspace_pursuit,
 )
-from farcs.solvers import _GrowingQR
+from farcs.solvers import _GrowingQR, _soft_threshold
 
 
 def _problem(n_pulses=64, n_hrr_bins=8, k=3, seed=0, amp_seed=100):
@@ -331,6 +331,119 @@ def test_basis_pursuit_zero_measurement_and_validation():
     assert result.support == () and result.converged
     with pytest.raises(ConfigurationError):
         basis_pursuit(phi, np.zeros(phi.n_pulses, dtype=complex), over_relaxation=2.0)
+    with pytest.raises(ConfigurationError):
+        basis_pursuit(phi, np.ones(phi.n_pulses, dtype=complex), rho=0.0)
+
+
+# --- reference loops on the dense matrix ------------------------------------------------
+
+
+def _reference_soft_threshold(v, kappa):
+    mag = np.abs(v)
+    return v * np.maximum(1.0 - kappa / np.maximum(mag, 1e-300), 0.0)
+
+
+def _reference_admm(A, y, rho=1.0, alpha=1.8, tol=1e-8, max_iter=10000):
+    """Over-relaxed ADMM basis pursuit written out on a dense A."""
+    gram = A @ A.conj().T
+    z = np.zeros(A.shape[1], dtype=np.complex128)
+    u = np.zeros_like(z)
+    for it in range(1, max_iter + 1):
+        v = z - u
+        x = v - A.conj().T @ np.linalg.solve(gram, A @ v - y)
+        x_relaxed = alpha * x + (1.0 - alpha) * z
+        z_new = _reference_soft_threshold(x_relaxed + u, 1.0 / rho)
+        u = u + x_relaxed - z_new
+        primal = np.linalg.norm(x - z_new)
+        dual = rho * np.linalg.norm(z_new - z)
+        z = z_new
+        if (primal <= tol * max(np.linalg.norm(x), np.linalg.norm(z), 1e-12)
+                and dual <= tol * max(rho * np.linalg.norm(u), 1e-12)):
+            break
+    return x, it
+
+
+def _reference_fista(A, y, lam, tol=1e-6, max_iter=5000):
+    """FISTA lasso written out on a dense A, with both products per iteration."""
+    step = 1.0 / np.linalg.norm(A, 2) ** 2
+    x = np.zeros(A.shape[1], dtype=np.complex128)
+    w = x
+    t = 1.0
+    objective = 0.5 * np.linalg.norm(A @ x - y) ** 2
+    for it in range(1, max_iter + 1):
+        x_new = _reference_soft_threshold(w - step * (A.conj().T @ (A @ w - y)), step * lam)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        w = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, t = x_new, t_new
+        new_objective = 0.5 * np.linalg.norm(A @ x - y) ** 2 + lam * np.sum(np.abs(x))
+        if abs(objective - new_objective) <= tol * max(new_objective, 1e-12):
+            break
+        objective = new_objective
+    return x, it
+
+
+def _reference_instance(seed, relative_bandwidth, k, sigma2=0.0):
+    rng = np.random.default_rng(seed)
+    params = RadarParams.abstract(32, 4, relative_bandwidth=relative_bandwidth)
+    phi = build_phi(params, sample_codes(rng, 32, 4))
+    idx = rng.choice(phi.n_columns, size=k, replace=False)
+    y = phi.columns(idx) @ np.exp(1j * rng.uniform(0, 2 * np.pi, k))
+    return phi, (add_noise(y, sigma2, rng) if sigma2 else y)
+
+
+# APPROXIMATE mode takes the scaled-identity projection, EXACT mode and the
+# plain array the Cholesky one
+@pytest.mark.parametrize("relative_bandwidth,dense", [(0.0, False), (0.4, False), (0.0, True)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_basis_pursuit_matches_reference_admm(relative_bandwidth, dense, seed):
+    phi, y = _reference_instance(9100 + seed, relative_bandwidth, k=3)
+    A = phi.to_dense()
+    result = basis_pursuit(A if dense else phi, y)
+    x_ref, it_ref = _reference_admm(A, y)
+    assert result.converged
+    assert result.iterations == it_ref
+    np.testing.assert_allclose(result.x_hat, x_ref, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("relative_bandwidth,dense", [(0.0, False), (0.4, False), (0.0, True)])
+@pytest.mark.parametrize("sigma2_db", [-15.0, 0.0])
+def test_lasso_matches_reference_fista(relative_bandwidth, dense, sigma2_db):
+    sigma2 = 10.0 ** (sigma2_db / 10.0)
+    phi, y = _reference_instance(9200, relative_bandwidth, k=3, sigma2=sigma2)
+    A = phi.to_dense()
+    result = lasso(A if dense else phi, y, 3.0 * sigma2)
+    x_ref, it_ref = _reference_fista(A, y, 3.0 * sigma2)
+    assert result.converged
+    assert result.iterations == it_ref
+    np.testing.assert_allclose(result.x_hat, x_ref, rtol=0, atol=1e-10)
+
+
+def test_lasso_makes_one_product_each_way_per_iteration():
+    phi, y = _reference_instance(9300, 0.0, k=3, sigma2=0.1)
+    calls = {"matvec": 0, "rmatvec": 0}
+    for name in calls:
+        def counted(v, _name=name, _product=getattr(phi, name)):
+            calls[_name] += 1
+            return _product(v)
+        setattr(phi, name, counted)
+    result = lasso(phi, y, 0.3)
+    assert result.iterations > 1
+    assert calls == {"matvec": result.iterations + 1, "rmatvec": result.iterations}
+
+
+def test_soft_threshold_edges():
+    v = np.array([0.0, 3.0 + 4.0j, -2.0, 1e-3j])
+    # kappa = 0 returns v unchanged, zeros included (no 0/0)
+    out = _soft_threshold(v, 0.0)
+    assert np.array_equal(out, v) and out is not v
+    # |v| = kappa lands exactly on zero; above it the magnitude shrinks by kappa
+    np.testing.assert_array_equal(_soft_threshold(v, 5.0), [0, 0, 0, 0])
+    np.testing.assert_array_equal(_soft_threshold(v, 2.0)[2:], [0, 0])
+    np.testing.assert_allclose(_soft_threshold(v, 2.0)[1], (3.0 + 4.0j) * 3.0 / 5.0,
+                               rtol=1e-15)
+    for kappa in (2.0, 5.0, 1e-3, 0.5):
+        np.testing.assert_array_equal(_soft_threshold(v, kappa),
+                                      _reference_soft_threshold(v, kappa))
 
 
 # --- lasso ---------------------------------------------------------------------------
