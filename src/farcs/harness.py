@@ -417,14 +417,15 @@ def _phase_trial(task):
                           magnitude_threshold=settings.support_threshold)
     bp = basis_pursuit(phi, y, bp_cfg)
     bp_est = extract_support(bp.x_hat, K=sparsity, eps=settings.support_threshold)
-    return mf_est == truth, bp_est == truth, (bp.converged, bp.iterations)
+    return mf_est == truth, bp_est == truth, (bp.converged, bp.iterations), bp.certified
 
 
 def run_phase(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Noiseless exact-support rates for matched filtering and basis pursuit.
 
     The sidecar also records, per sparsity, how many basis-pursuit solves
-    did not converge and the median and maximum of their iteration counts.
+    did not converge, how many stopped on a dual certificate, and the median
+    and maximum of their iteration counts.
     """
     if config.experiment != "phase":
         raise ConfigurationError(f"config is for {config.experiment!r}, not 'phase'")
@@ -443,19 +444,20 @@ def run_phase(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     convergence = {"bp": {}}
     idx = 0
     for k in config.sweep:
-        mf_ok = bp_ok = 0
+        mf_ok = bp_ok = certified = 0
         bp_runs = []
         for t in range(config.n_trials):
-            mf_success, bp_success, bp_run = outcomes[idx]
+            mf_success, bp_success, bp_run, bp_certified = outcomes[idx]
             idx += 1
             rows.append(TrialRecord(("mf", k, t, bool(mf_success))))
             rows.append(TrialRecord(("bp", k, t, bool(bp_success))))
             mf_ok += mf_success
             bp_ok += bp_success
+            certified += bp_certified
             bp_runs.append(bp_run)
         rates["mf"][str(k)] = mf_ok / config.n_trials
         rates["bp"][str(k)] = bp_ok / config.n_trials
-        convergence["bp"][str(k)] = _convergence(bp_runs)
+        convergence["bp"][str(k)] = {**_convergence(bp_runs), "certified": certified}
     aggregates = {"success_rate": rates, "sparsities": list(config.sweep),
                   "convergence": convergence}
     return ExperimentResult("phase", ("solver", "K", "trial", "success"),

@@ -55,6 +55,13 @@ def _inverse_dft(n_pulses: int) -> np.ndarray:
     return D
 
 
+@functools.lru_cache(maxsize=16)
+def _inverse_dft_conj(n_pulses: int) -> np.ndarray:
+    D_conj = _inverse_dft(n_pulses).conj()
+    D_conj.setflags(write=False)
+    return D_conj
+
+
 def build_D(params: RadarParams, codes: FrequencyCodes) -> np.ndarray:
     """Doppler response matrix, shape (N, N): exp(1j 2 pi l n zeta_n / N).
 
@@ -73,8 +80,9 @@ class SensingMatrix:
     """Lazy N x NM sensing operator for one code realization.
 
     Stores only the N x M and N x N factors, plus their transposed and
-    conjugated copies once a product has run; columns, products and the
-    dense matrix are formed on demand.  ``to_dense`` refuses to materialize
+    conjugated copies once a product has run (in APPROXIMATE mode the
+    Doppler ones are shared per N); columns, products and the dense matrix
+    are formed on demand.  ``to_dense`` refuses to materialize
     more than ``max_dense_entries`` complex values.
     """
 
@@ -150,14 +158,20 @@ class SensingMatrix:
     # The products work in the layout x[l + m*N] = X[m, l] (rows of X are
     # range bins), so x.reshape(M, N) is X with no copy; they read
     # contiguous copies of R^T, D^T, R^H and conj(D), built on first use.
+    # In APPROXIMATE mode D is the shared inverse DFT matrix, which is
+    # symmetric bit for bit (entry (n, l) is formed from the product n*l),
+    # so D^T is D itself and conj(D) is shared per N as well.
 
     @functools.cached_property
     def _matvec_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.ascontiguousarray(self._R.T), np.ascontiguousarray(self._D.T)
+        D_t = self._D if self.is_row_orthogonal() else np.ascontiguousarray(self._D.T)
+        return np.ascontiguousarray(self._R.T), D_t
 
     @functools.cached_property
     def _rmatvec_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.ascontiguousarray(self._R.conj().T), self._D.conj()
+        D_conj = (_inverse_dft_conj(self.n_pulses) if self.is_row_orthogonal()
+                  else self._D.conj())
+        return np.ascontiguousarray(self._R.conj().T), D_conj
 
     def matvec(self, x) -> np.ndarray:
         """Phi @ x for a length-NM vector: R^T * (X D^T), summed over its rows."""

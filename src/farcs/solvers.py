@@ -2,13 +2,17 @@
 
 All solvers accept either a ``SensingMatrix`` (preferred — products use the
 factored form) or a plain complex ndarray.  Results report the estimated
-coefficient vector, its support, the final residual norm and a convergence
-flag; ties in greedy selections and support extraction always resolve to the
-lowest column index so runs are reproducible.
+coefficient vector, its support, the final residual norm, a convergence
+flag and whether a dual certificate proved the result optimal; ties in
+greedy selections and support extraction always resolve to the lowest
+column index so runs are reproducible.
 
 The iterative l1 solvers make one product each way per iteration: basis
 pursuit one Phi and one Phi^H in its projection, lasso one Phi^H for the
-gradient and one Phi at the new iterate.
+gradient and one Phi at the new iterate.  Basis pursuit also tests each new
+stable support S of its sparse iterate for a dual certificate, at the cost
+of one SVD of Phi_S and one more Phi^H product, and stops with the exact
+minimizer when the test passes.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ class RecoveryResult:
     residual_norm: float
     iterations: int
     converged: bool
+    certified: bool = False  # basis pursuit stopped on a dual certificate
 
 
 _BP_DEFAULTS = SolverConfig(max_iter=10000, residual_tol=1e-8)
@@ -288,14 +293,53 @@ def _soft_threshold(v, kappa):
     return v * (1.0 - kappa / np.maximum(np.abs(v), kappa))
 
 
+# The off-support dual peak must stay this far under 1, so that a
+# certificate never rests on rounding.
+_CERTIFICATE_MARGIN = 1e-6
+
+
+def _certified_fit(phi, y, support, stop_norm):
+    """Least-squares fit on ``support`` if a dual certificate proves it l1-optimal.
+
+    Fits x_S on Phi_S and builds w = Phi_S (Phi_S^H Phi_S)^-1 sgn(x_S), so that
+    Phi_S^H w = sgn(x_S).  When Phi_S has full column rank, the fit leaves a
+    residual of at most ``stop_norm``, no entry of x_S is zero and every
+    off-support |(Phi^H w)_j| stays under 1 - margin, x_S is the unique
+    minimizer of ||x||_1 subject to Phi x = Phi_S x_S (Fuchs 2004; Tropp
+    2006).  Returns ``(x_S, residual norm)``, or None when a test fails.
+    """
+    cols = _op_columns(phi, support)
+    u, sigma, vh = np.linalg.svd(cols, full_matrices=False)
+    if sigma[-1] <= sigma[0] * max(cols.shape) * np.finfo(np.float64).eps:
+        return None  # rank deficient: the fit is not unique
+    x_s = vh.conj().T @ ((u.conj().T @ y) / sigma)
+    residual = _norm(cols @ x_s - y)
+    if residual > stop_norm or not np.all(x_s):
+        return None
+    w = u @ ((vh @ (x_s / np.abs(x_s))) / sigma)
+    peak = np.abs(_op_rmatvec(phi, w))
+    peak[support] = 0.0
+    if not peak.max() < 1.0 - _CERTIFICATE_MARGIN:
+        return None
+    return x_s, residual
+
+
 def basis_pursuit(phi, y, config: SolverConfig | None = None,
                   rho: float = 1.0, over_relaxation: float = 1.8) -> RecoveryResult:
-    """Equality-constrained l1 minimization via ADMM.
+    """Equality-constrained l1 minimization via ADMM, stopped early on a certificate.
 
     Alternates projection onto {x : Phi x = y} with soft thresholding.  The
     projection solves against the N x N row Gram, which is a scaled identity
-    whenever the rows are orthogonal, so iterations stay O(NM).  Returns the
-    projected (feasible) iterate; support is read off with the configured
+    whenever the rows are orthogonal, so iterations stay O(NM).
+
+    The thresholded iterate z is exactly sparse.  The first time its support
+    S (1 <= |S| <= N) is the same after two successive iterations, S is
+    tested for a dual certificate (``_certified_fit``).  If one exists, the
+    least-squares fit on S is the exact minimizer and is returned with
+    ``certified=True``; otherwise the iteration continues unchanged and S is
+    not tested again.  Without a certificate the projected (feasible) iterate
+    is returned once the ADMM residuals meet ``residual_tol``, or at
+    ``max_iter``.  Either way the support is read off with the configured
     magnitude threshold.
     """
     cfg = config or _BP_DEFAULTS
@@ -326,9 +370,12 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None,
             return v - _op_rmatvec(phi, scipy.linalg.cho_solve(factor, _op_matvec(phi, v) - y))
 
     kappa = 1.0 / rho
+    stop_norm = cfg.residual_tol * y_norm
     z = np.zeros(n_cols, dtype=np.complex128)
     u = np.zeros(n_cols, dtype=np.complex128)
     x = z
+    pattern = (z != 0).tobytes()  # support of z, compared as bytes
+    tested = set()
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
@@ -339,6 +386,17 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None,
         primal = _norm(x - z_new)
         dual = rho * _norm(z_new - z)
         z = z_new
+        previous, pattern = pattern, (z != 0).tobytes()
+        if pattern == previous and pattern not in tested:
+            tested.add(pattern)
+            support = np.flatnonzero(z)
+            fit = (_certified_fit(phi, y, support, stop_norm)
+                   if 1 <= support.size <= n_rows else None)
+            if fit is not None:
+                x = np.zeros(n_cols, dtype=np.complex128)
+                x[support] = fit[0]
+                return RecoveryResult(x, extract_support(x, eps=cfg.magnitude_threshold),
+                                      fit[1], iterations, True, certified=True)
         tol_primal = cfg.residual_tol * max(_norm(x), _norm(z), 1e-12)
         tol_dual = cfg.residual_tol * max(rho * _norm(u), 1e-12)
         if primal <= tol_primal and dual <= tol_dual:

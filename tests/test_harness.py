@@ -243,10 +243,14 @@ def test_recovery_sidecars_report_solver_convergence():
         assert point["not_converged"] == 0
         assert 0 <= point["iterations_p50"] <= point["iterations_max"]
     assert phase["bp"]["1"]["iterations_max"] > 1
-    # capped solvers stop short on every trial, and the sidecar says so
-    capped = dataclasses.replace(PHASE_TINY, solver=SolverSettings(bp_max_iter=5))
+    # every K <= 2 solve here stops on a dual certificate
+    assert all(point["certified"] == 3 for point in phase["bp"].values())
+    # capped solvers stop short on every trial, and the sidecar says so; one
+    # iteration cannot show a support stable over two iterations
+    capped = dataclasses.replace(PHASE_TINY, solver=SolverSettings(bp_max_iter=1))
     conv = run_experiment(capped).aggregates["convergence"]
-    assert conv == {"bp": {k: {"not_converged": 3, "iterations_p50": 5.0, "iterations_max": 5}
+    assert conv == {"bp": {k: {"not_converged": 3, "iterations_p50": 1.0, "iterations_max": 1,
+                               "certified": 0}
                            for k in ("1", "2")}}
     capped = dataclasses.replace(NOISY_TINY, sweep=(-15.0,),
                                  solver=SolverSettings(lasso_max_iter=2))

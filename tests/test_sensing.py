@@ -166,6 +166,31 @@ def test_product_factors_are_built_on_first_product():
     assert_allclose(D_t, phi.doppler_response.T, atol=0)
 
 
+def test_approximate_mode_shares_doppler_factors_per_n():
+    # D serves as its own transpose because it is symmetric bit for bit
+    for n_pulses in (2, 6, 16, 64, 100):
+        D = build_D(RadarParams.abstract(n_pulses, 1), sample_codes(0, n_pulses))
+        assert np.array_equal(D, D.T)
+    params = RadarParams.abstract(64, 8)
+    a, b = (build_phi(params, sample_codes(seed, 64, 8)) for seed in (13, 14))
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    for phi in (a, b):
+        # the products of per-operator copies of D^T and conj(D), bit for bit
+        R, D = phi.hop_response, phi.doppler_response
+        R_t, R_h = np.ascontiguousarray(R.T), np.ascontiguousarray(R.conj().T)
+        assert np.array_equal(
+            phi.matvec(x), np.sum(R_t * (x.reshape(8, 64) @ np.ascontiguousarray(D.T)), axis=0))
+        assert np.array_equal(phi.rmatvec(v), ((R_h * v) @ D.conj()).ravel())
+    assert a._matvec_factors[1] is b._matvec_factors[1] is a.doppler_response
+    assert a._rmatvec_factors[1] is b._rmatvec_factors[1]
+    assert not a._rmatvec_factors[1].flags.writeable
+    exact = build_phi(RadarParams.abstract(64, 8, relative_bandwidth=0.4),
+                      sample_codes(13, 64, 8))
+    assert exact._matvec_factors[1] is not exact.doppler_response
+
+
 def test_matvec_shape_checks():
     phi = _phi()
     with pytest.raises(ShapeError):

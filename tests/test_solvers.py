@@ -26,7 +26,7 @@ from farcs import (
     sample_codes,
     subspace_pursuit,
 )
-from farcs.solvers import _GrowingQR, _soft_threshold
+from farcs.solvers import _CERTIFICATE_MARGIN, _GrowingQR, _certified_fit, _soft_threshold
 
 
 def _problem(n_pulses=64, n_hrr_bins=8, k=3, seed=0, amp_seed=100):
@@ -392,17 +392,78 @@ def _reference_instance(seed, relative_bandwidth, k, sigma2=0.0):
 
 
 # APPROXIMATE mode takes the scaled-identity projection, EXACT mode and the
-# plain array the Cholesky one
+# plain array the Cholesky one.  At K=10 no stable support of these
+# instances has a dual certificate, so ADMM runs to its tolerance.
 @pytest.mark.parametrize("relative_bandwidth,dense", [(0.0, False), (0.4, False), (0.0, True)])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_basis_pursuit_matches_reference_admm(relative_bandwidth, dense, seed):
-    phi, y = _reference_instance(9100 + seed, relative_bandwidth, k=3)
+    phi, y = _reference_instance(9500 + seed, relative_bandwidth, k=10)
     A = phi.to_dense()
     result = basis_pursuit(A if dense else phi, y)
     x_ref, it_ref = _reference_admm(A, y)
-    assert result.converged
+    assert result.converged and not result.certified
     assert result.iterations == it_ref
     np.testing.assert_allclose(result.x_hat, x_ref, rtol=0, atol=1e-10)
+
+
+# At K=3 the sparse iterate reaches a certifiable support within a few
+# iterations; the exact minimizer is the least-squares fit on it
+@pytest.mark.parametrize("relative_bandwidth,dense", [(0.0, False), (0.4, False), (0.0, True)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_basis_pursuit_stops_on_dual_certificate(relative_bandwidth, dense, seed):
+    # the draws of _reference_instance(9100 + seed, relative_bandwidth, k=3)
+    rng = np.random.default_rng(9100 + seed)
+    params = RadarParams.abstract(32, 4, relative_bandwidth=relative_bandwidth)
+    phi = build_phi(params, sample_codes(rng, 32, 4))
+    idx = rng.choice(phi.n_columns, size=3, replace=False)
+    y = phi.columns(idx) @ np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
+    support = np.sort(idx)
+    A = phi.to_dense()
+    result = basis_pursuit(A if dense else phi, y)
+    x_ref, it_ref = _reference_admm(A, y)
+    assert result.converged and result.certified
+    assert result.iterations < it_ref
+    assert result.support == tuple(int(i) for i in support)
+    fit = np.zeros_like(x_ref)
+    fit[support] = np.linalg.lstsq(A[:, support], y, rcond=None)[0]
+    np.testing.assert_allclose(result.x_hat, fit, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.x_hat, x_ref, rtol=0, atol=1e-7)
+    assert result.residual_norm <= 1e-14 * np.linalg.norm(y)
+    assert np.linalg.norm(A @ result.x_hat - y) <= 1e-14 * np.linalg.norm(y)
+
+
+def test_certified_fit_accepts_a_strict_certificate():
+    # Phi^H w = (1, 0, conj(a)) for the support {0}: |a| is the off-support peak
+    a = 1.0 - 2 * _CERTIFICATE_MARGIN
+    phi = np.array([[1.0, 0.0, a], [0.0, 1.0, 0.0]], dtype=np.complex128)
+    for gamma in (0.5, 2.0j):  # the certificate sees only the sign of x_S
+        y = np.array([gamma, 0.0], dtype=np.complex128)
+        x_s, residual = _certified_fit(phi, y, np.array([0]), 1e-8)
+        assert np.array_equal(x_s, [gamma]) and residual == 0.0
+
+
+@pytest.mark.parametrize("case", ["rank_deficient", "infeasible", "peak_at_margin",
+                                  "peak_above_margin", "zero_coefficient"])
+def test_certified_fit_rejects(case):
+    e1 = np.array([1.0, 0.0], dtype=np.complex128)
+    support = np.array([0])
+    if case == "rank_deficient":
+        # parallel up to rounding (sigma_min ~ 1e-17), and no column off S
+        # that could reject the nonsense fit
+        c = np.array([0.6, 0.8j, 0.1])
+        phi = np.stack([c, 0.1 * c], axis=1)
+        y, support = c, np.array([0, 1])
+    elif case == "infeasible":
+        phi = np.eye(2, 3, dtype=np.complex128)
+        y = np.array([1.0, 1.0], dtype=np.complex128)
+    elif case == "zero_coefficient":
+        phi = np.eye(2, 3, dtype=np.complex128)
+        y, support = e1, np.array([0, 1])
+    else:
+        a = 1.0 - _CERTIFICATE_MARGIN * (1.0 if case == "peak_at_margin" else 0.5)
+        phi = np.array([[1.0, 0.0, a], [0.0, 1.0, 0.0]], dtype=np.complex128)
+        y = 0.5 * e1  # a certificate built from x_S instead of its sign would pass
+    assert _certified_fit(phi, y, support, 1e-8) is None
 
 
 @pytest.mark.parametrize("relative_bandwidth,dense", [(0.0, False), (0.4, False), (0.0, True)])
