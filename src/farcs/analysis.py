@@ -1,11 +1,12 @@
 """Recovery-condition diagnostics for the agile-radar sensing matrix.
 
-Covers the spark census over all N-column submatrices (one SVD per orbit
-of column subsets under the symmetries of the sensing matrix), the
-mutual coherence (with a shortcut that reads the Gram matrix's dependence on
-the column-cell difference alone from the operator's factors, in either
-bandwidth mode), Rayleigh tail bounds on the column cross-correlations, and
-the resulting sparsity guarantees.
+Covers the spark census over all N-column submatrices (one classification
+per orbit of column subsets under the symmetries of the sensing matrix, by
+the determinant gap where every minor is a Gaussian or Eisenstein integer),
+the mutual coherence (with a shortcut that reads the Gram matrix's
+dependence on the column-cell difference alone from the operator's
+factors, in either bandwidth mode), Rayleigh tail bounds on the column
+cross-correlations, and the resulting sparsity guarantees.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ class SparkReport:
     n_submatrices: int
     eps_svd: float
     n_below_eps: int  # submatrices with sigma under eps_svd
+    route: str  # "determinant_gap" or "eps_svd"
+    # determinant-gap route only: largest |det| classified singular and
+    # smallest classified nonsingular (None when there is none)
+    det_singular_max: float | None = None
+    det_nonsingular_min: float | None = None
 
     @property
     def full_spark(self) -> bool:
@@ -81,33 +87,78 @@ class _OrbitTable(NamedTuple):
 
 
 @functools.lru_cache(maxsize=8)
-def _orbit_table(n_pulses: int, n_hrr_bins: int, periodic: bool) -> _OrbitTable:
+def _orbit_table(n_pulses: int, n_hrr_bins: int, periodic: bool,
+                 range_wrap: bool = False) -> _OrbitTable:
     """Orbits of the N-column subsets under the symmetries of Phi.
 
-    With ``periodic`` (APPROXIMATE mode) the cell maps (m, l) -> (m, l + s)
-    and (m, l) -> (M - 1 - m, s - l), l taken mod N, leave every subset's
+    With ``periodic`` (APPROXIMATE mode) the cell maps (m, l) -> (m, l + 1)
+    and (m, l) -> (M - 1 - m, -l), l taken mod N, leave every subset's
     singular values unchanged: the first multiplies the submatrix by the row
-    phases exp(2j pi n s / N), the second conjugates it and applies the row
-    phases exp(2j pi (M - 1) d_n) exp(2j pi n s / N).  Without it only the
-    identity applies and every subset is its own orbit.  An orbit is named by
-    its lexicographically first member, found as the smallest rank among the
-    images of a subset.
+    phases exp(2j pi n / N), the second conjugates it and applies the row
+    phases exp(2j pi (M - 1) d_n).  They generate a group of order 2N.  With
+    ``range_wrap`` as well (discrete codes with M* | M, so that
+    R[n, m + M] = R[n, m]) the range shift (m, l) -> (m + 1 mod M, l), which
+    applies the row phases exp(2j pi d_n), joins them: the translations of
+    Z_M x Z_N and the reflection (m, l) -> (-m, -l) form a group of order
+    2MN.  Without ``periodic`` only the identity applies and every subset is
+    its own orbit.
+
+    An orbit is named by its lexicographically first member.  Each subset
+    starts with its own rank as label, and the smallest label is propagated
+    along every generator's permutation of the subsets and its inverse until
+    nothing changes, so no loop runs over the whole group.
     """
-    N, n_cols = n_pulses, n_pulses * n_hrr_bins
+    N, M = n_pulses, n_hrr_bins
+    n_cols = N * M
     subsets = _combination_indices(n_cols, N)
-    first = np.arange(subsets.shape[0])  # each subset's own rank
+    label = np.arange(subsets.shape[0])  # each subset's own rank
     if periodic:
         m, l = np.divmod(np.arange(n_cols), N)
-        maps = [m * N + (l + s) % N for s in range(1, N)]
-        maps += [(n_hrr_bins - 1 - m) * N + (s - l) % N for s in range(N)]
-        for cell_map in maps:
-            images = np.sort(cell_map[subsets], axis=1)
-            first = np.minimum(first, _lex_rank(images, n_cols))
-    reps, orbit_of = np.unique(first, return_inverse=True)
+        generators = [m * N + (l + 1) % N, (M - 1 - m) * N + (-l) % N]
+        if range_wrap:
+            generators.append((m + 1) % M * N + l)
+        # each generator's permutation of the subsets and its inverse, in one
+        # block: one array per permutation fragmented the heap and raised the
+        # process's peak RSS by about 1 MiB
+        perms = np.empty((2 * len(generators), label.size), dtype=np.intp)
+        for g, cell_map in enumerate(generators):
+            perms[2 * g] = _lex_rank(np.sort(cell_map[subsets], axis=1), n_cols)
+            perms[2 * g + 1, perms[2 * g]] = np.arange(label.size)
+        while True:
+            previous = label
+            for perm in perms:
+                label = np.minimum(label, label[perm])
+            if np.array_equal(label, previous):
+                break
+    reps, orbit_of = np.unique(label, return_inverse=True)
     table = _OrbitTable(reps.astype(np.intp), orbit_of.astype(np.intp))
     for arr in table:
         arr.setflags(write=False)
     return table
+
+
+# Z[exp(2j pi / L)] is the ring of Gaussian or Eisenstein integers exactly
+# for these L: there a nonzero minor has |det| >= 1
+_GAP_ORDERS = (1, 2, 3, 4, 6)
+
+
+def _determinant_gap_applies(phi: SensingMatrix) -> bool:
+    """True when every N x N minor of Phi is 0 or has |det| >= 1.
+
+    In APPROXIMATE mode with discrete codes k_n / M*, entry (n, (m, l)) is
+    exp(2j pi (m k_n / M* + l n / N)), an L-th root of unity with
+    L = lcm(M*, N).  For L in ``_GAP_ORDERS`` every minor is a Gaussian or
+    Eisenstein integer, whose modulus is 0 or at least 1.  The route also
+    needs the rounding error of a computed det, bounded by about
+    N * N^(N/2) * eps (Hadamard: |det| <= N^(N/2)), to stay far below the
+    threshold 1/2; for the N these orders admit (N <= 6) it is under 3e-13.
+    """
+    n_codes = phi.codes.n_codes
+    if phi.params.mode is not BandwidthMode.APPROXIMATE or n_codes is None:
+        return False
+    N = phi.n_pulses
+    rounding = N * N ** (N / 2) * np.finfo(np.float64).eps
+    return math.lcm(n_codes, N) in _GAP_ORDERS and rounding < 1e-6
 
 
 def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
@@ -118,13 +169,23 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
     Covers the C(NM, N) column subsets in lexicographic order and flags those
     whose smallest singular value (normalized by sqrt(N)) is below
     ``eps_svd``.  Subsets related by a symmetry of Phi share their singular
-    values, so the batched SVD runs once per orbit, on its first subset, and
+    values, so the census runs once per orbit, on its first subset, and
     every subset takes its orbit's value.  In APPROXIMATE mode a Doppler
     shift and a range-Doppler reflection generate a group of order 2N (1,599
-    orbits of the 18,564 subsets at N=6, M=3); EXACT mode stretches each
-    pulse's Doppler by its own zeta_n, which breaks both, and every subset is
-    its own orbit.  Refuses to start when the subset count exceeds
-    ``max_submatrices``.
+    orbits of the 18,564 subsets at N=6, M=3); discrete codes with M* | M
+    add the range shift, for a group of order 2MN (564 orbits there).  EXACT
+    mode stretches each pulse's Doppler by its own zeta_n, which breaks the
+    wrap-around in l, and every subset is its own orbit.
+
+    Where every minor is 0 or has |det| >= 1 (APPROXIMATE mode, discrete
+    codes, lcm(M*, N) in {1, 2, 3, 4, 6}; see ``_determinant_gap_applies``),
+    the census classifies on that gap (route ``"determinant_gap"``): a
+    representative with |det| < 1/2 is singular and gets sigma = 0 exactly,
+    and the SVD runs only on the others, whose normalized sigma is at least
+    N^-(N - 1/2) (5.2e-5 at N=6), so any smaller ``eps_svd`` counts exactly
+    the singular minors.  Elsewhere, and always for continuous codes, every
+    representative's SVD is compared with ``eps_svd`` (route ``"eps_svd"``).
+    Refuses to start when the subset count exceeds ``max_submatrices``.
     """
     if eps_svd <= 0:
         raise DomainError(f"eps_svd must be > 0, got {eps_svd}")
@@ -135,17 +196,27 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
             f"C({n_cols}, {N}) = {total} submatrices exceeds the budget of "
             f"{max_submatrices}; raise max_submatrices to force the enumeration"
         )
+    M, n_codes = phi.params.n_hrr_bins, phi.codes.n_codes
+    periodic = phi.params.mode is BandwidthMode.APPROXIMATE
+    range_wrap = periodic and n_codes is not None and M % n_codes == 0
+    reps, orbit_of = _orbit_table(N, M, periodic, range_wrap)
+    gap = _determinant_gap_applies(phi)
     dense = phi.to_dense()
     combos = _combination_indices(n_cols, N)
-    reps, orbit_of = _orbit_table(N, phi.params.n_hrr_bins,
-                                  phi.params.mode is BandwidthMode.APPROXIMATE)
     sqrt_n = math.sqrt(N)
-    rep_sigmas = np.empty(reps.size)
+    rep_sigmas = np.zeros(reps.size)  # singular by the gap: exactly 0
+    rep_dets = np.empty(reps.size if gap else 0)
     for start in range(0, reps.size, batch_size):
         idx = combos[reps[start:start + batch_size]]
         sub = np.ascontiguousarray(np.moveaxis(dense[:, idx], 1, 0))
+        batch = np.arange(start, start + idx.shape[0])
+        if gap:
+            rep_dets[batch] = np.abs(np.linalg.det(sub))
+            nonsingular = rep_dets[batch] >= 0.5
+            sub, batch = sub[nonsingular], batch[nonsingular]
         s = np.linalg.svd(sub, compute_uv=False)
-        rep_sigmas[start:start + idx.shape[0]] = s[:, -1] / sqrt_n
+        rep_sigmas[batch] = s[:, -1] / sqrt_n
+    singular = rep_dets < 0.5
     sigmas = rep_sigmas[orbit_of]
     n_below = int(np.count_nonzero(sigmas < eps_svd))
     return SparkReport(
@@ -154,6 +225,9 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
         n_submatrices=total,
         eps_svd=eps_svd,
         n_below_eps=n_below,
+        route="determinant_gap" if gap else "eps_svd",
+        det_singular_max=float(rep_dets[singular].max()) if singular.any() else None,
+        det_nonsingular_min=float(rep_dets[~singular].min()) if not singular.all() else None,
     )
 
 

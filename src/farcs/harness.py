@@ -17,6 +17,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -255,6 +256,20 @@ def _convergence(runs) -> dict:
 
 # --- spark -------------------------------------------------------------------
 
+class _CensusOutcome(NamedTuple):
+    """What ``run_spark`` keeps of one code vector's census."""
+
+    sigma_omega: float
+    n_below_eps: int
+    hist: np.ndarray
+    n_submatrices: int
+    below_max: float | None  # largest sigma under eps_svd
+    above_min: float | None  # smallest sigma at or above it
+    route: str
+    det_singular_max: float | None
+    det_nonsingular_min: float | None
+
+
 def _spark_census(task):
     codes, n_hrr_bins, eps_svd, max_submatrices = task
     params = RadarParams.abstract(codes.codes.size, n_hrr_bins, n_codes=codes.n_codes)
@@ -264,17 +279,40 @@ def _spark_census(task):
     below = sigmas < eps_svd
     below_max = float(sigmas[below].max()) if below.any() else None
     above_min = float(sigmas[~below].min()) if not below.all() else None
-    return (report.sigma_omega, report.n_below_eps, hist, report.n_submatrices,
-            below_max, above_min)
+    return _CensusOutcome(report.sigma_omega, report.n_below_eps, hist, report.n_submatrices,
+                          below_max, above_min, report.route, report.det_singular_max,
+                          report.det_nonsingular_min)
+
+
+def _census_key(codes) -> tuple | bytes:
+    """Key under which ``run_spark`` reuses a census outcome.
+
+    The spark experiment runs in APPROXIMATE mode, where the images
+    d -> +-d + c (mod 1) of a discrete code vector, c a multiple of 1/M*,
+    have the same multiset of subset singular values: a shift multiplies
+    column (m, l) by exp(2j pi m c), and negation conjugates Phi and maps
+    the Doppler bin l to -l.  A discrete vector is keyed on its smallest
+    image as hop indices (the 729 vectors at N=6, M*=3 form 122 classes); a
+    continuous one on its exact values.
+    """
+    if not codes.is_discrete:
+        return codes.codes.tobytes()
+    q = codes.n_codes
+    hops = np.rint(codes.codes * q).astype(np.int64)
+    images = (np.stack([hops, -hops])[:, None, :] + np.arange(q)[:, None]) % q
+    return tuple(min(images.reshape(-1, hops.size).tolist()))
 
 
 def run_spark(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Rank census over random code draws; one record per trial.
 
-    The census depends on nothing but the code vector, so each distinct
-    vector is enumerated once and its outcome reused by every trial that
-    draws it (the 2000 default discrete trials hold about 680 vectors).
-    Serial runs take each census in trial order, right after its draw.
+    The census depends on nothing but the code vector's class under global
+    hop shifts and negation (see ``_census_key``), so each class is
+    enumerated once, on the first vector drawn from it, and its outcome is
+    reused by every trial that draws a member (the 2000 default discrete
+    trials hold 122 classes).  Serial runs take each census in trial order,
+    right after its draw.  The sidecar records which route classified the
+    census (``census_route``) and, on the determinant-gap route, its margins.
     """
     if config.experiment != "spark":
         raise ConfigurationError(f"config is for {config.experiment!r}, not 'spark'")
@@ -282,12 +320,12 @@ def run_spark(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if config.code_distribution == "discrete" and n_codes is None:
         n_codes = config.n_hrr_bins
     pooled = threads is not None and threads > 1
-    censuses = {}  # exact code vector -> census outcome
-    pending = {}  # pooled runs: distinct vectors left for the workers
+    censuses = {}  # census key -> census outcome
+    pending = {}  # pooled runs: one vector per class, left for the workers
     keys = []
     for t in range(config.n_trials):
         codes = sample_codes(_trial_seed(config, 0, t), config.n_pulses, n_codes)
-        key = codes.codes.tobytes()
+        key = _census_key(codes)
         keys.append(key)
         if key in censuses or key in pending:
             continue
@@ -298,16 +336,14 @@ def run_spark(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             censuses[key] = _spark_census(task)
     censuses.update(zip(pending, _run_tasks(_spark_census, list(pending.values()), threads)))
     outcomes = [censuses[key] for key in keys]
-    rows = [
-        TrialRecord((t, sigma_omega, n_below))
-        for t, (sigma_omega, n_below, *_) in enumerate(outcomes)
-    ]
-    sigma_omegas = np.array([o[0] for o in outcomes])
-    n_below = np.array([o[1] for o in outcomes])
-    n_evaluated = np.array([o[3] for o in outcomes])
-    hist_total = np.sum([o[2] for o in outcomes], axis=0)
-    below_max = [o[4] for o in outcomes if o[4] is not None]
-    above_min = [o[5] for o in outcomes if o[5] is not None]
+    rows = [TrialRecord((t, o.sigma_omega, o.n_below_eps)) for t, o in enumerate(outcomes)]
+    sigma_omegas = np.array([o.sigma_omega for o in outcomes])
+    n_below = np.array([o.n_below_eps for o in outcomes])
+    n_evaluated = np.array([o.n_submatrices for o in outcomes])
+    hist_total = np.sum([o.hist for o in outcomes], axis=0)
+    below_max = [o.below_max for o in outcomes if o.below_max is not None]
+    above_min = [o.above_min for o in outcomes if o.above_min is not None]
+    route = outcomes[0].route  # fixed by the mode and the code distribution
     aggregates = {
         "n_trials": config.n_trials,
         "n_submatrices": int(n_evaluated[0]),
@@ -324,7 +360,15 @@ def run_spark(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         "sigma_hist_edges": _SIGMA_HIST_EDGES,
         "sigma_hist_counts": hist_total,
         "sigma_omega_hist_counts": np.histogram(sigma_omegas, bins=_SIGMA_HIST_EDGES)[0],
+        "census_route": route,
     }
+    if route == "determinant_gap":
+        # |det| margins on either side of the threshold 1/2 (None when empty)
+        singular = [o.det_singular_max for o in outcomes if o.det_singular_max is not None]
+        nonsingular = [o.det_nonsingular_min for o in outcomes
+                       if o.det_nonsingular_min is not None]
+        aggregates["det_singular_max"] = max(singular, default=None)
+        aggregates["det_nonsingular_min"] = min(nonsingular, default=None)
     return ExperimentResult("spark", ("trial", "sigma_omega", "n_below_eps"),
                             rows, aggregates, config_to_dict(config))
 
@@ -484,14 +528,17 @@ def _noisy_trial(task):
                              magnitude_threshold=settings.lasso_support_threshold)
     la = lasso(phi, y, settings.lasso_lambda_factor * sigma2, lasso_cfg)
     return (sp.support == truth, la.support == truth,
-            (sp.converged, sp.iterations), (la.converged, la.iterations))
+            (sp.converged, sp.iterations), (la.converged, la.iterations),
+            (la.duality_gap, int(np.count_nonzero(la.x_hat))))
 
 
 def run_noisy(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Exact-support rates vs. noise power for subspace pursuit and lasso.
 
     The sidecar also records, per noise power and solver, how many solves
-    did not converge and the median and maximum of their iteration counts.
+    did not converge and the median and maximum of their iteration counts,
+    and, under ``lasso_exit``, the median and maximum relative duality gap
+    of the lasso solutions and the median count of their nonzero entries.
     """
     if config.experiment != "noisy":
         raise ConfigurationError(f"config is for {config.experiment!r}, not 'noisy'")
@@ -508,13 +555,14 @@ def run_noisy(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     rows = []
     rates = {"sp": {}, "lasso": {}}
     convergence = {"sp": {}, "lasso": {}}
+    lasso_exit = {}
     idx = 0
     for db in config.sweep:
         key = _fmt(float(db))
         sp_ok = la_ok = 0
-        sp_runs, la_runs = [], []
+        sp_runs, la_runs, la_exits = [], [], []
         for t in range(config.n_trials):
-            sp_success, la_success, sp_run, la_run = outcomes[idx]
+            sp_success, la_success, sp_run, la_run, la_exit = outcomes[idx]
             idx += 1
             rows.append(TrialRecord(("sp", float(db), t, bool(sp_success))))
             rows.append(TrialRecord(("lasso", float(db), t, bool(la_success))))
@@ -522,12 +570,18 @@ def run_noisy(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             la_ok += la_success
             sp_runs.append(sp_run)
             la_runs.append(la_run)
+            la_exits.append(la_exit)
         rates["sp"][key] = sp_ok / config.n_trials
         rates["lasso"][key] = la_ok / config.n_trials
         convergence["sp"][key] = _convergence(sp_runs)
         convergence["lasso"][key] = _convergence(la_runs)
+        gaps, nonzeros = np.array(la_exits).T
+        lasso_exit[key] = {"duality_gap_p50": float(np.median(gaps)),
+                           "duality_gap_max": float(gaps.max()),
+                           "nonzeros_p50": float(np.median(nonzeros))}
     aggregates = {"success_rate": rates, "sigma2_db": [float(d) for d in config.sweep],
-                  "n_scatterers": config.n_scatterers, "convergence": convergence}
+                  "n_scatterers": config.n_scatterers, "convergence": convergence,
+                  "lasso_exit": lasso_exit}
     return ExperimentResult("noisy", ("solver", "sigma2_db", "trial", "success"),
                             rows, aggregates, config_to_dict(config))
 

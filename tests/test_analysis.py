@@ -30,6 +30,7 @@ from farcs import (
     spark_enumeration,
     union_bound,
 )
+from farcs import analysis
 from farcs.analysis import _orbit_table
 
 TWO_PI = 2.0 * np.pi
@@ -158,6 +159,73 @@ def test_orbit_table_invariants():
     np.testing.assert_array_equal(exact.orbit_of, np.arange(math.comb(18, 6)))
 
 
+def _reference_orbit_table(n_pulses, n_hrr_bins, range_wrap):
+    # loop over every element of the group, naming each orbit by the smallest
+    # lexicographic rank among a subset's images (the construction before
+    # the table was built from generators)
+    N, M = n_pulses, n_hrr_bins
+    n_cols = N * M
+    subsets = np.array(list(itertools.combinations(range(n_cols), N)))
+    rank = {tuple(c): i for i, c in enumerate(subsets.tolist())}
+    m, l = np.divmod(np.arange(n_cols), N)
+    shifts = range(M) if range_wrap else (0,)
+    maps = [(m + a) % M * N + (l + b) % N for a in shifts for b in range(N)]
+    if range_wrap:
+        maps += [(a - m) % M * N + (b - l) % N for a in shifts for b in range(N)]
+    else:
+        maps += [(M - 1 - m) * N + (b - l) % N for b in range(N)]
+    first = np.arange(len(subsets))
+    for cell_map in maps:
+        images = np.sort(cell_map[subsets], axis=1)
+        first = np.minimum(first, [rank[tuple(c)] for c in images.tolist()])
+    reps, orbit_of = np.unique(first, return_inverse=True)
+    return reps, orbit_of
+
+
+@pytest.mark.parametrize("n_pulses,n_hrr_bins,range_wrap",
+                         [(6, 3, False), (6, 3, True), (4, 2, True), (2, 32, False),
+                          (2, 32, True)])
+def test_orbit_table_matches_loop_over_group(n_pulses, n_hrr_bins, range_wrap):
+    reps, orbit_of = _reference_orbit_table(n_pulses, n_hrr_bins, range_wrap)
+    table = _orbit_table(n_pulses, n_hrr_bins, True, range_wrap)
+    np.testing.assert_array_equal(table.reps, reps)
+    np.testing.assert_array_equal(table.orbit_of, orbit_of)
+
+
+def test_orbit_table_full_group_invariants():
+    table = _orbit_table(6, 3, True, True)
+    assert table.reps.size == 564
+    np.testing.assert_array_equal(table.orbit_of[table.reps], np.arange(564))
+    sizes = np.bincount(table.orbit_of)
+    assert sizes.sum() == math.comb(18, 6)
+    # orbits of a group of order 2MN = 36 have sizes dividing 36
+    assert np.all(36 % sizes == 0)
+    # the range shift does nothing without the Doppler wrap-around
+    exact = _orbit_table(6, 3, False, True)
+    np.testing.assert_array_equal(exact.reps, np.arange(math.comb(18, 6)))
+
+
+@pytest.mark.parametrize("n_codes,mode,range_wrap", [
+    (3, BandwidthMode.APPROXIMATE, True),
+    (6, BandwidthMode.APPROXIMATE, False),  # M* = 6 does not divide M = 3
+    (None, BandwidthMode.APPROXIMATE, False),
+    (3, BandwidthMode.EXACT, False),
+])
+def test_spark_range_shift_only_when_hop_set_divides_bins(monkeypatch, n_codes, mode,
+                                                          range_wrap):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _orbit_table(*args)
+
+    monkeypatch.setattr(analysis, "_orbit_table", spy)
+    params = RadarParams.abstract(6, 3, n_codes=n_codes,
+                                  relative_bandwidth=0.3 if mode is BandwidthMode.EXACT else 0.0)
+    spark_enumeration(build_phi(params, sample_codes(5, 6, n_codes)))
+    assert calls == [(6, 3, mode is BandwidthMode.APPROXIMATE, range_wrap)]
+
+
 @pytest.mark.parametrize("n_pulses,n_hrr_bins", [(6, 3), (2, 32)])
 @pytest.mark.parametrize("discrete", [True, False])
 def test_spark_orbit_route_matches_per_subset(n_pulses, n_hrr_bins, discrete):
@@ -168,6 +236,56 @@ def test_spark_orbit_route_matches_per_subset(n_pulses, n_hrr_bins, discrete):
     report = spark_enumeration(phi)
     np.testing.assert_allclose(report.sigma_values, _per_subset_sigmas(phi),
                                rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_pulses,n_hrr_bins,n_codes", [(6, 3, 6), (5, 2, 2), (4, 2, 2)])
+def test_spark_orbit_route_matches_per_subset_other_hop_sets(n_pulses, n_hrr_bins, n_codes):
+    # M* = 6 does not divide M = 3, so the range shift must not apply; N=5,
+    # M=2 takes the range shift without the determinant gap (L = 10)
+    codes = sample_codes(7, n_pulses, n_codes)
+    phi = build_phi(RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes), codes)
+    report = spark_enumeration(phi)
+    np.testing.assert_allclose(report.sigma_values, _per_subset_sigmas(phi),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("hops,n_hrr_bins,n_codes", [
+    ((2, 1, 0, 2, 1, 2), 3, 3), ((0, 5, 1, 3, 3, 0), 3, 6), ((0, 1, 3, 1), 2, 4),
+])
+def test_spark_determinant_gap_route(hops, n_hrr_bins, n_codes):
+    # lcm(M*, N) in {3, 6, 4}: every minor is an Eisenstein or Gaussian integer
+    phi = _abstract_phi(tuple(h / n_codes for h in hops), n_hrr_bins, n_codes=n_codes)
+    report = spark_enumeration(phi)
+    assert report.route == "determinant_gap"
+    expected = _per_subset_sigmas(phi)
+    np.testing.assert_allclose(report.sigma_values, expected, rtol=0.0, atol=1e-12)
+    N, n_cols = phi.shape
+    subsets = np.array(list(itertools.combinations(range(n_cols), N)))
+    dets = np.abs(np.linalg.det(np.moveaxis(phi.to_dense()[:, subsets], 1, 0)))
+    singular = dets < 0.5
+    assert singular.any() and not singular.all()
+    assert np.all(report.sigma_values[singular] == 0.0)
+    assert np.all(report.sigma_values[~singular] > 1e-6)
+    assert report.n_below_eps == np.count_nonzero(singular)
+    # margins come from the orbit representatives, so they lie inside the
+    # per-subset extremes, far from the threshold 1/2 on either side
+    assert 0.0 <= report.det_singular_max <= dets[singular].max() < 1e-12
+    assert 1.0 - 1e-9 <= dets[~singular].min() <= report.det_nonsingular_min
+
+
+@pytest.mark.parametrize("n_pulses,n_hrr_bins,n_codes,relative_bandwidth", [
+    (6, 3, None, 0.0),  # continuous codes
+    (6, 3, 3, 0.3),  # EXACT mode
+    (5, 2, 2, 0.0),  # L = lcm(2, 5) = 10: tenth roots of unity, no gap
+    (6, 3, 9, 0.0),  # L = 18
+])
+def test_spark_determinant_gap_route_not_taken(n_pulses, n_hrr_bins, n_codes,
+                                               relative_bandwidth):
+    params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes,
+                                  relative_bandwidth=relative_bandwidth)
+    report = spark_enumeration(build_phi(params, sample_codes(2, n_pulses, n_codes)))
+    assert report.route == "eps_svd"
+    assert report.det_singular_max is None and report.det_nonsingular_min is None
 
 
 def test_spark_exact_mode_matches_per_subset():

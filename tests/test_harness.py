@@ -1,6 +1,7 @@
 """Tests for the experiment drivers, their file outputs, and the CLI."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -12,15 +13,20 @@ from farcs import (
     DomainError,
     ExperimentConfig,
     ExperimentResult,
+    FrequencyCodes,
     SolverSettings,
     TrialRecord,
     default_config,
     load_config,
     max_recoverable_K,
     run_experiment,
+    sample_codes,
+    spark_enumeration,
 )
+from farcs import harness
 from farcs.cli import main
-from farcs.harness import _SIGMA_HIST_EDGES, _fmt, _jsonable, run_mip, run_spark
+from farcs.harness import (_SIGMA_HIST_EDGES, _census_key, _fmt, _jsonable, _spark_census,
+                           run_mip, run_spark)
 
 # small, fast configurations used throughout
 SPARK_TINY = dataclasses.replace(default_config("spark"), n_trials=3)
@@ -115,9 +121,14 @@ def test_run_spark_schema_and_known_rates():
     assert ag["fraction_trials_deficient"] == 1.0
     assert 0.0 < ag["fraction_submatrices_deficient"] < 1.0
     assert int(np.sum(ag["sigma_hist_counts"])) == 3 * math.comb(18, 6)
-    # singular minors sit at the rounding floor, nonsingular ones far above it
+    # sixth roots of unity: classified on the determinant gap, singular
+    # minors get sigma = 0 exactly, nonsingular ones sit far above eps_svd
+    assert ag["census_route"] == "determinant_gap"
     assert ag["sigma_below_eps_max"] < ag["eps_svd"] <= ag["sigma_above_eps_min"]
+    assert ag["sigma_below_eps_max"] == 0.0
     assert ag["sigma_above_eps_min"] > 0.05
+    assert 0.0 <= ag["det_singular_max"] < 1e-12
+    assert ag["det_nonsingular_min"] > 1.0 - 1e-9
 
 
 def test_sigma_hist_puts_unit_sigma_mid_bin():
@@ -137,6 +148,50 @@ def test_run_spark_continuous_codes_full_rank():
     assert ag["sigma_omega_min"] > 1e-12
     assert ag["sigma_below_eps_max"] is None
     assert ag["sigma_above_eps_min"] == ag["sigma_omega_min"]
+    assert ag["census_route"] == "eps_svd"
+    assert "det_singular_max" not in ag and "det_nonsingular_min" not in ag
+
+
+def test_census_class_members_share_outcome():
+    # the images d -> +-d + c of a discrete vector share one census key and
+    # give the same census outcome
+    hops = np.array([2, 1, 0, 2, 1, 2])
+    images = [(sign * hops + c) % 3 for sign in (1, -1) for c in range(3)]
+    codes = [FrequencyCodes(image / 3, n_codes=3) for image in images]
+    assert len({_census_key(c) for c in codes}) == 1
+    outcomes = [_spark_census((c, 3, 1e-15, 10**6)) for c in codes]
+    first = outcomes[0]
+    for o in outcomes:
+        assert (o.sigma_omega, o.n_below_eps, o.below_max) == (0.0, 10635, 0.0)
+        np.testing.assert_array_equal(o.hist, first.hist)
+        assert o.above_min == pytest.approx(first.above_min, rel=0, abs=1e-14)
+        assert o.det_nonsingular_min == pytest.approx(first.det_nonsingular_min,
+                                                      rel=0, abs=1e-12)
+    # the 729 discrete vectors at N=6, M*=3 form 122 classes; continuous
+    # vectors keep their exact values as key
+    keys = {_census_key(FrequencyCodes(np.array(h) / 3, n_codes=3))
+            for h in itertools.product(range(3), repeat=6)}
+    assert len(keys) == 122
+    continuous = sample_codes(0, 6)
+    assert _census_key(continuous) == continuous.codes.tobytes()
+
+
+def test_run_spark_censuses_each_class_once(monkeypatch):
+    cfg = dataclasses.replace(SPARK_TINY, n_trials=40)
+    classes = {_census_key(sample_codes(t, 6, 3)) for t in range(40)}
+    calls = []
+
+    def spy(phi, *args):
+        calls.append(phi.codes.codes)
+        return spark_enumeration(phi, *args)
+
+    monkeypatch.setattr(harness, "spark_enumeration", spy)
+    serial = run_experiment(cfg)
+    assert len(calls) == len(classes) < 40
+    monkeypatch.undo()
+    pooled = run_experiment(cfg, threads=2)
+    assert serial.to_csv() == pooled.to_csv()
+    assert _jsonable(serial.aggregates) == _jsonable(pooled.aggregates)
 
 
 def test_run_spark_continuous_census_min_sigma():
@@ -257,6 +312,24 @@ def test_recovery_sidecars_report_solver_convergence():
     conv = run_experiment(capped).aggregates["convergence"]
     assert conv["lasso"] == {"-15.0": {"not_converged": 3, "iterations_p50": 2.0,
                                        "iterations_max": 2}}
+
+
+def test_noisy_sidecar_reports_lasso_exit():
+    cfg = dataclasses.replace(NOISY_TINY, sweep=(-15.0, 15.0))
+    exits = run_experiment(cfg).aggregates["lasso_exit"]
+    assert set(exits) == {"-15.0", "15.0"}
+    for point in exits.values():
+        assert set(point) == {"duality_gap_p50", "duality_gap_max", "nonzeros_p50"}
+        assert 0.0 <= point["duality_gap_p50"] <= point["duality_gap_max"]
+        assert 0 <= point["nonzeros_p50"] <= 32
+    # at 15 dB lam = 3 sigma^2 exceeds |Phi^H y|: zero is the minimizer and
+    # its gap is exactly 0
+    assert exits["15.0"] == {"duality_gap_p50": 0.0, "duality_gap_max": 0.0,
+                             "nonzeros_p50": 0.0}
+    # two FISTA iterations leave a larger gap than running to the tolerance
+    capped = dataclasses.replace(cfg, solver=SolverSettings(lasso_max_iter=2))
+    capped_exit = run_experiment(capped).aggregates["lasso_exit"]["-15.0"]
+    assert capped_exit["duality_gap_p50"] > exits["-15.0"]["duality_gap_p50"] > 0.0
 
 
 def test_run_bounds_matches_direct_evaluation():

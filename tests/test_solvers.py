@@ -489,7 +489,29 @@ def test_lasso_makes_one_product_each_way_per_iteration():
         setattr(phi, name, counted)
     result = lasso(phi, y, 0.3)
     assert result.iterations > 1
-    assert calls == {"matvec": result.iterations + 1, "rmatvec": result.iterations}
+    # one Phi at the zero start, one Phi^H at exit for the duality gap
+    assert calls == {"matvec": result.iterations + 1, "rmatvec": result.iterations + 1}
+
+
+def test_lasso_reports_its_duality_gap():
+    phi, y = _reference_instance(9300, 0.0, k=3, sigma2=0.1)
+    lam = 0.3
+
+    def primal(x):
+        r = phi.matvec(x) - y
+        return 0.5 * np.vdot(r, r).real + lam * np.abs(x).sum()
+
+    tight = lasso(phi, y, lam, SolverConfig(max_iter=20000, residual_tol=1e-15))
+    early = lasso(phi, y, lam, SolverConfig(max_iter=3))
+    assert 0.0 <= tight.duality_gap < 1e-4
+    # weak duality: the gap bounds the primal suboptimality of the early exit
+    assert primal(early.x_hat) - primal(tight.x_hat) <= early.duality_gap * primal(early.x_hat)
+    assert early.duality_gap > 100 * tight.duality_gap
+    # lam >= |Phi^H y|_inf: zero is the minimizer, certified by a zero gap
+    zero = lasso(phi, y, 1.01 * np.abs(phi.rmatvec(y)).max())
+    assert not zero.x_hat.any() and zero.duality_gap == 0.0
+    # the other solvers report no gap
+    assert basis_pursuit(phi, y).duality_gap is None
 
 
 def test_soft_threshold_edges():
