@@ -56,6 +56,7 @@ from .solvers import (
     extract_support,
     l0_oracle,
     lasso,
+    lasso_block,
     matched_filter,
     omp,
     subspace_pursuit,

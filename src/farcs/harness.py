@@ -31,11 +31,14 @@ from .analysis import (
 from .errors import ConfigurationError
 from .sensing import build_phi
 from .signal_model import RadarParams, add_noise, sample_codes
+# noisy runs lasso_block; lasso stays imported because perfbench's tracer
+# wraps the solver names this module imports
 from .solvers import (
     SolverConfig,
     basis_pursuit,
     extract_support,
     lasso,
+    lasso_block,
     matched_filter,
     subspace_pursuit,
 )
@@ -510,26 +513,36 @@ def run_phase(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 
 # --- noisy recovery --------------------------------------------------------------
 
-def _noisy_trial(task):
-    seed, n_pulses, n_hrr_bins, n_codes, sparsity, sigma2_db, settings = task
-    rng = np.random.default_rng(seed)
-    codes = sample_codes(rng, n_pulses, n_codes or n_hrr_bins)
-    params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes)
-    phi = build_phi(params, codes)
-    support, amplitudes = _random_scene(rng, phi.n_columns, sparsity)
-    truth = tuple(int(i) for i in support)
-    sigma2 = 10.0 ** (sigma2_db / 10.0)
-    y = add_noise(phi.columns(support) @ amplitudes, sigma2, rng)
+def _noisy_point(task):
+    """Outcomes of one noise point's trials, in trial order.
 
-    sp = subspace_pursuit(phi, y, sparsity,
-                          SolverConfig(max_iter=settings.sp_max_iter))
+    The trials are drawn in order and subspace pursuit runs on each as it is
+    drawn; lasso then solves all of them as one block (``lasso_block``).
+    """
+    seeds, n_pulses, n_hrr_bins, n_codes, sparsity, sigma2_db, settings = task
+    sigma2 = 10.0 ** (sigma2_db / 10.0)
+    params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes)
+    sp_cfg = SolverConfig(max_iter=settings.sp_max_iter)
+    phis, ys, truths, sp_results = [], [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        codes = sample_codes(rng, n_pulses, n_codes or n_hrr_bins)
+        phi = build_phi(params, codes)
+        support, amplitudes = _random_scene(rng, phi.n_columns, sparsity)
+        y = add_noise(phi.columns(support) @ amplitudes, sigma2, rng)
+        phis.append(phi)
+        ys.append(y)
+        truths.append(tuple(int(i) for i in support))
+        sp_results.append(subspace_pursuit(phi, y, sparsity, sp_cfg))
     lasso_cfg = SolverConfig(max_iter=settings.lasso_max_iter,
                              residual_tol=settings.lasso_objective_tol,
                              magnitude_threshold=settings.lasso_support_threshold)
-    la = lasso(phi, y, settings.lasso_lambda_factor * sigma2, lasso_cfg)
-    return (sp.support == truth, la.support == truth,
-            (sp.converged, sp.iterations), (la.converged, la.iterations),
-            (la.duality_gap, int(np.count_nonzero(la.x_hat))))
+    lam = settings.lasso_lambda_factor * sigma2
+    la_results = lasso_block(phis, ys, [lam] * len(phis), lasso_cfg)
+    return [(sp.support == truth, la.support == truth,
+             (sp.converged, sp.iterations), (la.converged, la.iterations),
+             (la.duality_gap, int(np.count_nonzero(la.x_hat))))
+            for truth, sp, la in zip(truths, sp_results, la_results)]
 
 
 def run_noisy(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -545,25 +558,20 @@ def run_noisy(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     for db in config.sweep:
         if not isinstance(db, (int, float)):
             raise ConfigurationError(f"noisy sweep entries must be dB floats, got {db!r}")
-    tasks = []
-    for s, db in enumerate(config.sweep):
-        for t in range(config.n_trials):
-            tasks.append((_trial_seed(config, s, t), config.n_pulses,
-                          config.n_hrr_bins, config.n_codes,
-                          config.n_scatterers, float(db), config.solver))
-    outcomes = _run_tasks(_noisy_trial, tasks, threads)
+    tasks = [(tuple(_trial_seed(config, s, t) for t in range(config.n_trials)),
+              config.n_pulses, config.n_hrr_bins, config.n_codes,
+              config.n_scatterers, float(db), config.solver)
+             for s, db in enumerate(config.sweep)]
+    points = _run_tasks(_noisy_point, tasks, threads)
     rows = []
     rates = {"sp": {}, "lasso": {}}
     convergence = {"sp": {}, "lasso": {}}
     lasso_exit = {}
-    idx = 0
-    for db in config.sweep:
+    for db, outcomes in zip(config.sweep, points):
         key = _fmt(float(db))
         sp_ok = la_ok = 0
         sp_runs, la_runs, la_exits = [], [], []
-        for t in range(config.n_trials):
-            sp_success, la_success, sp_run, la_run, la_exit = outcomes[idx]
-            idx += 1
+        for t, (sp_success, la_success, sp_run, la_run, la_exit) in enumerate(outcomes):
             rows.append(TrialRecord(("sp", float(db), t, bool(sp_success))))
             rows.append(TrialRecord(("lasso", float(db), t, bool(la_success))))
             sp_ok += sp_success

@@ -179,7 +179,7 @@ class SensingMatrix:
         if x.shape != (self.n_columns,):
             raise ShapeError(f"expected shape ({self.n_columns},), got {x.shape}")
         R_t, D_t = self._matvec_factors
-        return np.sum(R_t * (x.reshape(R_t.shape) @ D_t), axis=0)
+        return (R_t * (x.reshape(R_t.shape) @ D_t)).sum(axis=0)
 
     def rmatvec(self, v) -> np.ndarray:
         """Phi^H @ v for a length-N vector: ((R^H * v) conj(D)), flattened."""
@@ -202,6 +202,54 @@ class SensingMatrix:
     def is_row_orthogonal(self) -> bool:
         """Whether Phi Phi^H = N*M*I holds exactly (APPROXIMATE mode)."""
         return self.params.mode is BandwidthMode.APPROXIMATE
+
+
+class SensingStack:
+    """Row-wise products of sensing matrices that share one Doppler factor.
+
+    In APPROXIMATE mode every sensing matrix of one shape uses the cached
+    inverse DFT matrix, so a stack of them multiplies all their rows against
+    it in one GEMM each way; only the hop factors are stacked, shape
+    (rows, M, N).  Row i of ``matvec``/``rmatvec`` is bit for bit matrix i's
+    own product: the elementwise steps and the sum over range bins run in
+    the same order, and a GEMM row does not depend on the rows stacked with
+    it (the tests check this).
+    """
+
+    def __init__(self, hop_t: np.ndarray, hop_h: np.ndarray,
+                 doppler_t: np.ndarray, doppler_conj: np.ndarray):
+        self._R_t, self._R_h = hop_t, hop_h
+        self._D_t, self._D_conj = doppler_t, doppler_conj
+
+    @classmethod
+    def of(cls, operators) -> SensingStack | None:
+        """The stack of ``operators``, or None unless all share the cached factor.
+
+        That takes APPROXIMATE-mode ``SensingMatrix`` operators of one shape.
+        """
+        first = operators[0]
+        if not all(isinstance(op, SensingMatrix) and op.is_row_orthogonal()
+                   and op.shape == first.shape for op in operators):
+            return None
+        return cls(np.stack([op._matvec_factors[0] for op in operators]),
+                   np.stack([op._rmatvec_factors[0] for op in operators]),
+                   first._matvec_factors[1], first._rmatvec_factors[1])
+
+    def take(self, rows) -> SensingStack:
+        """The stack of the matrices at the given positions, in that order."""
+        return SensingStack(self._R_t[rows], self._R_h[rows], self._D_t, self._D_conj)
+
+    def matvec(self, X: np.ndarray) -> np.ndarray:
+        """Phi_i @ X[i] for every row i of a (rows, NM) block; shape (rows, N)."""
+        rows, M, N = self._R_t.shape
+        products = (X.reshape(rows * M, N) @ self._D_t).reshape(rows, M, N)
+        return (self._R_t * products).sum(axis=1)
+
+    def rmatvec(self, V: np.ndarray) -> np.ndarray:
+        """Phi_i^H @ V[i] for every row i of a (rows, N) block; shape (rows, NM)."""
+        rows, M, N = self._R_h.shape
+        scaled = (self._R_h * V[:, None, :]).reshape(rows * M, N)
+        return (scaled @ self._D_conj).reshape(rows, M * N)
 
 
 def build_phi(params: RadarParams, codes: FrequencyCodes,

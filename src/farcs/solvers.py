@@ -9,7 +9,10 @@ column index so runs are reproducible.
 
 The iterative l1 solvers make one product each way per iteration: basis
 pursuit one Phi and one Phi^H in its projection, lasso one Phi^H for the
-gradient and one Phi at the new iterate.  Basis pursuit also tests each new
+gradient and one Phi at the new iterate.  ``lasso_block`` solves several
+lasso problems in one loop; each is solved exactly as alone, and sensing
+matrices that share the cached inverse-DFT factor make each product for the
+whole block at once.  Basis pursuit also tests each new
 stable support S of its sparse iterate for a dual certificate, at the cost
 of one SVD of Phi_S and one more Phi^H product, and stops with the exact
 minimizer when the test passes.
@@ -25,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, ResourceError, ShapeError, SolverError
-from .sensing import SensingMatrix
+from .sensing import SensingMatrix, SensingStack
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,27 @@ def _op_spectral_norm_sq(phi):
     if isinstance(phi, SensingMatrix) and phi.is_row_orthogonal():
         return float(phi.n_columns)  # Phi Phi^H = NM I exactly
     return float(np.linalg.eigvalsh(_op_row_gram(phi))[-1])
+
+
+class _RowLoop:
+    """Row-wise products of any operators, one call per row.
+
+    The fallback of ``SensingStack``, with the same surface, for blocks
+    whose operators do not share the cached inverse-DFT factor (EXACT mode,
+    plain arrays, a mix).
+    """
+
+    def __init__(self, ops):
+        self.ops = ops
+
+    def take(self, rows):
+        return _RowLoop([self.ops[i] for i in rows])
+
+    def matvec(self, X):
+        return np.array([_op_matvec(op, x) for op, x in zip(self.ops, X)])
+
+    def rmatvec(self, V):
+        return np.array([_op_rmatvec(op, v) for op, v in zip(self.ops, V)])
 
 
 def _check_y(phi, y):
@@ -288,10 +312,13 @@ def _norm(v) -> float:
 
 
 def _soft_threshold(v, kappa):
-    """Complex soft thresholding: shrink magnitudes by kappa, keep phases."""
-    if kappa == 0:
-        return v.copy()  # the form below would divide 0 by 0 where v = 0
-    return v * (1.0 - kappa / np.maximum(np.abs(v), kappa))
+    """Complex soft thresholding: shrink magnitudes by kappa, keep phases.
+
+    ``kappa`` is a scalar or broadcasts against ``v`` (one threshold per row
+    of a block).  Where it is 0, ``v`` passes unchanged.
+    """
+    floor = np.where(kappa > 0, kappa, np.inf)  # kappa = 0 would divide 0 by 0 at v = 0
+    return v * (1.0 - kappa / np.maximum(np.abs(v), floor))
 
 
 # The off-support dual peak must stay this far under 1, so that a
@@ -423,41 +450,87 @@ def lasso(phi, y, lam: float, config: SolverConfig | None = None) -> RecoveryRes
     returned from the zero initialization immediately.  The result reports
     the relative duality gap of the returned x (``_lasso_duality_gap``),
     which costs one more Phi^H product per solve; it does not enter the
-    stopping rule.
+    stopping rule.  This is ``lasso_block`` on a block of one.
+    """
+    return lasso_block([phi], [y], [lam], config)[0]
+
+
+def lasso_block(phis, ys, lams, config: SolverConfig | None = None) -> list[RecoveryResult]:
+    """``lasso(phis[i], ys[i], lams[i], config)`` for every i, in one FISTA loop.
+
+    The problems (operators of one shape) advance in lockstep as the rows of
+    a block: the momentum depends only on the iteration index, so every row
+    shares it, and each row stops on its own objective change (or at
+    ``max_iter``) and leaves the block.  Each result, its iteration count
+    and duality gap included, is bit for bit the one a lone ``lasso`` call
+    returns; the block only changes how many products run at once.
     """
     cfg = config or _LASSO_DEFAULTS
-    if lam < 0:
-        raise ConfigurationError(f"lam must be >= 0, got {lam}")
-    y = _check_y(phi, y)
-    n_cols = _op_shape(phi)[1]
-    step = 1.0 / _op_spectral_norm_sq(phi)
-    x = np.zeros(n_cols, dtype=np.complex128)
+    ops = list(phis)
+    if not ops or not len(ops) == len(ys) == len(lams):
+        raise ShapeError(f"a lasso block needs as many operators ({len(ops)}) as "
+                         f"measurements ({len(ys)}) and lambdas ({len(lams)}), at least one")
+    lam = np.array(lams, dtype=np.float64)
+    if np.any(lam < 0):
+        raise ConfigurationError(f"lam must be >= 0, got {lam.min()}")
+    n_cols = _op_shape(ops[0])[1]
+    if any(_op_shape(op) != _op_shape(ops[0]) for op in ops):
+        raise ShapeError("the operators of a lasso block must share one shape")
+    y = np.array([_check_y(op, y_i) for op, y_i in zip(ops, ys)])
+    step = np.array([[1.0 / _op_spectral_norm_sq(op)] for op in ops])
+    kappa = step * lam[:, None]
+    rows = np.arange(len(ops))  # the problem each row of the block solves
+    results = [None] * len(ops)
+    block = SensingStack.of(ops) or _RowLoop(ops)  # row i goes through ops[i]
+    x = np.zeros((len(ops), n_cols), dtype=np.complex128)
     w = x
     momentum = 1.0
-    residual = _op_matvec(phi, x) - y  # Phi x - y
+    residual = block.matvec(x) - y  # Phi x - y, one row per problem
     residual_w = residual  # Phi w - y
-    objective = 0.5 * np.vdot(residual, residual).real
-    converged = False
-    iterations = 0
+    objective = _lasso_objectives(residual, x, lam)
     for iterations in range(1, cfg.max_iter + 1):
-        grad = _op_rmatvec(phi, residual_w)
-        x_new = _soft_threshold(w - step * grad, step * lam)
-        residual_new = _op_matvec(phi, x_new) - y
+        grad = block.rmatvec(residual_w)
+        x_new = _soft_threshold(w - step * grad, kappa)
+        residual_new = block.matvec(x_new) - y
         momentum_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
         beta = (momentum - 1.0) / momentum_new
         w = x_new + beta * (x_new - x)
         residual_w = residual_new + beta * (residual_new - residual)
         x, residual, momentum = x_new, residual_new, momentum_new
-        new_objective = 0.5 * np.vdot(residual, residual).real + lam * np.sum(np.abs(x))
-        if abs(objective - new_objective) <= cfg.residual_tol * max(new_objective, 1e-12):
-            converged = True
-            objective = new_objective
-            break
+        new_objective = _lasso_objectives(residual, x, lam)
+        done = np.abs(objective - new_objective) <= cfg.residual_tol * np.maximum(
+            new_objective, 1e-12)
         objective = new_objective
-    support = extract_support(x, eps=cfg.magnitude_threshold)
+        if not done.any():
+            continue
+        for i in np.flatnonzero(done):
+            results[rows[i]] = _lasso_result(ops[i], y[i], x[i], residual[i], lam[i],
+                                             iterations, True, cfg)
+        keep = np.flatnonzero(~done)
+        if not keep.size:
+            break
+        ops, block = [ops[i] for i in keep], block.take(keep)
+        rows, y, step, kappa, lam, objective = (a[keep] for a in (rows, y, step, kappa, lam,
+                                                                  objective))
+        x, w, residual, residual_w = (a[keep] for a in (x, w, residual, residual_w))
+    else:  # max_iter reached: the rows still in the block did not converge
+        for i, row in enumerate(rows):
+            results[row] = _lasso_result(ops[i], y[i], x[i], residual[i], lam[i],
+                                         iterations, False, cfg)
+    return results
+
+
+def _lasso_objectives(residual, x, lam):
+    """0.5 ||Phi x - y||^2 + lam ||x||_1 per row, each as a lone solve computes it."""
+    squares = np.array([np.vdot(r, r).real for r in residual])
+    return 0.5 * squares + lam * np.abs(x).sum(axis=1)
+
+
+def _lasso_result(phi, y, x, residual, lam, iterations, converged, cfg):
+    x = x.copy()  # not a view that keeps the whole block alive
     return RecoveryResult(
-        x, support, float(np.linalg.norm(residual)), iterations, converged,
-        duality_gap=_lasso_duality_gap(phi, y, x, residual, lam),
+        x, extract_support(x, eps=cfg.magnitude_threshold), float(np.linalg.norm(residual)),
+        iterations, converged, duality_gap=_lasso_duality_gap(phi, y, x, residual, float(lam)),
     )
 
 

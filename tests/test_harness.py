@@ -195,7 +195,7 @@ def test_run_spark_censuses_each_class_once(monkeypatch):
 
 
 def test_run_spark_continuous_census_min_sigma():
-    # full 2000-trial continuous-code census (slow: ~4 minutes single-threaded).
+    # full 2000-trial continuous-code census (about 33 s, half of the suite).
     # No subset ever loses rank, but the worst submatrix sits many decades
     # below the discrete-code full-rank floor.
     cfg = dataclasses.replace(default_config("spark"), code_distribution="continuous")
@@ -366,10 +366,13 @@ def test_repeat_runs_are_byte_identical():
 
 
 def test_worker_count_does_not_change_results():
-    serial = run_experiment(MIP_TINY, threads=1)
-    pooled = run_experiment(MIP_TINY, threads=2)
-    assert serial.to_csv() == pooled.to_csv()
-    assert _jsonable(serial.aggregates) == _jsonable(pooled.aggregates)
+    # a noisy pool task is a whole noise point, so it needs two of them
+    noisy = dataclasses.replace(NOISY_TINY, sweep=(0.0, 15.0))
+    for config in (MIP_TINY, PHASE_TINY, noisy):
+        serial = run_experiment(config, threads=1)
+        pooled = run_experiment(config, threads=2)
+        assert serial.to_csv() == pooled.to_csv()
+        assert _jsonable(serial.aggregates) == _jsonable(pooled.aggregates)
 
 
 def test_master_seed_changes_draws():

@@ -21,11 +21,13 @@ from farcs import (
     extract_support,
     l0_oracle,
     lasso,
+    lasso_block,
     matched_filter,
     omp,
     sample_codes,
     subspace_pursuit,
 )
+from farcs.sensing import SensingStack
 from farcs.solvers import _CERTIFICATE_MARGIN, _GrowingQR, _certified_fit, _soft_threshold
 
 
@@ -479,18 +481,98 @@ def test_lasso_matches_reference_fista(relative_bandwidth, dense, sigma2_db):
     np.testing.assert_allclose(result.x_hat, x_ref, rtol=0, atol=1e-10)
 
 
-def test_lasso_makes_one_product_each_way_per_iteration():
-    phi, y = _reference_instance(9300, 0.0, k=3, sigma2=0.1)
+def test_lasso_makes_one_product_each_way_per_iteration(monkeypatch):
+    problems = [_reference_instance(9300 + i, 0.0, k=3, sigma2=0.1) for i in range(3)]
+    phis = [phi for phi, _ in problems]
     calls = {"matvec": 0, "rmatvec": 0}
-    for name in calls:
-        def counted(v, _name=name, _product=getattr(phi, name)):
-            calls[_name] += 1
-            return _product(v)
-        setattr(phi, name, counted)
-    result = lasso(phi, y, 0.3)
-    assert result.iterations > 1
-    # one Phi at the zero start, one Phi^H at exit for the duality gap
-    assert calls == {"matvec": result.iterations + 1, "rmatvec": result.iterations + 1}
+    # the iterations make block products; the exit duality gap one Phi^H on each phi
+    for owner in (SensingStack, *phis):
+        for name in calls:
+            def counted(*args, _name=name, _product=getattr(owner, name)):
+                calls[_name] += 1
+                return _product(*args)
+            monkeypatch.setattr(owner, name, counted)
+    for n_rows in (1, 3):
+        calls.update(matvec=0, rmatvec=0)
+        results = lasso_block(phis[:n_rows], [y for _, y in problems[:n_rows]], [0.3] * n_rows)
+        iterations = max(result.iterations for result in results)
+        assert iterations > 1
+        # one Phi at the zero start and one product each way per iteration for
+        # the whole block, plus one Phi^H per row at exit
+        assert calls == {"matvec": iterations + 1, "rmatvec": iterations + n_rows}
+
+
+def _lasso_problems(seed, relative_bandwidth=0.0):
+    """15 lasso problems at N=32, M=4, noise from -15 to 5 dB, lam = 3 sigma^2.
+
+    Row 0's lam is above ||Phi^H y||_inf.  Under ``_BLOCK_CONFIG`` three rows
+    of seed 9400 stop at max_iter and the others converge.
+    """
+    rng = np.random.default_rng(seed)
+    params = RadarParams.abstract(32, 4, relative_bandwidth=relative_bandwidth)
+    problems = []
+    for _ in range(15):
+        phi = build_phi(params, sample_codes(rng, 32, 4))
+        idx = rng.choice(phi.n_columns, size=3, replace=False)
+        sigma2 = 10.0 ** (rng.uniform(-15.0, 5.0) / 10.0)
+        y = add_noise(phi.columns(idx) @ np.exp(1j * rng.uniform(0, 2 * np.pi, 3)), sigma2, rng)
+        problems.append((phi, y, 3.0 * sigma2))
+    phi, y, _ = problems[0]
+    problems[0] = (phi, y, 1.01 * float(np.abs(phi.rmatvec(y)).max()))
+    return problems
+
+
+_BLOCK_CONFIG = SolverConfig(max_iter=120, residual_tol=1e-6)
+
+
+def _assert_block_matches_lone_solves(problems, config=_BLOCK_CONFIG):
+    phis, ys, lams = zip(*problems)
+    for block, (phi, y, lam) in zip(lasso_block(phis, ys, lams, config), problems):
+        lone = lasso(phi, y, lam, config)
+        assert block.x_hat.tobytes() == lone.x_hat.tobytes()
+        assert (block.iterations, block.converged, block.duality_gap, block.support,
+                block.residual_norm) == (lone.iterations, lone.converged, lone.duality_gap,
+                                         lone.support, lone.residual_norm)
+
+
+def test_lasso_block_does_not_depend_on_block_size():
+    problems = _lasso_problems(9400)
+    assert SensingStack.of([phi for phi, _, _ in problems]) is not None
+    lone = [lasso(phi, y, lam, _BLOCK_CONFIG) for phi, y, lam in problems]
+    # the rows cover both exits: converged, and capped at max_iter
+    assert sum(not r.converged and r.iterations == _BLOCK_CONFIG.max_iter for r in lone) == 3
+    # lam >= ||Phi^H y||_inf stops at once on the zero vector with gap 0
+    assert lone[0].iterations == 1 and not lone[0].x_hat.any() and lone[0].duality_gap == 0.0
+    for size in (1, 2, 15):
+        for start in range(0, 15, size):
+            _assert_block_matches_lone_solves(problems[start:start + size])
+    order = np.random.default_rng(0).permutation(15)
+    _assert_block_matches_lone_solves([problems[i] for i in order])
+
+
+def test_lasso_block_fallback_loops_over_its_rows():
+    # EXACT-mode operators, plain arrays and a mix with APPROXIMATE ones take
+    # the row loop; each row must still be its lone solve
+    exact = _lasso_problems(9401, relative_bandwidth=0.4)[:6]
+    approximate = _lasso_problems(9402)[:6]
+    dense = [(phi.to_dense(), y, lam) for phi, y, lam in approximate[:3]]
+    mixed = exact[:2] + dense[:2] + approximate[3:5]
+    for block in (exact, dense, mixed):
+        assert SensingStack.of([phi for phi, _, _ in block]) is None
+        _assert_block_matches_lone_solves(block)
+        _assert_block_matches_lone_solves(block[::-1])
+
+
+def test_lasso_block_rejects():
+    (phi, y, lam), (other, _, _) = _lasso_problems(9400)[:2]
+    with pytest.raises(ShapeError):
+        lasso_block([phi, other], [y], [lam, lam])
+    with pytest.raises(ShapeError):
+        lasso_block([], [], [])
+    with pytest.raises(ShapeError):  # operators of different shapes
+        lasso_block([phi, phi.to_dense()[:, :64]], [y, y], [lam, lam])
+    with pytest.raises(ConfigurationError):
+        lasso_block([phi, other], [y, y], [lam, -lam])
 
 
 def test_lasso_reports_its_duality_gap():
