@@ -1,0 +1,75 @@
+"""Print the sha256 of every output file of a fixed set of farcs runs.
+
+Each run below executes in this process through ``run_experiment`` and
+``ExperimentResult.write``, into a temporary directory that is removed
+afterwards. The script prints one JSON line that maps each run's name to the
+sha256 of its CSV and of its JSON sidecar. Two checkouts print the same line
+exactly when every output is byte-identical, so a refactor is checked with
+
+    diff <(python3 OLD/scripts/output_hashes.py) <(python3 NEW/scripts/output_hashes.py)
+
+The runs: default ``spark`` with discrete codes, ``spark`` with continuous
+codes (300 trials), every perfbench config file at a fixed master seed
+(census, coherence, recovery), and small ``mip``, ``phase`` and ``noisy``
+runs. OpenBLAS, OpenMP and MKL are pinned to one thread, and the source tree
+next to this script is imported, so the outputs are this checkout's.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+SEED = 8_101  # master seed of every perfbench config that sets none
+
+
+def fixed_runs() -> dict:
+    """The named configs whose outputs the script hashes."""
+    from farcs import default_config, load_config
+
+    spark = default_config("spark")
+    runs = {
+        "spark": spark,
+        "spark-continuous": dataclasses.replace(spark, n_trials=300,
+                                                code_distribution="continuous"),
+    }
+    for path in sorted((ROOT / "perfbench" / "configs").glob("*.json")):
+        config = load_config(path)
+        if "master_seed" not in json.loads(path.read_text()):
+            config = dataclasses.replace(config, master_seed=SEED)
+        runs[path.stem] = config
+    runs["mip-small"] = dataclasses.replace(default_config("mip"), n_trials=200)
+    runs["phase-small"] = dataclasses.replace(default_config("phase"), n_trials=10)
+    runs["noisy-small"] = dataclasses.replace(default_config("noisy"), n_trials=10)
+    return runs
+
+
+def output_hashes(runs: dict) -> dict:
+    """sha256 of the CSV and the sidecar that each named config writes."""
+    from farcs import run_experiment
+
+    hashes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config in runs.items():
+            paths = run_experiment(config).write(Path(tmp) / f"{name}.csv")
+            hashes[name] = {kind: hashlib.sha256(path.read_bytes()).hexdigest()
+                            for kind, path in zip(("csv", "sidecar"), paths)}
+    return hashes
+
+
+def main() -> int:
+    os.environ.update(PINNED)  # before numpy loads BLAS
+    sys.path.insert(0, str(ROOT / "src"))
+    print(json.dumps(output_hashes(fixed_runs()), sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -38,15 +38,26 @@ def min_singular_normalized(submatrix: np.ndarray) -> float:
     return float(s[-1]) / math.sqrt(submatrix.shape[0])
 
 
+# bins 0.02 wide centred on 0, 0.02, ..., 1.2: sigma = 1 (orthogonal columns)
+# sits in the middle of a bin, so rounding cannot move it across an edge
+SIGMA_HIST_EDGES = np.linspace(-0.01, 1.21, 62)
+SIGMA_HIST_EDGES.setflags(write=False)
+
+
 @dataclass
 class SparkReport:
     """Census of smallest singular values over every N-column submatrix."""
 
-    sigma_values: np.ndarray  # normalized sigma_N per submatrix, enumeration order
+    # normalized sigma_N per submatrix, enumeration order.  A sigma that the
+    # census did not send to the SVD is its Gram estimate, which lies with
+    # the SVD value in the interval of ``_gram_sigma_bounds`` (see
+    # ``spark_enumeration``)
+    sigma_values: np.ndarray
     sigma_omega: float  # the minimum over all submatrices
     n_submatrices: int
     eps_svd: float
     n_below_eps: int  # submatrices with sigma under eps_svd
+    sigma_hist_counts: np.ndarray  # histogram of sigma_values over SIGMA_HIST_EDGES
     route: str  # "determinant_gap" or "eps_svd"
     # determinant-gap route only: largest |det| classified singular and
     # smallest classified nonsingular (None when there is none)
@@ -161,6 +172,52 @@ def _determinant_gap_applies(phi: SensingMatrix) -> bool:
     return math.lcm(n_codes, N) in _GAP_ORDERS and rounding < 1e-6
 
 
+def _gram_sigma_bounds(lam: np.ndarray, n: int):
+    """Normalized sigma estimates from Gram eigenvalues, and their intervals.
+
+    ``lam`` holds the smallest computed eigenvalue of each N x N Gram A^H A
+    of a submatrix A of Phi.  Every entry of A has unit modulus, so
+    ||A||_F^2 = N^2: the Gram's rounding error (inner products of N terms of
+    modulus 1) and the Hermitian eigensolver's backward error are each about
+    N^3 eps in the 2-norm, and by Weyl's inequality the exact sigma_N(A)^2
+    lies within delta = 16 N^3 eps of ``lam``.  The SVD's own absolute error
+    is about N eps ||A||_2 <= N^2 eps, bounded by tau = 16 N^2 eps.  So the
+    value the SVD returns, like the estimate sqrt(max(lam, 0)), lies in
+    [sqrt(max(lam - delta, 0)) - tau, sqrt(lam + delta) + tau].  Returns the
+    estimate and both ends, each divided by sqrt(N).
+    """
+    eps = np.finfo(np.float64).eps
+    delta, tau = 16 * n ** 3 * eps, 16 * n ** 2 * eps
+    sqrt_n = math.sqrt(n)
+    estimate = np.sqrt(np.maximum(lam, 0.0)) / sqrt_n
+    low = (np.sqrt(np.maximum(lam - delta, 0.0)) - tau) / sqrt_n
+    high = (np.sqrt(np.maximum(lam + delta, 0.0)) + tau) / sqrt_n
+    return estimate, low, high
+
+
+def _svd_needed(low: np.ndarray, high: np.ndarray, eps_svd: float) -> np.ndarray:
+    """Orbit representatives whose SVD value could change a census output.
+
+    Each representative's sigma lies in [low, high]; where low == high it is
+    exact already.  The outputs are each subset's side of ``eps_svd``, its
+    bin of ``SIGMA_HIST_EDGES``, the smallest sigma, the largest sigma below
+    ``eps_svd`` and the smallest at or above it.  An interval can change the
+    first two only when it holds ``eps_svd`` or an edge, and an extreme only
+    when it reaches past the bound that the intervals on its own side of
+    ``eps_svd`` guarantee for that extreme.
+    """
+    below, above = high < eps_svd, low >= eps_svd
+    edges = SIGMA_HIST_EDGES
+    need = ~(below | above)
+    need |= np.searchsorted(edges, low, "right") != np.searchsorted(edges, high, "right")
+    if below.any():
+        need |= below & (low <= high[below].min())  # the smallest sigma
+        need |= below & (high >= low[below].max())  # the largest below eps_svd
+    if above.any():
+        need |= above & (low <= high[above].min())  # the smallest at or above it
+    return need & (low < high)
+
+
 def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
                       max_submatrices: int = 1_000_000,
                       batch_size: int = 8192) -> SparkReport:
@@ -180,12 +237,28 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
     Where every minor is 0 or has |det| >= 1 (APPROXIMATE mode, discrete
     codes, lcm(M*, N) in {1, 2, 3, 4, 6}; see ``_determinant_gap_applies``),
     the census classifies on that gap (route ``"determinant_gap"``): a
-    representative with |det| < 1/2 is singular and gets sigma = 0 exactly,
-    and the SVD runs only on the others, whose normalized sigma is at least
-    N^-(N - 1/2) (5.2e-5 at N=6), so any smaller ``eps_svd`` counts exactly
-    the singular minors.  Elsewhere, and always for continuous codes, every
-    representative's SVD is compared with ``eps_svd`` (route ``"eps_svd"``).
-    Refuses to start when the subset count exceeds ``max_submatrices``.
+    representative with |det| < 1/2 is singular and gets sigma = 0 exactly.
+    The others have normalized sigma at least N^-(N - 1/2) (5.2e-5 at N=6),
+    so any smaller ``eps_svd`` counts exactly the singular minors.
+    Elsewhere, and always for continuous codes, every representative is
+    compared with ``eps_svd`` (route ``"eps_svd"``).
+
+    A representative's sigma, where the gap does not settle it, is first
+    estimated from its N x N Gram, gathered from the Gram of the dense Phi:
+    one batched Hermitian eigensolve gives sqrt(max(lambda_min, 0) / N),
+    with an interval certain to hold the value the SVD would return (see
+    ``_gram_sigma_bounds``; its half-width is about 1e-13 unless sigma is
+    near 0).  The SVD runs only where the interval could change an output
+    (see ``_svd_needed``): where it holds ``eps_svd`` or a histogram edge,
+    or the representative could be the smallest sigma, the largest below
+    ``eps_svd`` or the smallest at or above it.  That leaves about one SVD
+    per continuous-code census at N=6, M=3 (at most 4 in 2000 draws).
+    Every other entry of ``sigma_values`` is the Gram estimate, within its
+    interval of the SVD value; ``sigma_omega``, ``n_below_eps``,
+    ``sigma_hist_counts`` and those extremes are exactly what an SVD of
+    every representative gives.  The outcome does not depend on
+    ``batch_size``.  Refuses to start when the subset count exceeds
+    ``max_submatrices``.
     """
     if eps_svd <= 0:
         raise DomainError(f"eps_svd must be > 0, got {eps_svd}")
@@ -202,29 +275,35 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
     reps, orbit_of = _orbit_table(N, M, periodic, range_wrap)
     gap = _determinant_gap_applies(phi)
     dense = phi.to_dense()
+    gram = dense.conj().T @ dense
     combos = _combination_indices(n_cols, N)
-    sqrt_n = math.sqrt(N)
-    rep_sigmas = np.zeros(reps.size)  # singular by the gap: exactly 0
+    lam = np.zeros(reps.size)  # smallest Gram eigenvalue of each representative
     rep_dets = np.empty(reps.size if gap else 0)
     for start in range(0, reps.size, batch_size):
         idx = combos[reps[start:start + batch_size]]
-        sub = np.ascontiguousarray(np.moveaxis(dense[:, idx], 1, 0))
         batch = np.arange(start, start + idx.shape[0])
         if gap:
-            rep_dets[batch] = np.abs(np.linalg.det(sub))
+            rep_dets[batch] = np.abs(np.linalg.det(np.moveaxis(dense[:, idx], 1, 0)))
             nonsingular = rep_dets[batch] >= 0.5
-            sub, batch = sub[nonsingular], batch[nonsingular]
-        s = np.linalg.svd(sub, compute_uv=False)
-        rep_sigmas[batch] = s[:, -1] / sqrt_n
+            idx, batch = idx[nonsingular], batch[nonsingular]
+        lam[batch] = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])[:, 0]
+    rep_sigmas, low, high = _gram_sigma_bounds(lam, N)
     singular = rep_dets < 0.5
+    if gap:  # exactly 0: a point interval
+        rep_sigmas[singular] = low[singular] = high[singular] = 0.0
+    todo = np.flatnonzero(_svd_needed(low, high, eps_svd))
+    for start in range(0, todo.size, batch_size):
+        batch = todo[start:start + batch_size]
+        sub = np.moveaxis(dense[:, combos[reps[batch]]], 1, 0)
+        rep_sigmas[batch] = np.linalg.svd(sub, compute_uv=False)[:, -1] / math.sqrt(N)
     sigmas = rep_sigmas[orbit_of]
-    n_below = int(np.count_nonzero(sigmas < eps_svd))
     return SparkReport(
         sigma_values=sigmas,
         sigma_omega=float(sigmas.min()),
         n_submatrices=total,
         eps_svd=eps_svd,
-        n_below_eps=n_below,
+        n_below_eps=int(np.count_nonzero(sigmas < eps_svd)),
+        sigma_hist_counts=np.histogram(sigmas, bins=SIGMA_HIST_EDGES)[0],
         route="determinant_gap" if gap else "eps_svd",
         det_singular_max=float(rep_dets[singular].max()) if singular.any() else None,
         det_nonsingular_min=float(rep_dets[~singular].min()) if not singular.all() else None,

@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import (
+    SIGMA_HIST_EDGES,
     coherence,
     l0_limit,
     max_recoverable_K,
@@ -44,11 +45,6 @@ from .solvers import (
 )
 
 EXPERIMENTS = ("spark", "mip", "phase", "noisy", "bounds")
-
-# bins 0.02 wide centred on 0, 0.02, ..., 1.2: sigma = 1 (orthogonal columns)
-# sits in the middle of a bin, so rounding cannot move it across an edge
-_SIGMA_HIST_EDGES = np.linspace(-0.01, 1.21, 62)
-
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -278,13 +274,12 @@ def _spark_census(task):
     params = RadarParams.abstract(codes.codes.size, n_hrr_bins, n_codes=codes.n_codes)
     report = spark_enumeration(build_phi(params, codes), eps_svd, max_submatrices)
     sigmas = report.sigma_values
-    hist = np.histogram(sigmas, bins=_SIGMA_HIST_EDGES)[0]
     below = sigmas < eps_svd
     below_max = float(sigmas[below].max()) if below.any() else None
     above_min = float(sigmas[~below].min()) if not below.all() else None
-    return _CensusOutcome(report.sigma_omega, report.n_below_eps, hist, report.n_submatrices,
-                          below_max, above_min, report.route, report.det_singular_max,
-                          report.det_nonsingular_min)
+    return _CensusOutcome(report.sigma_omega, report.n_below_eps, report.sigma_hist_counts,
+                          report.n_submatrices, below_max, above_min, report.route,
+                          report.det_singular_max, report.det_nonsingular_min)
 
 
 def _census_key(codes) -> tuple | bytes:
@@ -360,9 +355,9 @@ def run_spark(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         # classification margins on either side of eps_svd (None when empty)
         "sigma_below_eps_max": max(below_max, default=None),
         "sigma_above_eps_min": min(above_min, default=None),
-        "sigma_hist_edges": _SIGMA_HIST_EDGES,
+        "sigma_hist_edges": SIGMA_HIST_EDGES,
         "sigma_hist_counts": hist_total,
-        "sigma_omega_hist_counts": np.histogram(sigma_omegas, bins=_SIGMA_HIST_EDGES)[0],
+        "sigma_omega_hist_counts": np.histogram(sigma_omegas, bins=SIGMA_HIST_EDGES)[0],
         "census_route": route,
     }
     if route == "determinant_gap":

@@ -312,10 +312,153 @@ def test_spark_count_matches_determinant_count():
 
 
 def test_spark_batching_invariant():
-    phi = _abstract_phi((0, 1 / 3, 1 / 3, 2 / 3, 0, 2 / 3), 3, n_codes=3)
-    a = spark_enumeration(phi, batch_size=8192)
-    b = spark_enumeration(phi, batch_size=101)
-    np.testing.assert_array_equal(a.sigma_values, b.sigma_values)
+    # the screen decides which representatives go to the SVD after every
+    # batch has its Gram estimate, so batches cannot change the outcome
+    for phi in (
+        _abstract_phi((0, 1 / 3, 1 / 3, 2 / 3, 0, 2 / 3), 3, n_codes=3),  # determinant gap
+        build_phi(RadarParams.abstract(6, 3), sample_codes(11, 6)),  # continuous codes
+        build_phi(RadarParams.abstract(5, 3, relative_bandwidth=0.3), sample_codes(3, 5)),  # EXACT
+    ):
+        a = spark_enumeration(phi, batch_size=8192)
+        b = spark_enumeration(phi, batch_size=101)
+        np.testing.assert_array_equal(a.sigma_values, b.sigma_values)
+        np.testing.assert_array_equal(a.sigma_hist_counts, b.sigma_hist_counts)
+
+
+# --- the Gram screen against a plain SVD -----------------------------------------
+
+
+def _orbits(phi):
+    n_codes = phi.codes.n_codes
+    periodic = phi.params.mode is BandwidthMode.APPROXIMATE
+    range_wrap = periodic and n_codes is not None and phi.params.n_hrr_bins % n_codes == 0
+    return _orbit_table(phi.n_pulses, phi.params.n_hrr_bins, periodic, range_wrap)
+
+
+def _rep_subsets(phi):
+    N, n_cols = phi.shape
+    return np.array(list(itertools.combinations(range(n_cols), N)))[_orbits(phi).reps]
+
+
+def _svd_rep_sigmas(phi):
+    # every orbit representative's normalized sigma from its own SVD; on the
+    # determinant-gap route a minor with |det| < 1/2 is exactly 0, as before
+    # the screen
+    sub = np.moveaxis(phi.to_dense()[:, _rep_subsets(phi)], 1, 0)
+    sigmas = np.linalg.svd(sub, compute_uv=False)[:, -1] / math.sqrt(phi.n_pulses)
+    if analysis._determinant_gap_applies(phi):
+        sigmas[np.abs(np.linalg.det(sub)) < 0.5] = 0.0
+    return sigmas
+
+
+def _gram_estimates(phi):
+    # the screen's estimate: the smallest eigenvalue of each representative's
+    # Gram, gathered from the Gram of the dense matrix
+    subsets = _rep_subsets(phi)
+    dense = phi.to_dense()
+    gram = dense.conj().T @ dense
+    lam = np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])[:, 0]
+    return np.sqrt(np.maximum(lam, 0.0)) / math.sqrt(phi.n_pulses)
+
+
+def _assert_matches_svd(phi, eps_svd=1e-15):
+    report = spark_enumeration(phi, eps_svd=eps_svd)
+    reps, orbit_of = _orbits(phi)
+    N = phi.n_pulses
+    expected = _svd_rep_sigmas(phi)
+    got = report.sigma_values[reps]
+    # every sigma lies in the interval the report states for it, and that
+    # interval holds the SVD value
+    _, low, high = analysis._gram_sigma_bounds((got * math.sqrt(N)) ** 2, N)
+    exact = got == expected
+    assert np.all((low <= expected) & (expected <= high) | exact)
+    # the outputs are those of the SVD, bit for bit
+    sigmas = expected[orbit_of]
+    below = sigmas < eps_svd
+    assert report.sigma_omega == sigmas.min()
+    assert report.n_below_eps == np.count_nonzero(below)
+    np.testing.assert_array_equal(report.sigma_hist_counts,
+                                  np.histogram(sigmas, bins=analysis.SIGMA_HIST_EDGES)[0])
+    got_below = report.sigma_values < eps_svd
+    np.testing.assert_array_equal(got_below, below)
+    if below.any():
+        assert report.sigma_values[got_below].max() == sigmas[below].max()
+    if not below.all():
+        assert report.sigma_values[~got_below].min() == sigmas[~below].min()
+    return report, expected
+
+
+@pytest.mark.parametrize("phi,eps_svd", [
+    (build_phi(RadarParams.abstract(6, 3), sample_codes(11, 6)), 1e-15),
+    (build_phi(RadarParams.abstract(6, 3), sample_codes(12, 6)), 1e-15),
+    # a large eps_svd puts many estimates below it: the smallest sigma and
+    # the largest below eps_svd must still come from the SVD
+    (build_phi(RadarParams.abstract(6, 3), sample_codes(12, 6)), 0.1),
+    (build_phi(RadarParams.abstract(5, 3, relative_bandwidth=0.3), sample_codes(3, 5)), 1e-15),
+    (build_phi(RadarParams.abstract(5, 3, relative_bandwidth=0.3), sample_codes(3, 5)), 0.1),
+    (build_phi(RadarParams.abstract(6, 3, relative_bandwidth=0.2, n_codes=3),
+               sample_codes(4, 6, 3)), 1e-15),
+    (build_phi(RadarParams.abstract(4, 2, n_codes=4), sample_codes(2, 4, 4)), 1e-15),
+], ids=["continuous", "continuous2", "continuous2-eps0.1", "exact", "exact-eps0.1",
+        "exact-discrete", "gap-N4"])
+def test_spark_screen_matches_svd(phi, eps_svd):
+    _assert_matches_svd(phi, eps_svd)
+
+
+def test_spark_screen_runs_few_svds_on_continuous_codes(monkeypatch):
+    phi = build_phi(RadarParams.abstract(6, 3), sample_codes(11, 6))
+    rows = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    spark_enumeration(phi)
+    assert 1 <= sum(rows) <= 4  # of 1,599 representatives
+
+
+def test_spark_screen_near_singular_continuous_subsets():
+    # a discrete vector with many singular minors, nudged off the grid: its
+    # subsets keep sigma of order 1e-7, where the Gram loses most of its
+    # digits and only the eigenvalue margin delta keeps the interval true
+    hops = np.array((2, 1, 0, 2, 1, 2)) / 3
+    nudge = 1e-7 * np.random.default_rng(0).standard_normal(6)
+    phi = build_phi(RadarParams.abstract(6, 3), FrequencyCodes((hops + nudge) % 1.0))
+    report, expected = _assert_matches_svd(phi)
+    assert report.route == "eps_svd" and report.n_below_eps == 0
+    tiny = (expected > 0.0) & (expected < 1e-5)
+    assert tiny.sum() > 10
+    estimates = _gram_estimates(phi)
+    assert np.abs(estimates[tiny] - expected[tiny]).max() > 1e-10
+
+
+def test_spark_screen_smallest_nonzero_sigma_from_svd():
+    # determinant-gap route: singular minors are exactly 0, so the smallest
+    # sigma at or above eps_svd must be sought among the nonsingular
+    # representatives alone; here its Gram estimate differs from its SVD
+    phi = _abstract_phi(tuple(h / 3 for h in (2, 1, 0, 2, 1, 2)), 3, n_codes=3)
+    report, expected = _assert_matches_svd(phi)
+    assert report.route == "determinant_gap"
+    nonsingular = expected > 0.0
+    smallest = np.flatnonzero(nonsingular)[np.argmin(expected[nonsingular])]
+    assert _gram_estimates(phi)[smallest] != expected[smallest]
+
+
+def test_spark_screen_resolves_sigma_on_a_histogram_edge(monkeypatch):
+    # put a bin edge between a representative's Gram estimate and its SVD
+    # value: only the SVD can say which bin it falls in
+    phi = build_phi(RadarParams.abstract(6, 3), sample_codes(11, 6))
+    expected = _svd_rep_sigmas(phi)
+    estimates = _gram_estimates(phi)
+    differ = np.flatnonzero((estimates != expected) & (expected > 0.1) & (expected < 0.9))
+    assert differ.size > 100
+    r = differ[0]
+    edge = max(estimates[r], expected[r])
+    edges = np.sort(np.append(analysis.SIGMA_HIST_EDGES, edge))
+    monkeypatch.setattr(analysis, "SIGMA_HIST_EDGES", edges)
+    _assert_matches_svd(phi)
 
 
 # --- chi -----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Tests for the experiment drivers, their file outputs, and the CLI."""
 
 import dataclasses
+import hashlib
+import importlib.util
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +27,9 @@ from farcs import (
     spark_enumeration,
 )
 from farcs import harness
+from farcs.analysis import SIGMA_HIST_EDGES
 from farcs.cli import main
-from farcs.harness import (_SIGMA_HIST_EDGES, _census_key, _fmt, _jsonable, _spark_census,
+from farcs.harness import (_census_key, _fmt, _jsonable, _spark_census,
                            run_mip, run_spark)
 
 # small, fast configurations used throughout
@@ -134,11 +138,11 @@ def test_run_spark_schema_and_known_rates():
 def test_sigma_hist_puts_unit_sigma_mid_bin():
     # subsets with orthogonal columns have sigma = 1 up to rounding; an edge
     # there would let the last bit pick the bin
-    counts = np.histogram([1.0 - 1e-15, 1.0, 1.0 + 1e-15], bins=_SIGMA_HIST_EDGES)[0]
+    counts = np.histogram([1.0 - 1e-15, 1.0, 1.0 + 1e-15], bins=SIGMA_HIST_EDGES)[0]
     assert counts.max() == 3
-    centres = 0.5 * (_SIGMA_HIST_EDGES[:-1] + _SIGMA_HIST_EDGES[1:])
+    centres = 0.5 * (SIGMA_HIST_EDGES[:-1] + SIGMA_HIST_EDGES[1:])
     assert np.isclose(centres, 1.0, rtol=0, atol=1e-12).sum() == 1
-    assert _SIGMA_HIST_EDGES[0] < 0.0 and _SIGMA_HIST_EDGES[-1] > 1.0
+    assert SIGMA_HIST_EDGES[0] < 0.0 and SIGMA_HIST_EDGES[-1] > 1.0
 
 
 def test_run_spark_continuous_codes_full_rank():
@@ -195,7 +199,8 @@ def test_run_spark_censuses_each_class_once(monkeypatch):
 
 
 def test_run_spark_continuous_census_min_sigma():
-    # full 2000-trial continuous-code census (about 33 s, half of the suite).
+    # full 2000-trial continuous-code census (about 20 s with BLAS at one
+    # thread, the slowest test of the suite).
     # No subset ever loses rank, but the worst submatrix sits many decades
     # below the discrete-code full-rank floor.
     cfg = dataclasses.replace(default_config("spark"), code_distribution="continuous")
@@ -476,3 +481,29 @@ def test_cli_missing_config_file(tmp_path, capsys):
 def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+# --- scripts/output_hashes.py ---------------------------------------------------
+
+
+def _load_script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_output_hashes_script(tmp_path):
+    script = _load_script("output_hashes")
+    hashes = script.output_hashes({"tiny": SPARK_TINY})
+    csv_path, sidecar_path = run_experiment(SPARK_TINY).write(tmp_path / "tiny.csv")
+    assert hashes == {"tiny": {
+        "csv": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+        "sidecar": hashlib.sha256(sidecar_path.read_bytes()).hexdigest(),
+    }}
+    runs = script.fixed_runs()
+    assert {"spark", "spark-continuous", "census-probe", "census-continuous",
+            "mip-small", "phase-small", "noisy-small"} <= set(runs)
+    assert runs["spark-continuous"].code_distribution == "continuous"
+    assert runs["census-probe"].master_seed == 367  # set by the config file
