@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ResourceError, ShapeError
-from .sensing import SensingMatrix
+from .sensing import SensingMatrix, _inverse_dft_conj
 from .signal_model import (TWO_PI, BandwidthMode, FrequencyCodes, RadarParams,
                            pulse_doppler_scalings)
 
@@ -373,8 +373,9 @@ def coherence(phi, method: str = "auto") -> CoherenceSample:
         first = 1 if phi.params.mode is BandwidthMode.APPROXIMATE else 0
         R = phi.hop_response[:, first:]
         D = phi.doppler_response
+        D_conj = _inverse_dft_conj(phi.n_pulses) if first else D.conj()
         chi_pos = np.abs(D.T @ R)  # (dl, dm - first), dl >= 0
-        chi_neg = np.abs(D.conj().T @ R)  # (-dl, dm - first), dl <= 0
+        chi_neg = np.abs(D_conj.T @ R)  # (-dl, dm - first), dl <= 0
         if first == 0:
             chi_pos[0, 0] = chi_neg[0, 0] = 0.0  # each column with itself
         peak = max(chi_pos.max(initial=0.0), chi_neg.max(initial=0.0))

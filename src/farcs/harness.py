@@ -221,7 +221,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        items = obj.tolist()  # Python scalars, unless the array holds objects
+        return _jsonable(items) if obj.dtype == object else items
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, np.integer):
@@ -424,8 +425,7 @@ def run_mip(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         "union_bound_raw": bound_raw,
         "union_bound_clamped": np.minimum(bound_raw, 1.0),
         "empirical_exceedance": {
-            key: np.array([float(np.mean(arm_mus > e)) for e in grid])
-            for key, arm_mus in per_arm.items()
+            key: (arm_mus[:, None] > grid).mean(axis=0) for key, arm_mus in per_arm.items()
         },
         "mean_mu": {key: float(arm_mus.mean()) for key, arm_mus in per_arm.items()},
         "max_mu": {key: float(arm_mus.max()) for key, arm_mus in per_arm.items()},

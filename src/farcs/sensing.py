@@ -29,23 +29,60 @@ from .signal_model import (
     FrequencyCodes,
     RadarParams,
     pulse_doppler_scalings,
+    zeta,
 )
 
 # Default cap on materialized dense entries (complex128), ~512 MiB.
 DEFAULT_DENSE_BUDGET = 1 << 25
+# Cap on the entries of one cached phase table (complex128), 4 MiB; larger
+# factors take the direct formulas.
+_PHASE_TABLE_BUDGET = 1 << 18
+
+
+def _hop_matrix(codes: np.ndarray, n_hrr_bins: int) -> np.ndarray:
+    return np.exp(1j * 2.0 * np.pi * np.outer(codes, np.arange(n_hrr_bins)))
+
+
+@functools.lru_cache(maxsize=16)
+def _hop_table(n_codes: int, n_hrr_bins: int) -> np.ndarray:
+    """R rows of every grid code k / M*, shape (M*, M), read-only."""
+    table = _hop_matrix(np.arange(n_codes) / n_codes, n_hrr_bins)
+    table.setflags(write=False)
+    return table
 
 
 def build_R(codes: FrequencyCodes, n_hrr_bins: int) -> np.ndarray:
-    """Carrier-hop response matrix, shape (N, M): exp(1j 2 pi m d_n)."""
+    """Carrier-hop response matrix, shape (N, M): exp(1j 2 pi m d_n).
+
+    Grid codes d_n = k_n / M* gather their rows from a table cached per
+    (M*, M), built by the same expression, so R is bit for bit the direct
+    formula's.
+    """
     if n_hrr_bins < 1:
         raise ConfigurationError(f"n_hrr_bins must be >= 1, got {n_hrr_bins}")
-    m_idx = np.arange(n_hrr_bins)
-    return np.exp(1j * 2.0 * np.pi * np.outer(codes.codes, m_idx))
+    hops = codes.hops
+    if hops is None or codes.n_codes * n_hrr_bins > _PHASE_TABLE_BUDGET:
+        return _hop_matrix(codes.codes, n_hrr_bins)
+    return _hop_table(codes.n_codes, n_hrr_bins)[hops]
 
 
 def _doppler_matrix(n_scaled: np.ndarray) -> np.ndarray:
     N = n_scaled.size
     return np.exp(1j * 2.0 * np.pi * np.outer(n_scaled, np.arange(N)) / N)
+
+
+@functools.lru_cache(maxsize=4)
+def _exact_doppler_table(n_pulses: int, n_codes: int,
+                         relative_bandwidth: float) -> np.ndarray:
+    """EXACT-mode D of the constant code k / M*, for every k: (M*, N, N), read-only.
+
+    Row n of D depends only on (n, k_n), so table[k_n, n] is that row.
+    """
+    table = np.empty((n_codes, n_pulses, n_pulses), dtype=np.complex128)
+    for k, z in enumerate(zeta(np.arange(n_codes) / n_codes, relative_bandwidth, 1.0)):
+        table[k] = _doppler_matrix(np.arange(n_pulses) * z)
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=16)
@@ -68,12 +105,20 @@ def build_D(params: RadarParams, codes: FrequencyCodes) -> np.ndarray:
     In APPROXIMATE mode (zeta = 1) this is the unnormalized inverse DFT
     matrix, the same for every code realization: one read-only copy per N is
     built and shared.  In EXACT mode each row n is stretched by its own
-    zeta_n.
+    zeta_n; grid codes d_n = k_n / M* gather row n from a table cached per
+    (N, M*, B/f_c), built by the same expressions, so D is bit for bit the
+    direct formula's.
     """
-    zetas = pulse_doppler_scalings(params, codes)
+    N = params.n_pulses
+    if codes.n_pulses != N:
+        raise ShapeError(f"codes has {codes.n_pulses} pulses, params expects {N}")
     if params.mode is BandwidthMode.APPROXIMATE:
-        return _inverse_dft(params.n_pulses)
-    return _doppler_matrix(np.arange(params.n_pulses) * zetas)
+        return _inverse_dft(N)
+    hops = codes.hops
+    if hops is None or codes.n_codes * N * N > _PHASE_TABLE_BUDGET:
+        return _doppler_matrix(np.arange(N) * pulse_doppler_scalings(params, codes))
+    table = _exact_doppler_table(N, codes.n_codes, params.relative_bandwidth)
+    return table[hops, np.arange(N)]
 
 
 class SensingMatrix:

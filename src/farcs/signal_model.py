@@ -15,6 +15,7 @@ frozen to 1 (``BandwidthMode.APPROXIMATE``).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -175,6 +176,22 @@ class FrequencyCodes:
     @property
     def is_discrete(self) -> bool:
         return self.n_codes is not None
+
+    @functools.cached_property
+    def hops(self) -> np.ndarray | None:
+        """Hop indices k_n with d_n == k_n / n_codes bit for bit, or None.
+
+        Codes from ``sample_codes`` always have them.  Continuous codes, and
+        discrete codes admitted within the 1e-9 tolerance but off the exact
+        grid, do not.
+        """
+        if self.n_codes is None:
+            return None
+        hops = np.rint(self.codes * self.n_codes).astype(np.intp)
+        if not (hops / self.n_codes == self.codes).all():
+            return None
+        hops.setflags(write=False)
+        return hops
 
 
 def sample_codes(seed, n_pulses, n_codes=None) -> FrequencyCodes:

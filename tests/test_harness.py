@@ -249,6 +249,18 @@ def test_run_mip_wideband_arm_dominates_narrowband():
     assert ag["mean_mu"]["0.1"] > ag["mean_mu"]["0.0"] + 0.02
 
 
+def test_run_mip_exceedance_equals_per_epsilon_mean():
+    # epsilon_max set to a drawn mu puts that mu on the grid's last point
+    mus = [rec.values[2] for rec in run_experiment(MIP_TINY).rows]
+    cfg = dataclasses.replace(MIP_TINY, epsilon_max=sorted(mus)[len(mus) // 2])
+    result = run_experiment(cfg)
+    grid = result.aggregates["epsilon_grid"]
+    assert set(mus) & set(grid.tolist())
+    for key, curve in result.aggregates["empirical_exceedance"].items():
+        arm_mus = np.array([rec.values[2] for rec in result.rows if rec.values[0] == key])
+        assert np.array_equal(curve, [np.mean(arm_mus > e) for e in grid])
+
+
 def test_run_mip_rejects_bad_arm():
     cfg = dataclasses.replace(MIP_TINY, sweep=("sometimes",))
     with pytest.raises(ConfigurationError):
@@ -396,6 +408,13 @@ def test_fmt_and_jsonable():
     out = _jsonable({"a": np.arange(3), "b": (np.float64(1.5), np.bool_(True))})
     assert out == {"a": [0, 1, 2], "b": [1.5, True]}
     json.dumps(out)  # round-trippable
+    grid = _jsonable(np.array([[0.1, 2.0], [np.inf, -0.0]]))
+    flags = _jsonable(np.array([[True, False], [False, True]]))
+    assert grid == [[0.1, 2.0], [math.inf, -0.0]] and flags == [[True, False], [False, True]]
+    assert all(type(v) is float for row in grid for v in row)
+    assert all(type(v) is bool for row in flags for v in row)
+    assert _jsonable(np.array([np.int64(3), {"k": np.float64(0.5)}], dtype=object)) == [
+        3, {"k": 0.5}]
 
 
 def test_to_csv_layout():
@@ -492,6 +511,16 @@ def _load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_time_defaults_script(capsys):
+    script = _load_script("time_defaults")
+    assert script.main(["bounds"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"wall_s", "blas_threads"}
+    assert set(report["wall_s"]) == {"bounds"} and report["wall_s"]["bounds"] > 0
+    assert report["blas_threads"] == 1
+    assert script.main(["bounds", "nope"]) == 2  # rejected before anything runs
 
 
 def test_output_hashes_script(tmp_path):

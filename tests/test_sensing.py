@@ -12,6 +12,8 @@ from farcs.errors import (
 )
 from farcs.sensing import (
     SensingMatrix,
+    _exact_doppler_table,
+    _hop_table,
     build_D,
     build_R,
     build_iwr_psi,
@@ -28,6 +30,7 @@ from farcs.signal_model import (
     sample_codes,
     scene_to_vector,
     synthesize_echoes,
+    zeta,
 )
 
 
@@ -82,6 +85,59 @@ def test_build_D_exact_mode_stretches_rows():
     for n in range(4):
         assert_allclose(D[n], np.exp(1j * 2 * math.pi * np.arange(4) * n * zetas[n] / 4),
                         atol=1e-15)
+
+
+def _direct_R(codes, n_hrr_bins):
+    return np.exp(1j * 2.0 * np.pi * np.outer(codes.codes, np.arange(n_hrr_bins)))
+
+
+def _direct_D(params, codes):
+    N = params.n_pulses
+    n_scaled = np.arange(N) * zeta(codes.codes, params.bandwidth_hz, params.carrier_hz)
+    return np.exp(1j * 2.0 * np.pi * np.outer(n_scaled, np.arange(N)) / N)
+
+
+@pytest.mark.parametrize("relative_bandwidth", [0.1, 0.5])
+@pytest.mark.parametrize("n_pulses, n_hrr_bins, n_codes",
+                         [(8, 2, 2), (16, 4, 7), (64, 16, 16), (12, 3, 20)])
+def test_grid_code_factors_equal_direct_formula(n_pulses, n_hrr_bins, n_codes,
+                                                relative_bandwidth):
+    # grid codes gather R and EXACT-mode D rows from the cached phase tables
+    params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes,
+                                  relative_bandwidth=relative_bandwidth)
+    for seed in range(5):
+        codes = sample_codes(seed, n_pulses, n_codes)
+        assert codes.hops is not None
+        assert np.array_equal(build_R(codes, n_hrr_bins), _direct_R(codes, n_hrr_bins))
+        assert np.array_equal(build_D(params, codes), _direct_D(params, codes))
+
+
+@pytest.mark.parametrize("values, n_codes", [
+    ([0.25 + 1e-12, 0.5, 0.0, 0.75], 4),
+    ([1.0 - 1e-10] * 4, 1),  # rounds to hop index 1 == n_codes
+])
+def test_off_grid_codes_take_the_direct_formula(values, n_codes):
+    codes = FrequencyCodes(np.array(values), n_codes)  # within the 1e-9 tolerance
+    assert codes.hops is None
+    params = RadarParams.abstract(4, n_codes, relative_bandwidth=0.5)
+    assert np.array_equal(build_R(codes, n_codes), _direct_R(codes, n_codes))
+    assert np.array_equal(build_D(params, codes), _direct_D(params, codes))
+
+
+def test_phase_tables_are_cached_read_only_and_bounded():
+    hop = _hop_table(7, 4)
+    doppler = _exact_doppler_table(16, 7, 0.5)
+    assert hop is _hop_table(7, 4) and doppler is _exact_doppler_table(16, 7, 0.5)
+    assert not hop.flags.writeable and not doppler.flags.writeable
+    with pytest.raises(ValueError):
+        doppler[0, 0, 0] = 0.0
+    assert doppler.shape == (7, 16, 16)
+    # a table over the entry budget is never built: N=130, M*=16 needs 270,400
+    params = RadarParams.abstract(130, 2, n_codes=16, relative_bandwidth=0.5)
+    codes = sample_codes(0, 130, 16)
+    misses = _exact_doppler_table.cache_info().misses
+    assert np.array_equal(build_D(params, codes), _direct_D(params, codes))
+    assert _exact_doppler_table.cache_info().misses == misses
 
 
 # --- sensing matrix ---------------------------------------------------------------
