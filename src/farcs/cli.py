@@ -67,11 +67,7 @@ def main(argv=None) -> int:
             "sidecar": str(sidecar_path),
         }))
         return 0
-    except FarcsError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FarcsError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -5,6 +5,11 @@ distribution vs. its union bound), ``phase`` (noiseless phase transition of
 matched filtering vs. basis pursuit), ``noisy`` (subspace pursuit vs. lasso
 under noise), and ``bounds`` (tabulated sparsity guarantees).
 
+``run_experiment`` is the one driver.  It looks the experiment up in a
+table that gives its CSV columns, a sweep check, a task list with the work
+function that runs each task, and a function that collects the outcomes into
+rows and aggregates.  Each task carries the frozen config; the tasks run in
+order in this process, or through one process pool with ``threads > 1``.
 Trial t of sweep point s always runs on the seed
 ``master_seed + s * n_trials + t``, so results are reproducible record for
 record regardless of worker count.
@@ -14,10 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -109,32 +115,11 @@ class ExperimentConfig:
         if self.experiment != "spark" and not sweep:
             raise ConfigurationError(f"experiment {self.experiment!r} needs a non-empty sweep")
 
-    def radar_params(self, relative_bandwidth: float = 0.0) -> RadarParams:
-        return RadarParams.abstract(
-            self.n_pulses, self.n_hrr_bins, n_codes=self.n_codes,
-            relative_bandwidth=relative_bandwidth,
-        )
-
 
 def default_config(experiment: str) -> ExperimentConfig:
     """Desk-scale defaults for each experiment."""
-    if experiment == "spark":
-        return ExperimentConfig(experiment="spark", n_pulses=6, n_hrr_bins=3,
-                                n_codes=3, n_trials=2000)
-    if experiment == "mip":
-        return ExperimentConfig(experiment="mip", n_pulses=64, n_hrr_bins=16,
-                                n_trials=10_000, sweep=(0.0, 0.1, 0.5, "continuous"))
-    if experiment == "phase":
-        return ExperimentConfig(experiment="phase", n_pulses=64, n_hrr_bins=8,
-                                n_trials=200, sweep=tuple(range(1, 11)))
-    if experiment == "noisy":
-        return ExperimentConfig(experiment="noisy", n_pulses=64, n_hrr_bins=8,
-                                n_trials=200, n_scatterers=3,
-                                sweep=(-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0))
-    if experiment == "bounds":
-        return ExperimentConfig(experiment="bounds", n_pulses=64, n_hrr_bins=8,
-                                n_trials=1, sweep=((64, 8, 0.1), (512, 32, 0.1)))
-    raise ConfigurationError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+    defaults = _EXPERIMENTS[experiment].defaults if experiment in _EXPERIMENTS else {}
+    return ExperimentConfig(experiment=experiment, **defaults)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -158,10 +143,6 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigurationError(f"unknown solver keys: {', '.join(solver_unknown)}")
         raw["solver"] = dataclasses.replace(base.solver, **solver_raw)
     return dataclasses.replace(base, **raw)
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return dataclasses.asdict(config)
 
 
 @dataclass(frozen=True)
@@ -233,15 +214,28 @@ def _jsonable(obj):
 
 
 def _run_tasks(worker, tasks, threads):
-    if threads is not None and threads > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, tasks, chunksize=chunk))
+    """``worker(task)`` for every task, in order.
+
+    A serial run takes each task as the iterable yields it, so a lazy task
+    list keeps its draws interleaved with the work; a pooled run lists the
+    tasks first.
+    """
+    if threads is not None and threads > 1:
+        tasks = list(tasks)
+        if len(tasks) > 1:
+            chunk = max(1, len(tasks) // (threads * 8))
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                return list(pool.map(worker, tasks, chunksize=chunk))
     return [worker(t) for t in tasks]
 
 
 def _trial_seed(config: ExperimentConfig, sweep_idx: int, trial_idx: int) -> int:
     return config.master_seed + sweep_idx * config.n_trials + trial_idx
+
+
+def _trial_tasks(config: ExperimentConfig):
+    """One task ``(config, s, t)`` per trial t of sweep point s, in sweep order."""
+    return ((config, s, t) for s in range(len(config.sweep)) for t in range(config.n_trials))
 
 
 def _convergence(runs) -> dict:
@@ -254,10 +248,18 @@ def _convergence(runs) -> dict:
     }
 
 
+def _union_curves(grid, n_pulses, n_hrr_bins) -> dict:
+    """The union bound over ``grid``, raw (off-diagonal count at 0) and clamped."""
+    n_off = n_pulses * n_hrr_bins - n_pulses
+    raw = np.array([union_bound(e, n_pulses, n_hrr_bins) if e > 0 else float(n_off)
+                    for e in grid])
+    return {"union_bound_raw": raw, "union_bound_clamped": np.minimum(raw, 1.0)}
+
+
 # --- spark -------------------------------------------------------------------
 
 class _CensusOutcome(NamedTuple):
-    """What ``run_spark`` keeps of one code vector's census."""
+    """What the spark experiment keeps of one code vector's census."""
 
     sigma_omega: float
     n_below_eps: int
@@ -270,12 +272,17 @@ class _CensusOutcome(NamedTuple):
     det_nonsingular_min: float | None
 
 
-def _spark_census(task):
-    codes, n_hrr_bins, eps_svd, max_submatrices = task
-    params = RadarParams.abstract(codes.codes.size, n_hrr_bins, n_codes=codes.n_codes)
-    report = spark_enumeration(build_phi(params, codes), eps_svd, max_submatrices)
+def _no_sweep(config, point):
+    raise ConfigurationError(f"{config.experiment} takes no sweep, got {point!r}")
+
+
+def _spark_work(task) -> _CensusOutcome:
+    config, codes = task
+    params = RadarParams.abstract(codes.codes.size, config.n_hrr_bins, n_codes=codes.n_codes)
+    report = spark_enumeration(build_phi(params, codes), config.eps_svd,
+                               config.max_submatrices)
     sigmas = report.sigma_values
-    below = sigmas < eps_svd
+    below = sigmas < config.eps_svd
     below_max = float(sigmas[below].max()) if below.any() else None
     above_min = float(sigmas[~below].min()) if not below.all() else None
     return _CensusOutcome(report.sigma_omega, report.n_below_eps, report.sigma_hist_counts,
@@ -284,7 +291,7 @@ def _spark_census(task):
 
 
 def _census_key(codes) -> tuple | bytes:
-    """Key under which ``run_spark`` reuses a census outcome.
+    """Key under which the spark experiment reuses a census outcome.
 
     The spark experiment runs in APPROXIMATE mode, where the images
     d -> +-d + c (mod 1) of a discrete code vector, c a multiple of 1/M*,
@@ -302,40 +309,43 @@ def _census_key(codes) -> tuple | bytes:
     return tuple(min(images.reshape(-1, hops.size).tolist()))
 
 
-def run_spark(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Rank census over random code draws; one record per trial.
+class _SparkDraws:
+    """The spark task list: one census per code class (``_census_key``).
 
-    The census depends on nothing but the code vector's class under global
-    hop shifts and negation (see ``_census_key``), so each class is
-    enumerated once, on the first vector drawn from it, and its outcome is
-    reused by every trial that draws a member (the 2000 default discrete
-    trials hold 122 classes).  Serial runs take each census in trial order,
-    right after its draw.  The sidecar records which route classified the
-    census (``census_route``) and, on the determinant-gap route, its margins.
+    Iterating draws the trials in order and yields ``(config, codes)`` for
+    the first vector of each class, so a serial run takes each census right
+    after its draw (the 2000 default discrete trials hold 122 classes).  The
+    first vector stays the representative: members agree on their margins
+    only to about 1e-14.  ``classes`` holds each trial's class as the
+    position of its task.
     """
-    if config.experiment != "spark":
-        raise ConfigurationError(f"config is for {config.experiment!r}, not 'spark'")
-    n_codes = config.n_codes if config.code_distribution == "discrete" else None
-    if config.code_distribution == "discrete" and n_codes is None:
-        n_codes = config.n_hrr_bins
-    pooled = threads is not None and threads > 1
-    censuses = {}  # census key -> census outcome
-    pending = {}  # pooled runs: one vector per class, left for the workers
-    keys = []
-    for t in range(config.n_trials):
-        codes = sample_codes(_trial_seed(config, 0, t), config.n_pulses, n_codes)
-        key = _census_key(codes)
-        keys.append(key)
-        if key in censuses or key in pending:
-            continue
-        task = (codes, config.n_hrr_bins, config.eps_svd, config.max_submatrices)
-        if pooled:
-            pending[key] = task
-        else:
-            censuses[key] = _spark_census(task)
-    censuses.update(zip(pending, _run_tasks(_spark_census, list(pending.values()), threads)))
-    outcomes = [censuses[key] for key in keys]
-    rows = [TrialRecord((t, o.sigma_omega, o.n_below_eps)) for t, o in enumerate(outcomes)]
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.classes = []
+
+    def __iter__(self):
+        config = self.config
+        n_codes = (config.n_codes or config.n_hrr_bins
+                   if config.code_distribution == "discrete" else None)
+        positions = {}  # census key -> position of its task
+        for t in range(config.n_trials):
+            codes = sample_codes(_trial_seed(config, 0, t), config.n_pulses, n_codes)
+            key = _census_key(codes)
+            if key not in positions:
+                positions[key] = len(positions)
+                yield config, codes
+            self.classes.append(positions[key])
+
+
+def _spark_collect(config, keys, draws, censuses):
+    """One row per trial, from its class's census.
+
+    The sidecar records which route classified the census (``census_route``)
+    and, on the determinant-gap route, its margins.
+    """
+    outcomes = [censuses[c] for c in draws.classes]
+    rows = [(t, o.sigma_omega, o.n_below_eps) for t, o in enumerate(outcomes)]
     sigma_omegas = np.array([o.sigma_omega for o in outcomes])
     n_below = np.array([o.n_below_eps for o in outcomes])
     n_evaluated = np.array([o.n_submatrices for o in outcomes])
@@ -368,179 +378,160 @@ def run_spark(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
                        if o.det_nonsingular_min is not None]
         aggregates["det_singular_max"] = max(singular, default=None)
         aggregates["det_nonsingular_min"] = min(nonsingular, default=None)
-    return ExperimentResult("spark", ("trial", "sigma_omega", "n_below_eps"),
-                            rows, aggregates, config_to_dict(config))
+    return rows, aggregates
 
 
 # --- mip ---------------------------------------------------------------------
 
-def _mip_trial(task):
-    seed, n_pulses, n_hrr_bins, n_codes, arm = task
+def _mip_key(config, arm) -> str:
     if arm == "continuous":
-        codes = sample_codes(seed, n_pulses, None)
-        params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes)
-    else:
-        codes = sample_codes(seed, n_pulses, n_codes or n_hrr_bins)
-        params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes,
-                                      relative_bandwidth=float(arm))
+        return arm
+    if isinstance(arm, bool) or not isinstance(arm, (int, float)) or not math.isfinite(arm):
+        raise ConfigurationError(f"mip sweep entries must be finite B/f_c floats or "
+                                 f"'continuous', got {arm!r}")
+    return repr(float(arm))
+
+
+def _mip_work(task) -> float:
+    config, s, t = task
+    arm = config.sweep[s]
+    continuous = arm == "continuous"
+    codes = sample_codes(_trial_seed(config, s, t), config.n_pulses,
+                         None if continuous else config.n_codes or config.n_hrr_bins)
+    params = RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes,
+                                  relative_bandwidth=0.0 if continuous else float(arm))
     return coherence(build_phi(params, codes)).mu
 
 
-def _arm_key(arm) -> str:
-    return arm if isinstance(arm, str) else repr(float(arm))
-
-
-def run_mip(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def _mip_collect(config, keys, tasks, mus):
     """Coherence draws per arm, with the union-bound exceedance curve."""
-    if config.experiment != "mip":
-        raise ConfigurationError(f"config is for {config.experiment!r}, not 'mip'")
-    for arm in config.sweep:
-        if arm != "continuous" and not isinstance(arm, (int, float)):
-            raise ConfigurationError(f"mip sweep entries must be B/f_c floats or "
-                                     f"'continuous', got {arm!r}")
-    tasks = []
-    for s, arm in enumerate(config.sweep):
-        for t in range(config.n_trials):
-            tasks.append((_trial_seed(config, s, t), config.n_pulses,
-                          config.n_hrr_bins, config.n_codes, arm))
-    mus = _run_tasks(_mip_trial, tasks, threads)
-    rows = []
-    per_arm = {}
-    idx = 0
-    for arm in config.sweep:
-        key = _arm_key(arm)
-        arm_mus = np.array(mus[idx:idx + config.n_trials])
-        idx += config.n_trials
-        for t, mu in enumerate(arm_mus):
-            rows.append(TrialRecord((key, t, float(mu))))
-        per_arm[key] = arm_mus
+    n = config.n_trials
+    per_arm = {key: np.array(mus[s * n:(s + 1) * n]) for s, key in enumerate(keys)}
+    rows = [(key, t, float(mu)) for key, arm_mus in per_arm.items()
+            for t, mu in enumerate(arm_mus)]
     grid = np.linspace(0.0, config.epsilon_max, config.epsilon_count)
-    n_off = config.n_pulses * config.n_hrr_bins - config.n_pulses
-    bound_raw = np.array(
-        [union_bound(e, config.n_pulses, config.n_hrr_bins) if e > 0 else float(n_off)
-         for e in grid]
-    )
     aggregates = {
         "epsilon_grid": grid,
-        "union_bound_raw": bound_raw,
-        "union_bound_clamped": np.minimum(bound_raw, 1.0),
+        **_union_curves(grid, config.n_pulses, config.n_hrr_bins),
         "empirical_exceedance": {
             key: (arm_mus[:, None] > grid).mean(axis=0) for key, arm_mus in per_arm.items()
         },
         "mean_mu": {key: float(arm_mus.mean()) for key, arm_mus in per_arm.items()},
         "max_mu": {key: float(arm_mus.max()) for key, arm_mus in per_arm.items()},
     }
-    return ExperimentResult("mip", ("arm", "trial", "mu"), rows, aggregates,
-                            config_to_dict(config))
+    return rows, aggregates
 
 
-# --- phase transition ----------------------------------------------------------
+# --- phase transition and noisy recovery -----------------------------------------
 
-def _random_scene(rng, n_columns, sparsity):
-    support = np.sort(rng.choice(n_columns, size=sparsity, replace=False))
-    amplitudes = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=sparsity))
-    return support, amplitudes
+def _recovery_collect(config, keys, outcomes, solvers, values):
+    """Rows, success rates and convergence of a two-solver recovery sweep.
+
+    ``outcomes`` holds one ``(successes, runs, extra)`` per trial, in sweep
+    order: each solver's exact-support verdict, the (converged, iterations)
+    run of each iterative solver by name, and a value that comes back per
+    point as is.  Point s shows as ``values[s]`` in rows, ``keys[s]`` in
+    the summaries.
+    """
+    n = config.n_trials
+    rows = []
+    rates = {solver: {} for solver in solvers}
+    convergence = {solver: {} for solver in outcomes[0][1]}
+    extras = {}
+    for s, (key, value) in enumerate(zip(keys, values)):
+        successes, runs, extras[key] = zip(*outcomes[s * n:(s + 1) * n])
+        rows.extend((solver, value, t, bool(ok))
+                    for t, oks in enumerate(successes) for solver, ok in zip(solvers, oks))
+        for solver, oks in zip(solvers, zip(*successes)):
+            rates[solver][key] = sum(oks) / n
+        for solver, summary in convergence.items():
+            summary[key] = _convergence([run[solver] for run in runs])
+    return rows, rates, convergence, extras
 
 
-def _phase_trial(task):
-    seed, n_pulses, n_hrr_bins, n_codes, sparsity, settings = task
-    rng = np.random.default_rng(seed)
-    codes = sample_codes(rng, n_pulses, n_codes or n_hrr_bins)
-    params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes)
+def _recovery_trial(config, s, t, sparsity):
+    """Draw trial t of point s: (rng, Phi, noiseless y, true support) of a scene."""
+    rng = np.random.default_rng(_trial_seed(config, s, t))
+    codes = sample_codes(rng, config.n_pulses, config.n_codes or config.n_hrr_bins)
+    params = RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes)
     phi = build_phi(params, codes)
-    support, amplitudes = _random_scene(rng, phi.n_columns, sparsity)
-    y = phi.columns(support) @ amplitudes
-    truth = tuple(int(i) for i in support)
+    support = np.sort(rng.choice(phi.n_columns, size=sparsity, replace=False))
+    amplitudes = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=sparsity))
+    return rng, phi, phi.columns(support) @ amplitudes, tuple(int(i) for i in support)
 
-    mf_est = extract_support(matched_filter(phi, y) / n_pulses, K=sparsity,
+
+def _phase_key(config, k) -> str:
+    n_columns = config.n_pulses * config.n_hrr_bins
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n_columns:
+        raise ConfigurationError(f"phase sweep entries must be sparsities in [1, NM], got {k!r}")
+    return str(k)
+
+
+def _phase_work(task):
+    config, s, t = task
+    sparsity, settings = config.sweep[s], config.solver
+    _, phi, y, truth = _recovery_trial(config, s, t, sparsity)
+    mf_est = extract_support(matched_filter(phi, y) / config.n_pulses, K=sparsity,
                              eps=settings.support_threshold)
     bp_cfg = SolverConfig(max_iter=settings.bp_max_iter,
                           residual_tol=settings.bp_residual_tol,
                           magnitude_threshold=settings.support_threshold)
     bp = basis_pursuit(phi, y, bp_cfg)
     bp_est = extract_support(bp.x_hat, K=sparsity, eps=settings.support_threshold)
-    return mf_est == truth, bp_est == truth, (bp.converged, bp.iterations), bp.certified
+    return ((mf_est == truth, bp_est == truth), {"bp": (bp.converged, bp.iterations)},
+            bp.certified)
 
 
-def run_phase(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def _phase_collect(config, keys, tasks, outcomes):
     """Noiseless exact-support rates for matched filtering and basis pursuit.
 
     The sidecar also records, per sparsity, how many basis-pursuit solves
     did not converge, how many stopped on a dual certificate, and the median
     and maximum of their iteration counts.
     """
-    if config.experiment != "phase":
-        raise ConfigurationError(f"config is for {config.experiment!r}, not 'phase'")
-    for k in config.sweep:
-        if not isinstance(k, int) or k < 1 or k > config.n_pulses * config.n_hrr_bins:
-            raise ConfigurationError(f"phase sweep entries must be sparsities in "
-                                     f"[1, NM], got {k!r}")
-    tasks = []
-    for s, k in enumerate(config.sweep):
-        for t in range(config.n_trials):
-            tasks.append((_trial_seed(config, s, t), config.n_pulses,
-                          config.n_hrr_bins, config.n_codes, k, config.solver))
-    outcomes = _run_tasks(_phase_trial, tasks, threads)
-    rows = []
-    rates = {"mf": {}, "bp": {}}
-    convergence = {"bp": {}}
-    idx = 0
-    for k in config.sweep:
-        mf_ok = bp_ok = certified = 0
-        bp_runs = []
-        for t in range(config.n_trials):
-            mf_success, bp_success, bp_run, bp_certified = outcomes[idx]
-            idx += 1
-            rows.append(TrialRecord(("mf", k, t, bool(mf_success))))
-            rows.append(TrialRecord(("bp", k, t, bool(bp_success))))
-            mf_ok += mf_success
-            bp_ok += bp_success
-            certified += bp_certified
-            bp_runs.append(bp_run)
-        rates["mf"][str(k)] = mf_ok / config.n_trials
-        rates["bp"][str(k)] = bp_ok / config.n_trials
-        convergence["bp"][str(k)] = {**_convergence(bp_runs), "certified": certified}
+    rows, rates, convergence, certified = _recovery_collect(
+        config, keys, outcomes, ("mf", "bp"), config.sweep)
+    for key, flags in certified.items():
+        convergence["bp"][key]["certified"] = sum(flags)
     aggregates = {"success_rate": rates, "sparsities": list(config.sweep),
                   "convergence": convergence}
-    return ExperimentResult("phase", ("solver", "K", "trial", "success"),
-                            rows, aggregates, config_to_dict(config))
+    return rows, aggregates
 
 
-# --- noisy recovery --------------------------------------------------------------
+def _noisy_key(config, db) -> str:
+    if isinstance(db, bool) or not isinstance(db, (int, float)) or not math.isfinite(db):
+        raise ConfigurationError(f"noisy sweep entries must be finite dB floats, got {db!r}")
+    return _fmt(float(db))
 
-def _noisy_point(task):
+
+def _noisy_work(task):
     """Outcomes of one noise point's trials, in trial order.
 
     The trials are drawn in order and subspace pursuit runs on each as it is
     drawn; lasso then solves all of them as one block (``lasso_block``).
     """
-    seeds, n_pulses, n_hrr_bins, n_codes, sparsity, sigma2_db, settings = task
-    sigma2 = 10.0 ** (sigma2_db / 10.0)
-    params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes)
+    config, s = task
+    settings = config.solver
+    sigma2 = 10.0 ** (float(config.sweep[s]) / 10.0)
     sp_cfg = SolverConfig(max_iter=settings.sp_max_iter)
-    phis, ys, truths, sp_results = [], [], [], []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        codes = sample_codes(rng, n_pulses, n_codes or n_hrr_bins)
-        phi = build_phi(params, codes)
-        support, amplitudes = _random_scene(rng, phi.n_columns, sparsity)
-        y = add_noise(phi.columns(support) @ amplitudes, sigma2, rng)
-        phis.append(phi)
-        ys.append(y)
-        truths.append(tuple(int(i) for i in support))
-        sp_results.append(subspace_pursuit(phi, y, sparsity, sp_cfg))
+    trials = []
+    for t in range(config.n_trials):
+        rng, phi, y, truth = _recovery_trial(config, s, t, config.n_scatterers)
+        y = add_noise(y, sigma2, rng)
+        trials.append((phi, y, truth, subspace_pursuit(phi, y, config.n_scatterers, sp_cfg)))
+    phis, ys, truths, sp_results = zip(*trials)
     lasso_cfg = SolverConfig(max_iter=settings.lasso_max_iter,
                              residual_tol=settings.lasso_objective_tol,
                              magnitude_threshold=settings.lasso_support_threshold)
     lam = settings.lasso_lambda_factor * sigma2
     la_results = lasso_block(phis, ys, [lam] * len(phis), lasso_cfg)
-    return [(sp.support == truth, la.support == truth,
-             (sp.converged, sp.iterations), (la.converged, la.iterations),
+    return [((sp.support == truth, la.support == truth),
+             {"sp": (sp.converged, sp.iterations), "lasso": (la.converged, la.iterations)},
              (la.duality_gap, int(np.count_nonzero(la.x_hat))))
             for truth, sp, la in zip(truths, sp_results, la_results)]
 
 
-def run_noisy(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def _noisy_collect(config, keys, tasks, points):
     """Exact-support rates vs. noise power for subspace pursuit and lasso.
 
     The sidecar also records, per noise power and solver, how many solves
@@ -548,92 +539,100 @@ def run_noisy(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     and, under ``lasso_exit``, the median and maximum relative duality gap
     of the lasso solutions and the median count of their nonzero entries.
     """
-    if config.experiment != "noisy":
-        raise ConfigurationError(f"config is for {config.experiment!r}, not 'noisy'")
-    for db in config.sweep:
-        if not isinstance(db, (int, float)):
-            raise ConfigurationError(f"noisy sweep entries must be dB floats, got {db!r}")
-    tasks = [(tuple(_trial_seed(config, s, t) for t in range(config.n_trials)),
-              config.n_pulses, config.n_hrr_bins, config.n_codes,
-              config.n_scatterers, float(db), config.solver)
-             for s, db in enumerate(config.sweep)]
-    points = _run_tasks(_noisy_point, tasks, threads)
-    rows = []
-    rates = {"sp": {}, "lasso": {}}
-    convergence = {"sp": {}, "lasso": {}}
+    sigma2_db = [float(db) for db in config.sweep]
+    rows, rates, convergence, exits = _recovery_collect(
+        config, keys, [trial for point in points for trial in point], ("sp", "lasso"), sigma2_db)
     lasso_exit = {}
-    for db, outcomes in zip(config.sweep, points):
-        key = _fmt(float(db))
-        sp_ok = la_ok = 0
-        sp_runs, la_runs, la_exits = [], [], []
-        for t, (sp_success, la_success, sp_run, la_run, la_exit) in enumerate(outcomes):
-            rows.append(TrialRecord(("sp", float(db), t, bool(sp_success))))
-            rows.append(TrialRecord(("lasso", float(db), t, bool(la_success))))
-            sp_ok += sp_success
-            la_ok += la_success
-            sp_runs.append(sp_run)
-            la_runs.append(la_run)
-            la_exits.append(la_exit)
-        rates["sp"][key] = sp_ok / config.n_trials
-        rates["lasso"][key] = la_ok / config.n_trials
-        convergence["sp"][key] = _convergence(sp_runs)
-        convergence["lasso"][key] = _convergence(la_runs)
-        gaps, nonzeros = np.array(la_exits).T
+    for key, point_exits in exits.items():
+        gaps, nonzeros = np.array(point_exits).T
         lasso_exit[key] = {"duality_gap_p50": float(np.median(gaps)),
                            "duality_gap_max": float(gaps.max()),
                            "nonzeros_p50": float(np.median(nonzeros))}
-    aggregates = {"success_rate": rates, "sigma2_db": [float(d) for d in config.sweep],
+    aggregates = {"success_rate": rates, "sigma2_db": sigma2_db,
                   "n_scatterers": config.n_scatterers, "convergence": convergence,
                   "lasso_exit": lasso_exit}
-    return ExperimentResult("noisy", ("solver", "sigma2_db", "trial", "success"),
-                            rows, aggregates, config_to_dict(config))
+    return rows, aggregates
 
 
 # --- bounds ----------------------------------------------------------------------
 
-def run_bounds(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Tabulate the coherence-based and l0 sparsity guarantees per setup."""
-    if config.experiment != "bounds":
-        raise ConfigurationError(f"config is for {config.experiment!r}, not 'bounds'")
+def _bounds_key(config, case) -> tuple[int, int, float]:
+    """An (N, M, delta) sweep triple as int, int, float."""
+    try:
+        n_pulses, n_hrr_bins, delta = case
+        parsed = (int(n_pulses), int(n_hrr_bins), float(delta))
+    except (TypeError, ValueError):
+        parsed = None
+    if parsed is None or any(isinstance(v, bool) for v in case):
+        raise ConfigurationError(f"bounds sweep entries must be (N, M, delta) triples, "
+                                 f"got {case!r}")
+    return parsed
+
+
+def _bounds_collect(config, cases, tasks, outcomes):
+    """Tabulate the coherence-based and l0 sparsity guarantees per setup.
+
+    A table, not a Monte-Carlo study: it has no tasks.
+    """
     rows = []
     curves = {}
     grid = np.linspace(0.0, config.epsilon_max, config.epsilon_count)
-    for case in config.sweep:
-        try:
-            n_pulses, n_hrr_bins, delta = case
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"bounds sweep entries must be (N, M, delta) triples, got {case!r}"
-            ) from None
-        n_pulses, n_hrr_bins, delta = int(n_pulses), int(n_hrr_bins), float(delta)
-        k_mip = max_recoverable_K(n_pulses, n_hrr_bins, delta)
-        k_l0 = l0_limit(n_pulses)
-        rows.append(TrialRecord((n_pulses, n_hrr_bins, delta, k_mip, k_l0)))
-        n_off = n_pulses * n_hrr_bins - n_pulses
-        raw = np.array(
-            [union_bound(e, n_pulses, n_hrr_bins) if e > 0 else float(n_off)
-             for e in grid]
-        )
-        curves[f"N={n_pulses},M={n_hrr_bins}"] = {
-            "union_bound_raw": raw,
-            "union_bound_clamped": np.minimum(raw, 1.0),
-        }
-    aggregates = {"epsilon_grid": grid, "curves": curves}
-    return ExperimentResult("bounds", ("n_pulses", "n_hrr_bins", "delta", "k_mip", "k_l0"),
-                            rows, aggregates, config_to_dict(config))
+    for n_pulses, n_hrr_bins, delta in cases:
+        rows.append((n_pulses, n_hrr_bins, delta, max_recoverable_K(n_pulses, n_hrr_bins, delta),
+                     l0_limit(n_pulses)))
+        curves[f"N={n_pulses},M={n_hrr_bins}"] = _union_curves(grid, n_pulses, n_hrr_bins)
+    return rows, {"epsilon_grid": grid, "curves": curves}
 
 
-# --- dispatch ----------------------------------------------------------------------
+# --- the driver ----------------------------------------------------------------------
 
-_RUNNERS = {
-    "spark": run_spark,
-    "mip": run_mip,
-    "phase": run_phase,
-    "noisy": run_noisy,
-    "bounds": run_bounds,
+class _Experiment(NamedTuple):
+    """How ``run_experiment`` runs one experiment."""
+
+    columns: tuple[str, ...]
+    sweep_key: Callable  # (config, sweep point) -> its key; raises on a bad point
+    tasks: Callable  # config -> the units of work, in order
+    work: Callable | None  # task -> outcome; runs in a pool worker when threads > 1
+    collect: Callable  # (config, sweep keys, tasks, outcomes) -> (rows, aggregates)
+    defaults: dict  # the fields ``default_config`` sets
+
+
+_EXPERIMENTS = {
+    "spark": _Experiment(("trial", "sigma_omega", "n_below_eps"),
+                         _no_sweep, _SparkDraws, _spark_work, _spark_collect,
+                         dict(n_pulses=6, n_hrr_bins=3, n_codes=3, n_trials=2000)),
+    "mip": _Experiment(("arm", "trial", "mu"),
+                       _mip_key, _trial_tasks, _mip_work, _mip_collect,
+                       dict(n_pulses=64, n_hrr_bins=16, n_trials=10_000,
+                            sweep=(0.0, 0.1, 0.5, "continuous"))),
+    "phase": _Experiment(("solver", "K", "trial", "success"),
+                         _phase_key, _trial_tasks, _phase_work, _phase_collect,
+                         dict(n_pulses=64, n_hrr_bins=8, n_trials=200, sweep=tuple(range(1, 11)))),
+    "noisy": _Experiment(("solver", "sigma2_db", "trial", "success"), _noisy_key,
+                         lambda config: [(config, s) for s in range(len(config.sweep))],
+                         _noisy_work, _noisy_collect,
+                         dict(n_pulses=64, n_hrr_bins=8, n_trials=200, n_scatterers=3,
+                              sweep=(-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0))),
+    "bounds": _Experiment(("n_pulses", "n_hrr_bins", "delta", "k_mip", "k_l0"),
+                          _bounds_key, lambda config: [], None, _bounds_collect,
+                          dict(n_pulses=64, n_hrr_bins=8, n_trials=1,
+                               sweep=((64, 8, 0.1), (512, 32, 0.1)))),
 }
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Run any experiment from its config."""
-    return _RUNNERS[config.experiment](config, threads=threads)
+    """Run any experiment from its config; ``threads > 1`` pools its tasks.
+
+    A bad or repeated sweep point raises ``ConfigurationError`` before any
+    task runs.
+    """
+    experiment = _EXPERIMENTS[config.experiment]
+    keys = [experiment.sweep_key(config, point) for point in config.sweep]
+    if len(set(keys)) < len(keys):
+        raise ConfigurationError(f"{config.experiment} sweep repeats a point: {config.sweep!r}")
+    tasks = experiment.tasks(config)
+    rows, aggregates = experiment.collect(config, keys, tasks,
+                                          _run_tasks(experiment.work, tasks, threads))
+    return ExperimentResult(config.experiment, experiment.columns,
+                            [TrialRecord(values) for values in rows],
+                            aggregates, dataclasses.asdict(config))

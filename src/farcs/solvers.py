@@ -1,7 +1,9 @@
 """Sparse recovery of range-Doppler scenes from slow-time samples.
 
 All solvers accept either a ``SensingMatrix`` (preferred — products use the
-factored form) or a plain complex ndarray.  Results report the estimated
+factored form) or a plain complex ndarray, which is wrapped once on entry
+in a dense operator with the same surface, so each solver has one code
+path.  Results report the estimated
 coefficient vector, its support, the final residual norm, a convergence
 flag and whether a dual certificate proved the result optimal; ties in
 greedy selections and support extraction always resolve to the lowest
@@ -28,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, ResourceError, ShapeError, SolverError
-from .sensing import SensingMatrix, SensingStack
+from .sensing import SensingStack
 
 
 @dataclass(frozen=True)
@@ -71,36 +73,35 @@ _LASSO_DEFAULTS = SolverConfig(max_iter=5000, residual_tol=1e-6)
 _GREEDY_DEFAULTS = SolverConfig()
 
 
-# --- operator dispatch -------------------------------------------------------
+# --- operators ----------------------------------------------------------------
 
-def _op_shape(phi):
-    return phi.shape
+class _DenseOperator:
+    """A plain matrix with the ``SensingMatrix`` surface; never row-orthogonal."""
+
+    def __init__(self, matrix):
+        self._a = matrix
+        self.shape = matrix.shape
+
+    def matvec(self, x):
+        return self._a @ x
+
+    def rmatvec(self, v):
+        return self._a.conj().T @ v
+
+    def columns(self, indices):
+        return self._a[:, np.asarray(indices, dtype=np.intp)]
+
+    def row_gram(self):
+        return self._a @ self._a.conj().T
+
+    def is_row_orthogonal(self) -> bool:
+        return False
 
 
-def _op_matvec(phi, x):
-    return phi.matvec(x) if isinstance(phi, SensingMatrix) else phi @ x
-
-
-def _op_rmatvec(phi, v):
-    return phi.rmatvec(v) if isinstance(phi, SensingMatrix) else phi.conj().T @ v
-
-
-def _op_columns(phi, indices):
-    if isinstance(phi, SensingMatrix):
-        return phi.columns(indices)
-    return phi[:, np.asarray(indices, dtype=np.intp)]
-
-
-def _op_row_gram(phi):
-    if isinstance(phi, SensingMatrix):
-        return phi.row_gram()
-    return phi @ phi.conj().T
-
-
-def _op_spectral_norm_sq(phi):
-    if isinstance(phi, SensingMatrix) and phi.is_row_orthogonal():
-        return float(phi.n_columns)  # Phi Phi^H = NM I exactly
-    return float(np.linalg.eigvalsh(_op_row_gram(phi))[-1])
+def _spectral_norm_sq(op):
+    if op.is_row_orthogonal():
+        return float(op.shape[1])  # Phi Phi^H = NM I exactly
+    return float(np.linalg.eigvalsh(op.row_gram())[-1])
 
 
 class _RowLoop:
@@ -118,18 +119,20 @@ class _RowLoop:
         return _RowLoop([self.ops[i] for i in rows])
 
     def matvec(self, X):
-        return np.array([_op_matvec(op, x) for op, x in zip(self.ops, X)])
+        return np.array([op.matvec(x) for op, x in zip(self.ops, X)])
 
     def rmatvec(self, V):
-        return np.array([_op_rmatvec(op, v) for op, v in zip(self.ops, V)])
+        return np.array([op.rmatvec(v) for op, v in zip(self.ops, V)])
 
 
-def _check_y(phi, y):
+def _operands(phi, y):
+    """``phi`` as an operator (a plain ndarray is wrapped) and y as a complex vector."""
+    op = _DenseOperator(phi) if isinstance(phi, np.ndarray) else phi
     y = np.asarray(y, dtype=np.complex128)
-    n_rows = _op_shape(phi)[0]
+    n_rows = op.shape[0]
     if y.shape != (n_rows,):
         raise ShapeError(f"y must have shape ({n_rows},), got {y.shape}")
-    return y
+    return op, y
 
 
 # --- matched filter ----------------------------------------------------------
@@ -141,8 +144,8 @@ def matched_filter(phi, y) -> np.ndarray:
     with a single scatterer then peak at the true cell with value
     amplitude * N / N.
     """
-    y = _check_y(phi, y)
-    return _op_rmatvec(phi, y)
+    phi, y = _operands(phi, y)
+    return phi.rmatvec(y)
 
 
 # --- orthogonal matching pursuit ----------------------------------------------
@@ -194,8 +197,8 @@ def omp(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
     support raises ``SolverError`` carrying the partial result.
     """
     cfg = config or _GREEDY_DEFAULTS
-    y = _check_y(phi, y)
-    n_rows, n_cols = _op_shape(phi)
+    phi, y = _operands(phi, y)
+    n_rows, n_cols = phi.shape
     x_hat = np.zeros(n_cols, dtype=np.complex128)
     y_norm = np.linalg.norm(y)
     if y_norm == 0.0:
@@ -208,11 +211,11 @@ def omp(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
     residual = y
     converged = False
     while len(support) < target_k:
-        corr = np.abs(_op_rmatvec(phi, residual))
+        corr = np.abs(phi.rmatvec(residual))
         j = int(np.argmax(corr))
         if j in chosen:  # residual orthogonal to everything new: stagnated
             break
-        if not qr.append(_op_columns(phi, [j])[:, 0]):
+        if not qr.append(phi.columns([j])[:, 0]):
             if support:
                 for idx, val in zip(support, qr.solve(y)):
                     x_hat[idx] = val
@@ -249,7 +252,7 @@ def _top_k(values, k):
 
 
 def _ls_on(phi, y, support):
-    cols = _op_columns(phi, support)
+    cols = phi.columns(support)
     coef, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
     if rank < len(support):
         raise SolverError(f"least squares on support {tuple(support)} is rank deficient")
@@ -266,8 +269,8 @@ def subspace_pursuit(phi, y, K: int, config: SolverConfig | None = None) -> Reco
     under ``residual_tol * ||y||``, or at ``max_iter``.
     """
     cfg = config or _GREEDY_DEFAULTS
-    y = _check_y(phi, y)
-    n_rows, n_cols = _op_shape(phi)
+    phi, y = _operands(phi, y)
+    n_rows, n_cols = phi.shape
     if not 1 <= K <= n_rows:
         raise ConfigurationError(f"K must be in [1, {n_rows}], got {K}")
     y_norm = np.linalg.norm(y)
@@ -275,14 +278,14 @@ def subspace_pursuit(phi, y, K: int, config: SolverConfig | None = None) -> Reco
         return RecoveryResult(np.zeros(n_cols, dtype=np.complex128), (), 0.0, 0, True)
     stop_norm = cfg.residual_tol * y_norm
 
-    support = np.sort(_top_k(np.abs(_op_rmatvec(phi, y)), K))
+    support = np.sort(_top_k(np.abs(phi.rmatvec(y)), K))
     coef, residual = _ls_on(phi, y, support)
     res_norm = np.linalg.norm(residual)
     iterations = 0
     converged = res_norm <= stop_norm
     while not converged and iterations < cfg.max_iter:
         iterations += 1
-        extra = _top_k(np.abs(_op_rmatvec(phi, residual)), K)
+        extra = _top_k(np.abs(phi.rmatvec(residual)), K)
         union = np.union1d(support, extra)
         union_coef, _ = _ls_on(phi, y, union)
         new_support = np.sort(union[_top_k(np.abs(union_coef), K)])
@@ -336,7 +339,7 @@ def _certified_fit(phi, y, support, stop_norm):
     minimizer of ||x||_1 subject to Phi x = Phi_S x_S (Fuchs 2004; Tropp
     2006).  Returns ``(x_S, residual norm)``, or None when a test fails.
     """
-    cols = _op_columns(phi, support)
+    cols = phi.columns(support)
     u, sigma, vh = np.linalg.svd(cols, full_matrices=False)
     if sigma[-1] <= sigma[0] * max(cols.shape) * np.finfo(np.float64).eps:
         return None  # rank deficient: the fit is not unique
@@ -345,7 +348,7 @@ def _certified_fit(phi, y, support, stop_norm):
     if residual > stop_norm or not np.all(x_s):
         return None
     w = u @ ((vh @ (x_s / np.abs(x_s))) / sigma)
-    peak = np.abs(_op_rmatvec(phi, w))
+    peak = np.abs(phi.rmatvec(w))
     peak[support] = 0.0
     if not peak.max() < 1.0 - _CERTIFICATE_MARGIN:
         return None
@@ -371,8 +374,8 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None,
     magnitude threshold.
     """
     cfg = config or _BP_DEFAULTS
-    y = _check_y(phi, y)
-    n_rows, n_cols = _op_shape(phi)
+    phi, y = _operands(phi, y)
+    n_rows, n_cols = phi.shape
     if not rho > 0:
         raise ConfigurationError(f"rho must be > 0, got {rho}")
     if not 0 < over_relaxation < 2:
@@ -381,21 +384,21 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None,
     if y_norm == 0.0:
         return RecoveryResult(np.zeros(n_cols, dtype=np.complex128), (), 0.0, 0, True)
 
-    if isinstance(phi, SensingMatrix) and phi.is_row_orthogonal():
+    if phi.is_row_orthogonal():
         scale = float(n_cols)
         y_scaled = y / scale
 
         def project(v):
-            return v - _op_rmatvec(phi, _op_matvec(phi, v) / scale - y_scaled)
+            return v - phi.rmatvec(phi.matvec(v) / scale - y_scaled)
     else:
-        gram = _op_row_gram(phi)
+        gram = phi.row_gram()
         try:
             factor = scipy.linalg.cho_factor(gram)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SolverError(f"row Gram is singular: {exc}") from exc
 
         def project(v):
-            return v - _op_rmatvec(phi, scipy.linalg.cho_solve(factor, _op_matvec(phi, v) - y))
+            return v - phi.rmatvec(scipy.linalg.cho_solve(factor, phi.matvec(v) - y))
 
     kappa = 1.0 / rho
     stop_norm = cfg.residual_tol * y_norm
@@ -430,7 +433,7 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None,
         if primal <= tol_primal and dual <= tol_dual:
             converged = True
             break
-    residual_norm = float(np.linalg.norm(_op_matvec(phi, x) - y))
+    residual_norm = float(np.linalg.norm(phi.matvec(x) - y))
     support = extract_support(x, eps=cfg.magnitude_threshold)
     return RecoveryResult(x, support, residual_norm, iterations, converged)
 
@@ -466,18 +469,18 @@ def lasso_block(phis, ys, lams, config: SolverConfig | None = None) -> list[Reco
     returns; the block only changes how many products run at once.
     """
     cfg = config or _LASSO_DEFAULTS
-    ops = list(phis)
-    if not ops or not len(ops) == len(ys) == len(lams):
-        raise ShapeError(f"a lasso block needs as many operators ({len(ops)}) as "
+    if not phis or not len(phis) == len(ys) == len(lams):
+        raise ShapeError(f"a lasso block needs as many operators ({len(phis)}) as "
                          f"measurements ({len(ys)}) and lambdas ({len(lams)}), at least one")
     lam = np.array(lams, dtype=np.float64)
     if np.any(lam < 0):
         raise ConfigurationError(f"lam must be >= 0, got {lam.min()}")
-    n_cols = _op_shape(ops[0])[1]
-    if any(_op_shape(op) != _op_shape(ops[0]) for op in ops):
+    ops, y = zip(*(_operands(phi, y_i) for phi, y_i in zip(phis, ys)))
+    n_cols = ops[0].shape[1]
+    if any(op.shape != ops[0].shape for op in ops):
         raise ShapeError("the operators of a lasso block must share one shape")
-    y = np.array([_check_y(op, y_i) for op, y_i in zip(ops, ys)])
-    step = np.array([[1.0 / _op_spectral_norm_sq(op)] for op in ops])
+    y = np.array(y)
+    step = np.array([[1.0 / _spectral_norm_sq(op)] for op in ops])
     kappa = step * lam[:, None]
     rows = np.arange(len(ops))  # the problem each row of the block solves
     results = [None] * len(ops)
@@ -543,7 +546,7 @@ def _lasso_duality_gap(phi, y, x, residual, lam: float) -> float:
     so the gap bounds how far P(x) is from the minimum; it is 0 at the
     minimizer.  ``residual`` is Phi x - y.
     """
-    peak = float(np.abs(_op_rmatvec(phi, residual)).max(initial=0.0))
+    peak = float(np.abs(phi.rmatvec(residual)).max(initial=0.0))
     nu = residual * -(min(1.0, lam / peak) if peak > 0.0 else 1.0)
     primal = 0.5 * np.vdot(residual, residual).real + lam * np.sum(np.abs(x))
     dual = np.vdot(nu, y).real - 0.5 * np.vdot(nu, nu).real
@@ -562,8 +565,8 @@ def l0_oracle(phi, y, k_max: int, residual_rtol: float = 1e-9,
     returned with ``converged=False``.  Refuses to run when the subset count
     exceeds ``max_fits``.
     """
-    y = _check_y(phi, y)
-    n_rows, n_cols = _op_shape(phi)
+    phi, y = _operands(phi, y)
+    n_rows, n_cols = phi.shape
     if k_max < 0:
         raise ConfigurationError(f"k_max must be >= 0, got {k_max}")
     total = sum(math.comb(n_cols, k) for k in range(k_max + 1))
@@ -584,7 +587,7 @@ def l0_oracle(phi, y, k_max: int, residual_rtol: float = 1e-9,
             continue  # empty support fits only y = 0, handled above
         for subset in itertools.combinations(range(n_cols), k):
             fits += 1
-            cols = _op_columns(phi, list(subset))
+            cols = phi.columns(list(subset))
             coef, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
             if rank < k:
                 continue  # dependent columns cannot give a smaller certificate

@@ -6,6 +6,9 @@ import importlib.util
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ from farcs import (
     ExperimentConfig,
     ExperimentResult,
     FrequencyCodes,
+    SensingMatrix,
     SolverSettings,
     TrialRecord,
     default_config,
@@ -29,8 +33,7 @@ from farcs import (
 from farcs import harness
 from farcs.analysis import SIGMA_HIST_EDGES
 from farcs.cli import main
-from farcs.harness import (_census_key, _fmt, _jsonable, _spark_census,
-                           run_mip, run_spark)
+from farcs.harness import _census_key, _fmt, _jsonable, _spark_work
 
 # small, fast configurations used throughout
 SPARK_TINY = dataclasses.replace(default_config("spark"), n_trials=3)
@@ -105,13 +108,6 @@ def test_load_config_rejects_unknown_shapes(tmp_path, payload):
         load_config(path)
 
 
-def test_runners_check_experiment_kind():
-    with pytest.raises(ConfigurationError):
-        run_spark(MIP_TINY)
-    with pytest.raises(ConfigurationError):
-        run_mip(SPARK_TINY)
-
-
 # --- runners --------------------------------------------------------------------
 
 
@@ -163,7 +159,9 @@ def test_census_class_members_share_outcome():
     images = [(sign * hops + c) % 3 for sign in (1, -1) for c in range(3)]
     codes = [FrequencyCodes(image / 3, n_codes=3) for image in images]
     assert len({_census_key(c) for c in codes}) == 1
-    outcomes = [_spark_census((c, 3, 1e-15, 10**6)) for c in codes]
+    config = ExperimentConfig(experiment="spark", n_hrr_bins=3, eps_svd=1e-15,
+                              max_submatrices=10**6)
+    outcomes = [_spark_work((config, c)) for c in codes]
     first = outcomes[0]
     for o in outcomes:
         assert (o.sigma_omega, o.n_below_eps, o.below_max) == (0.0, 10635, 0.0)
@@ -366,6 +364,29 @@ def test_run_bounds_rejects_bad_case():
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize("config", [
+    dataclasses.replace(MIP_TINY, sweep=(0.0, 0)),  # both arm "0.0"
+    dataclasses.replace(MIP_TINY, sweep=(True,)),
+    dataclasses.replace(MIP_TINY, sweep=(math.nan,)),
+    dataclasses.replace(MIP_TINY, sweep=(0.0, math.inf)),
+    dataclasses.replace(PHASE_TINY, sweep=(1, 1)),
+    dataclasses.replace(PHASE_TINY, sweep=(True,)),
+    dataclasses.replace(NOISY_TINY, sweep=(0.0, 0)),  # both "0.0" dB
+    dataclasses.replace(NOISY_TINY, sweep=(False,)),
+    dataclasses.replace(NOISY_TINY, sweep=(math.nan,)),  # sigma2 = nan, silently
+    dataclasses.replace(default_config("bounds"), sweep=(("x", 8, 0.1),)),
+    dataclasses.replace(default_config("bounds"), sweep=((64, 8, "y"),)),
+    dataclasses.replace(default_config("bounds"), sweep=("abc",)),
+    dataclasses.replace(default_config("bounds"), sweep=((64, True, 0.1),)),
+    dataclasses.replace(default_config("bounds"), sweep=((64, 8, 0.1), (64.0, 8, 0.1))),
+    dataclasses.replace(SPARK_TINY, sweep=(1,)),
+], ids=lambda config: f"{config.experiment}-{config.sweep!r}")
+def test_bad_or_repeated_sweep_points_are_configuration_errors(config):
+    # a repeated point would write its rows twice but keep one sidecar entry
+    with pytest.raises(ConfigurationError):
+        run_experiment(config)
+
+
 def test_run_bounds_single_bin_domain_error():
     # M=1 violates the N(M-1) >= 2 assumption behind the recoverable-K bound
     cfg = dataclasses.replace(default_config("bounds"), sweep=((64, 1, 0.1),))
@@ -505,8 +526,11 @@ def test_cli_requires_subcommand(capsys):
 # --- scripts/output_hashes.py ---------------------------------------------------
 
 
-def _load_script(name):
-    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_script(name, folder="scripts"):
+    path = ROOT / folder / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -536,3 +560,111 @@ def test_output_hashes_script(tmp_path):
             "mip-small", "phase-small", "noisy-small"} <= set(runs)
     assert runs["spark-continuous"].code_distribution == "continuous"
     assert runs["census-probe"].master_seed == 367  # set by the config file
+
+
+# --- perfbench's tracer -----------------------------------------------------------
+# perfbench/tracing.py replaces names on farcs.harness and SensingMatrix and
+# numbers trials by the sample_codes calls it sees; a driver change that
+# breaks either would otherwise show only in the traced benchmark run.
+
+
+def test_tracer_names_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # tracing imports its siblings
+    tracing = _load_script("tracing", folder="perfbench")
+    for name in tracing.LAYER_OF:
+        assert callable(getattr(harness, name, None)), name
+    for name in tracing.SENSING_METHODS:
+        assert callable(getattr(SensingMatrix, name, None)), name
+
+
+@pytest.mark.parametrize("config, solver", [
+    (dataclasses.replace(SPARK_TINY, n_trials=40), "spark_enumeration"),
+    (MIP_TINY, "coherence"),
+    (PHASE_TINY, "basis_pursuit"),
+    (dataclasses.replace(NOISY_TINY, sweep=(0.0, 15.0)), "subspace_pursuit"),
+], ids=lambda v: getattr(v, "experiment", v))
+def test_serial_runs_work_on_each_trial_after_its_own_draw(monkeypatch, config, solver):
+    events, draws = [], []
+    experiment = harness._EXPERIMENTS[config.experiment]
+
+    def draw(*args):
+        draws.append(sample_codes(*args))
+        events.append("draw")
+        return draws[-1]
+
+    def work(task):
+        events.append("work")
+        outcome = experiment.work(task)
+        events.append("done")
+        return outcome
+
+    def spy(name):
+        original = getattr(harness, name)
+
+        def wrapper(phi, *args):
+            last = phi[-1] if name == "lasso_block" else phi
+            events.append(name if last.codes is draws[-1] else name + " on an earlier draw")
+            return original(phi, *args)
+        return wrapper
+
+    monkeypatch.setattr(harness, "sample_codes", draw)
+    monkeypatch.setitem(harness._EXPERIMENTS, config.experiment, experiment._replace(work=work))
+    for name in (solver, "lasso_block"):
+        monkeypatch.setattr(harness, name, spy(name))
+    run_experiment(config)
+    n_points, n = max(len(config.sweep), 1), config.n_trials
+    if config.experiment == "spark":  # a census right after the first draw of each class
+        expected, classes = [], set()
+        for codes in draws:
+            expected.append("draw")
+            if _census_key(codes) not in classes:
+                classes.add(_census_key(codes))
+                expected += ["work", solver, "done"]
+        assert len(classes) < n
+    elif config.experiment == "noisy":  # one task per point, lasso once at its end
+        expected = (["work"] + ["draw", solver] * n + ["lasso_block", "done"]) * n_points
+    else:
+        expected = ["work", "draw", solver, "done"] * (n_points * n)
+    assert events == expected
+
+
+# --- BLAS threads ---------------------------------------------------------------------
+
+_BLAS_RUNS = {
+    "spark": {"experiment": "spark", "n_pulses": 6, "n_hrr_bins": 3, "n_codes": 3,
+              "n_trials": 20},
+    "spark-continuous": {"experiment": "spark", "n_pulses": 6, "n_hrr_bins": 3,
+                         "n_trials": 3, "code_distribution": "continuous"},
+    "mip": {"experiment": "mip", "n_pulses": 64, "n_hrr_bins": 16, "n_trials": 10,
+            "sweep": [0.0, 0.5, "continuous"]},
+    "phase": {"experiment": "phase", "n_pulses": 64, "n_hrr_bins": 8, "n_trials": 3,
+              "sweep": [1, 6]},
+    "noisy": {"experiment": "noisy", "n_pulses": 64, "n_hrr_bins": 8, "n_trials": 5,
+              "sweep": [-5.0, 10.0]},
+}
+_BLAS_PROGRAM = """
+import importlib.util, json, sys
+sys.path.insert(0, sys.argv[1] + "/src")
+path = sys.argv[1] + "/scripts/output_hashes.py"
+spec = importlib.util.spec_from_file_location("output_hashes", path)
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+from farcs import ExperimentConfig
+runs = {name: ExperimentConfig(**fields) for name, fields in json.loads(sys.argv[2]).items()}
+print(json.dumps(script.output_hashes(runs), sort_keys=True))
+"""
+
+
+def test_blas_thread_count_does_not_change_outputs():
+    # BLAS reads its thread count when numpy loads, so each count gets a
+    # fresh interpreter; equal hashes mean byte-identical CSVs and sidecars
+    hashes = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", _BLAS_PROGRAM, str(ROOT),
+                              json.dumps(_BLAS_RUNS)],
+                             env=env, capture_output=True, text=True, check=True, timeout=300)
+        hashes.append(json.loads(out.stdout))
+    assert set(hashes[0]) == set(_BLAS_RUNS)
+    assert hashes[0] == hashes[1]

@@ -28,7 +28,8 @@ from farcs import (
     subspace_pursuit,
 )
 from farcs.sensing import SensingStack
-from farcs.solvers import _CERTIFICATE_MARGIN, _GrowingQR, _certified_fit, _soft_threshold
+from farcs.solvers import (_CERTIFICATE_MARGIN, _DenseOperator, _GrowingQR, _certified_fit,
+                           _soft_threshold)
 
 
 def _problem(n_pulses=64, n_hrr_bins=8, k=3, seed=0, amp_seed=100):
@@ -440,7 +441,7 @@ def test_certified_fit_accepts_a_strict_certificate():
     phi = np.array([[1.0, 0.0, a], [0.0, 1.0, 0.0]], dtype=np.complex128)
     for gamma in (0.5, 2.0j):  # the certificate sees only the sign of x_S
         y = np.array([gamma, 0.0], dtype=np.complex128)
-        x_s, residual = _certified_fit(phi, y, np.array([0]), 1e-8)
+        x_s, residual = _certified_fit(_DenseOperator(phi), y, np.array([0]), 1e-8)
         assert np.array_equal(x_s, [gamma]) and residual == 0.0
 
 
@@ -465,7 +466,7 @@ def test_certified_fit_rejects(case):
         a = 1.0 - _CERTIFICATE_MARGIN * (1.0 if case == "peak_at_margin" else 0.5)
         phi = np.array([[1.0, 0.0, a], [0.0, 1.0, 0.0]], dtype=np.complex128)
         y = 0.5 * e1  # a certificate built from x_S instead of its sign would pass
-    assert _certified_fit(phi, y, support, 1e-8) is None
+    assert _certified_fit(_DenseOperator(phi), y, support, 1e-8) is None
 
 
 @pytest.mark.parametrize("relative_bandwidth,dense", [(0.0, False), (0.4, False), (0.0, True)])
