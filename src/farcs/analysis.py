@@ -345,31 +345,22 @@ class CoherenceSample:
     method: str  # "shortcut" or "gram"
 
 
-def coherence(phi, method: str = "auto") -> CoherenceSample:
+def coherence(phi) -> CoherenceSample:
     """Mutual coherence: the largest normalized column cross-correlation.
 
-    ``method="shortcut"`` reads the operator's factors R (N x M) and D
-    (N x N).  Since zeta_n depends only on the pulse, columns whose cells
-    differ by (dm, dl) with dm >= 0 have inner product sum_n R[n, dm] D[n, dl]
-    for dl >= 0 and sum_n R[n, dm] conj(D[n, -dl]) for dl <= 0, whatever the
-    base cell.  So chi+ = D^T R / N and chi- = D^H R / N hold every
-    normalized Gram entry up to conjugation, and mu is their largest
-    magnitude off (dm, dl) = (0, 0), in either mode.  In APPROXIMATE mode the
-    columns of D are orthogonal, so the dm = 0 entries vanish exactly and are
-    not evaluated.  ``method="gram"`` forms all pairwise inner products from
-    the dense matrix; it also accepts a plain complex matrix (columns
-    normalized by their own norms).  ``"auto"`` picks the shortcut for every
-    ``SensingMatrix`` and the Gram route otherwise.
+    A ``SensingMatrix`` takes the difference shortcut, which reads the
+    operator's factors R (N x M) and D (N x N).  Since zeta_n depends only on
+    the pulse, columns whose cells differ by (dm, dl) with dm >= 0 have inner
+    product sum_n R[n, dm] D[n, dl] for dl >= 0 and sum_n R[n, dm] conj(D[n, -dl])
+    for dl <= 0, whatever the base cell.  So chi+ = D^T R / N and
+    chi- = D^H R / N hold every normalized Gram entry up to conjugation, and
+    mu is their largest magnitude off (dm, dl) = (0, 0), in either mode.  In
+    APPROXIMATE mode the columns of D are orthogonal, so the dm = 0 entries
+    vanish exactly and are not evaluated.  A plain complex matrix takes the
+    Gram route: all pairwise inner products, each column normalized by its
+    own norm.
     """
-    structured = isinstance(phi, SensingMatrix)
-    if method == "auto":
-        method = "shortcut" if structured else "gram"
-    if method == "shortcut":
-        if not structured:
-            raise DomainError(
-                "the difference shortcut needs the structured operator; "
-                "pass a SensingMatrix or use method='gram'"
-            )
+    if isinstance(phi, SensingMatrix):
         first = 1 if phi.params.mode is BandwidthMode.APPROXIMATE else 0
         R = phi.hop_response[:, first:]
         D = phi.doppler_response
@@ -379,22 +370,16 @@ def coherence(phi, method: str = "auto") -> CoherenceSample:
         if first == 0:
             chi_pos[0, 0] = chi_neg[0, 0] = 0.0  # each column with itself
         peak = max(chi_pos.max(initial=0.0), chi_neg.max(initial=0.0))
-        return CoherenceSample(mu=float(min(peak / phi.n_pulses, 1.0)), method=method)
-    if method == "gram":
-        if structured:
-            dense = phi.to_dense()
-            gram = np.abs(dense.conj().T @ dense) / phi.n_pulses
-        else:
-            dense = np.asarray(phi, dtype=np.complex128)
-            if dense.ndim != 2:
-                raise ShapeError(f"expected a matrix, got shape {dense.shape}")
-            norms = np.linalg.norm(dense, axis=0)
-            if np.any(norms == 0.0):
-                raise DomainError("matrix has a zero column; coherence undefined")
-            gram = np.abs(dense.conj().T @ dense) / np.outer(norms, norms)
-        np.fill_diagonal(gram, 0.0)
-        return CoherenceSample(mu=float(min(gram.max(), 1.0)), method=method)
-    raise ConfigurationError(f"unknown coherence method {method!r}")
+        return CoherenceSample(mu=float(min(peak / phi.n_pulses, 1.0)), method="shortcut")
+    dense = np.asarray(phi, dtype=np.complex128)
+    if dense.ndim != 2:
+        raise ShapeError(f"expected a matrix, got shape {dense.shape}")
+    norms = np.linalg.norm(dense, axis=0)
+    if np.any(norms == 0.0):
+        raise DomainError("matrix has a zero column; coherence undefined")
+    gram = np.abs(dense.conj().T @ dense) / np.outer(norms, norms)
+    np.fill_diagonal(gram, 0.0)
+    return CoherenceSample(mu=float(min(gram.max(), 1.0)), method="gram")
 
 
 class TailBound(NamedTuple):

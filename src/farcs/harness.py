@@ -54,7 +54,7 @@ EXPERIMENTS = ("spark", "mip", "phase", "noisy", "bounds")
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Solver knobs used by the recovery experiments."""
+    """Recovery solver knobs; construction builds each solver's config once, not as a field."""
 
     bp_max_iter: int = 10000
     bp_residual_tol: float = 1e-8
@@ -64,6 +64,20 @@ class SolverSettings:
     lasso_max_iter: int = 5000
     lasso_objective_tol: float = 1e-6
     sp_max_iter: int = 100
+
+    def __post_init__(self):  # attributes, not fields: asdict and the sidecar leave them out
+        object.__setattr__(self, "bp_config", SolverConfig(
+            max_iter=self.bp_max_iter, residual_tol=self.bp_residual_tol,
+            magnitude_threshold=self.support_threshold))
+        object.__setattr__(self, "sp_config", SolverConfig(max_iter=self.sp_max_iter))
+        object.__setattr__(self, "lasso_config", SolverConfig(
+            max_iter=self.lasso_max_iter, residual_tol=self.lasso_objective_tol,
+            magnitude_threshold=self.lasso_support_threshold))
+
+
+_INTEGER_MINIMUMS = {"n_pulses": 1, "n_hrr_bins": 1, "n_codes": 1, "n_trials": 1,
+                     "master_seed": 0, "epsilon_count": 2, "n_scatterers": 1,
+                     "max_submatrices": 1}
 
 
 @dataclass(frozen=True)
@@ -97,19 +111,25 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
-        if self.n_trials < 1:
-            raise ConfigurationError(f"n_trials must be >= 1, got {self.n_trials}")
+        for name, least in _INTEGER_MINIMUMS.items():
+            value = getattr(self, name)
+            if name == "n_codes" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, int(value))
         if self.code_distribution not in ("discrete", "continuous"):
             raise ConfigurationError(
                 f"code_distribution must be 'discrete' or 'continuous', "
                 f"got {self.code_distribution!r}"
             )
-        if self.epsilon_count < 2:
-            raise ConfigurationError(f"epsilon_count must be >= 2, got {self.epsilon_count}")
         if not self.epsilon_max > 0:
             raise ConfigurationError(f"epsilon_max must be > 0, got {self.epsilon_max}")
-        if self.n_scatterers < 1:
-            raise ConfigurationError(f"n_scatterers must be >= 1, got {self.n_scatterers}")
+        if self.experiment == "noisy" and self.n_scatterers > self.n_pulses:
+            raise ConfigurationError(f"noisy fits n_scatterers columns to n_pulses samples: "
+                                     f"{self.n_scatterers} > {self.n_pulses}")
         sweep = tuple(tuple(s) if isinstance(s, (list, tuple)) else s for s in self.sweep)
         object.__setattr__(self, "sweep", sweep)
         if self.experiment != "spark" and not sweep:
@@ -473,10 +493,7 @@ def _phase_work(task):
     _, phi, y, truth = _recovery_trial(config, s, t, sparsity)
     mf_est = extract_support(matched_filter(phi, y) / config.n_pulses, K=sparsity,
                              eps=settings.support_threshold)
-    bp_cfg = SolverConfig(max_iter=settings.bp_max_iter,
-                          residual_tol=settings.bp_residual_tol,
-                          magnitude_threshold=settings.support_threshold)
-    bp = basis_pursuit(phi, y, bp_cfg)
+    bp = basis_pursuit(phi, y, settings.bp_config)
     bp_est = extract_support(bp.x_hat, K=sparsity, eps=settings.support_threshold)
     return ((mf_est == truth, bp_est == truth), {"bp": (bp.converged, bp.iterations)},
             bp.certified)
@@ -513,18 +530,15 @@ def _noisy_work(task):
     config, s = task
     settings = config.solver
     sigma2 = 10.0 ** (float(config.sweep[s]) / 10.0)
-    sp_cfg = SolverConfig(max_iter=settings.sp_max_iter)
     trials = []
     for t in range(config.n_trials):
         rng, phi, y, truth = _recovery_trial(config, s, t, config.n_scatterers)
         y = add_noise(y, sigma2, rng)
-        trials.append((phi, y, truth, subspace_pursuit(phi, y, config.n_scatterers, sp_cfg)))
+        sp = subspace_pursuit(phi, y, config.n_scatterers, settings.sp_config)
+        trials.append((phi, y, truth, sp))
     phis, ys, truths, sp_results = zip(*trials)
-    lasso_cfg = SolverConfig(max_iter=settings.lasso_max_iter,
-                             residual_tol=settings.lasso_objective_tol,
-                             magnitude_threshold=settings.lasso_support_threshold)
     lam = settings.lasso_lambda_factor * sigma2
-    la_results = lasso_block(phis, ys, [lam] * len(phis), lasso_cfg)
+    la_results = lasso_block(phis, ys, [lam] * len(phis), settings.lasso_config)
     return [((sp.support == truth, la.support == truth),
              {"sp": (sp.converged, sp.iterations), "lasso": (la.converged, la.iterations)},
              (la.duality_gap, int(np.count_nonzero(la.x_hat))))

@@ -135,6 +135,15 @@ def _operands(phi, y):
     return op, y
 
 
+def _ls_on(phi, y, support):
+    """Least squares of y on the ``support`` columns: (coef, residual), or SolverError."""
+    cols = phi.columns(support)
+    coef, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
+    if rank < len(support):
+        raise SolverError(f"least squares on support {tuple(support)} is rank deficient")
+    return coef, y - cols @ coef
+
+
 # --- matched filter ----------------------------------------------------------
 
 def matched_filter(phi, y) -> np.ndarray:
@@ -150,51 +159,14 @@ def matched_filter(phi, y) -> np.ndarray:
 
 # --- orthogonal matching pursuit ----------------------------------------------
 
-class _GrowingQR:
-    """Thin QR of an incrementally grown column set (re-orthogonalized MGS)."""
-
-    def __init__(self, n_rows, capacity, rank_tol=1e-12):
-        self._q = np.empty((n_rows, capacity), dtype=np.complex128)
-        self._r = np.zeros((capacity, capacity), dtype=np.complex128)
-        self.k = 0
-        self.rank_tol = rank_tol
-
-    def append(self, col) -> bool:
-        """Add a column; False when it is numerically dependent on the rest."""
-        q = self._q[:, : self.k]
-        v = col.astype(np.complex128, copy=True)
-        h = q.conj().T @ v
-        v -= q @ h
-        # second orthogonalization pass recovers the digits MGS loses
-        h2 = q.conj().T @ v
-        v -= q @ h2
-        h += h2
-        norm = np.linalg.norm(v)
-        if norm <= self.rank_tol * np.linalg.norm(col):
-            return False
-        self._q[:, self.k] = v / norm
-        self._r[: self.k, self.k] = h
-        self._r[self.k, self.k] = norm
-        self.k += 1
-        return True
-
-    def project_residual(self, y):
-        q = self._q[:, : self.k]
-        return y - q @ (q.conj().T @ y)
-
-    def solve(self, y):
-        q = self._q[:, : self.k]
-        return scipy.linalg.solve_triangular(self._r[: self.k, : self.k], q.conj().T @ y)
-
-
 def omp(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
     """Orthogonal matching pursuit.
 
     Greedily picks the column most correlated with the residual (lowest
-    index on ties), re-solves the least squares on the grown support via an
-    incremental QR, and stops after ``config.K`` picks or once the residual
+    index on ties), re-fits the least squares on the grown support
+    (``_ls_on``), and stops after ``config.K`` picks or once the residual
     drops under ``residual_tol * ||y||``.  A numerically rank-deficient
-    support raises ``SolverError`` carrying the partial result.
+    support raises ``SolverError`` carrying the fit before that pick.
     """
     cfg = config or _GREEDY_DEFAULTS
     phi, y = _operands(phi, y)
@@ -205,43 +177,35 @@ def omp(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
         return RecoveryResult(x_hat, (), 0.0, 0, True)
     target_k = min(cfg.K if cfg.K is not None else cfg.max_iter, n_rows)
     stop_norm = cfg.residual_tol * y_norm
-    qr = _GrowingQR(n_rows, target_k)
     support: list[int] = []
-    chosen = set()
+    coef = np.zeros(0, dtype=np.complex128)
     residual = y
     converged = False
+    rank_error = None
     while len(support) < target_k:
-        corr = np.abs(phi.rmatvec(residual))
-        j = int(np.argmax(corr))
-        if j in chosen:  # residual orthogonal to everything new: stagnated
+        j = int(np.argmax(np.abs(phi.rmatvec(residual))))
+        if j in support:  # residual orthogonal to everything new: stagnated
             break
-        if not qr.append(phi.columns([j])[:, 0]):
-            if support:
-                for idx, val in zip(support, qr.solve(y)):
-                    x_hat[idx] = val
-            partial = RecoveryResult(
-                x_hat, tuple(sorted(support)), float(np.linalg.norm(residual)),
-                len(support), False,
-            )
-            raise SolverError(
-                f"support became rank deficient after adding column {j}", partial
-            )
+        try:
+            coef, residual = _ls_on(phi, y, support + [j])
+        except SolverError as exc:
+            rank_error = exc  # the fit on the support so far is the partial result
+            break
         support.append(j)
-        chosen.add(j)
-        residual = qr.project_residual(y)
         if np.linalg.norm(residual) <= stop_norm:
             converged = True
             break
     if cfg.K is not None and len(support) == cfg.K:
         converged = True
-    if support:
-        coef = qr.solve(y)
-        for idx, val in zip(support, coef):
-            x_hat[idx] = val
-    return RecoveryResult(
+    x_hat[support] = coef
+    result = RecoveryResult(
         x_hat, tuple(sorted(support)), float(np.linalg.norm(residual)),
         len(support), converged,
     )
+    if rank_error is not None:
+        raise SolverError(f"support became rank deficient after adding column {j}",
+                          result) from rank_error
+    return result
 
 
 # --- subspace pursuit ----------------------------------------------------------
@@ -249,14 +213,6 @@ def omp(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
 def _top_k(values, k):
     """Indices of the k largest values, lowest index first on ties."""
     return np.argsort(-values, kind="stable")[:k]
-
-
-def _ls_on(phi, y, support):
-    cols = phi.columns(support)
-    coef, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
-    if rank < len(support):
-        raise SolverError(f"least squares on support {tuple(support)} is rank deficient")
-    return coef, y - cols @ coef
 
 
 def subspace_pursuit(phi, y, K: int, config: SolverConfig | None = None) -> RecoveryResult:
@@ -328,6 +284,9 @@ def _soft_threshold(v, kappa):
 # certificate never rests on rounding.
 _CERTIFICATE_MARGIN = 1e-6
 
+_ADMM_RHO = 1.0  # ADMM penalty rho and over-relaxation alpha (Boyd et al. 2011, 3.4.3)
+_ADMM_RELAXATION = 1.8
+
 
 def _certified_fit(phi, y, support, stop_norm):
     """Least-squares fit on ``support`` if a dual certificate proves it l1-optimal.
@@ -355,11 +314,11 @@ def _certified_fit(phi, y, support, stop_norm):
     return x_s, residual
 
 
-def basis_pursuit(phi, y, config: SolverConfig | None = None,
-                  rho: float = 1.0, over_relaxation: float = 1.8) -> RecoveryResult:
+def basis_pursuit(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
     """Equality-constrained l1 minimization via ADMM, stopped early on a certificate.
 
-    Alternates projection onto {x : Phi x = y} with soft thresholding.  The
+    Alternates projection onto {x : Phi x = y} with soft thresholding, at
+    the fixed penalty rho = 1 and over-relaxation alpha = 1.8.  The
     projection solves against the N x N row Gram, which is a scaled identity
     whenever the rows are orthogonal, so iterations stay O(NM).
 
@@ -376,10 +335,6 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None,
     cfg = config or _BP_DEFAULTS
     phi, y = _operands(phi, y)
     n_rows, n_cols = phi.shape
-    if not rho > 0:
-        raise ConfigurationError(f"rho must be > 0, got {rho}")
-    if not 0 < over_relaxation < 2:
-        raise ConfigurationError(f"over_relaxation must be in (0, 2), got {over_relaxation}")
     y_norm = np.linalg.norm(y)
     if y_norm == 0.0:
         return RecoveryResult(np.zeros(n_cols, dtype=np.complex128), (), 0.0, 0, True)
@@ -400,7 +355,7 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None,
         def project(v):
             return v - phi.rmatvec(scipy.linalg.cho_solve(factor, phi.matvec(v) - y))
 
-    kappa = 1.0 / rho
+    kappa = 1.0 / _ADMM_RHO
     stop_norm = cfg.residual_tol * y_norm
     z = np.zeros(n_cols, dtype=np.complex128)
     u = np.zeros(n_cols, dtype=np.complex128)
@@ -411,11 +366,11 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None,
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         x = project(z - u)
-        x_relaxed = over_relaxation * x + (1.0 - over_relaxation) * z
+        x_relaxed = _ADMM_RELAXATION * x + (1.0 - _ADMM_RELAXATION) * z
         z_new = _soft_threshold(x_relaxed + u, kappa)
         u = u + x_relaxed - z_new
         primal = _norm(x - z_new)
-        dual = rho * _norm(z_new - z)
+        dual = _ADMM_RHO * _norm(z_new - z)
         z = z_new
         previous, pattern = pattern, (z != 0).tobytes()
         if pattern == previous and pattern not in tested:
@@ -429,7 +384,7 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None,
                 return RecoveryResult(x, extract_support(x, eps=cfg.magnitude_threshold),
                                       fit[1], iterations, True, certified=True)
         tol_primal = cfg.residual_tol * max(_norm(x), _norm(z), 1e-12)
-        tol_dual = cfg.residual_tol * max(rho * _norm(u), 1e-12)
+        tol_dual = cfg.residual_tol * max(_ADMM_RHO * _norm(u), 1e-12)
         if primal <= tol_primal and dual <= tol_dual:
             converged = True
             break
@@ -579,27 +534,23 @@ def l0_oracle(phi, y, k_max: int, residual_rtol: float = 1e-9,
     x_hat = np.zeros(n_cols, dtype=np.complex128)
     if y_norm <= 0.0:
         return RecoveryResult(x_hat, (), 0.0, 0, True)
-    best = (float(y_norm), (), None)  # (residual, support, coef)
-    fits = 0
-    for k in range(k_max + 1):
-        if k == 0:
-            fits += 1
-            continue  # empty support fits only y = 0, handled above
+    best = (float(y_norm), (), np.zeros(0))  # (residual, support, coef)
+    fits = 1  # the empty support, which fits only y = 0, handled above
+    for k in range(1, k_max + 1):
         for subset in itertools.combinations(range(n_cols), k):
             fits += 1
-            cols = phi.columns(list(subset))
-            coef, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
-            if rank < k:
+            try:
+                coef, residual = _ls_on(phi, y, subset)
+            except SolverError:
                 continue  # dependent columns cannot give a smaller certificate
-            res = float(np.linalg.norm(y - cols @ coef))
+            res = float(np.linalg.norm(residual))
             if res <= thresh:
                 x_hat[list(subset)] = coef
                 return RecoveryResult(x_hat, subset, res, fits, True)
             if res < best[0]:
                 best = (res, subset, coef)
     res, subset, coef = best
-    if coef is not None:
-        x_hat[list(subset)] = coef
+    x_hat[list(subset)] = coef
     return RecoveryResult(x_hat, tuple(subset), res, fits, False)
 
 

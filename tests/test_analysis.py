@@ -535,8 +535,8 @@ def test_coherence_shortcut_matches_gram():
         codes = sample_codes(seed, 16, 4)
         params = RadarParams.abstract(16, 4, n_codes=4)
         phi = build_phi(params, codes)
-        fast = coherence(phi, method="shortcut")
-        slow = coherence(phi, method="gram")
+        fast = coherence(phi)
+        slow = coherence(phi.to_dense())
         assert fast.mu == pytest.approx(slow.mu, abs=1e-12)
         assert fast.method == "shortcut" and slow.method == "gram"
 
@@ -545,8 +545,8 @@ def test_coherence_shortcut_matches_gram_continuous_codes():
     codes = sample_codes(11, 12)
     params = RadarParams.abstract(12, 3)
     phi = build_phi(params, codes)
-    assert coherence(phi, method="shortcut").mu == pytest.approx(
-        coherence(phi, method="gram").mu, abs=1e-12
+    assert coherence(phi).mu == pytest.approx(
+        coherence(phi.to_dense()).mu, abs=1e-12
     )
 
 
@@ -557,8 +557,8 @@ def test_coherence_routes_agree_property(seed):
     for relative_bandwidth in (0.0, 0.5):
         params = RadarParams.abstract(8, 2, n_codes=2, relative_bandwidth=relative_bandwidth)
         phi = build_phi(params, codes)
-        assert coherence(phi, method="shortcut").mu == pytest.approx(
-            coherence(phi, method="gram").mu, abs=1e-12
+        assert coherence(phi).mu == pytest.approx(
+            coherence(phi.to_dense()).mu, abs=1e-12
         )
 
 
@@ -592,15 +592,15 @@ def test_coherence_exact_mode_shortcut_matches_gram(relative_bandwidth, n_codes)
     assert params.mode is BandwidthMode.EXACT
     for seed in range(4):
         phi = build_phi(params, sample_codes(seed, 32, n_codes))
-        auto = coherence(phi, method="auto")
-        assert auto.method == "shortcut"
-        assert auto.mu == pytest.approx(coherence(phi, method="gram").mu, abs=1e-12)
+        sample = coherence(phi)
+        assert sample.method == "shortcut"
+        assert sample.mu == pytest.approx(coherence(phi.to_dense()).mu, abs=1e-12)
 
 
 def test_coherence_single_bin_is_zero():
     params = RadarParams.abstract(8, 1, n_codes=1)
     codes = FrequencyCodes(np.zeros(8), n_codes=1)
-    sample = coherence(build_phi(params, codes), method="auto")
+    sample = coherence(build_phi(params, codes))
     assert sample.mu == 0.0
 
 
@@ -608,9 +608,9 @@ def test_coherence_single_bin_exact_mode_matches_gram():
     # per-pulse Doppler stretching leaves same-range-bin columns correlated
     params = RadarParams.abstract(8, 1, relative_bandwidth=0.5)
     phi = build_phi(params, sample_codes(3, 8, None))
-    sample = coherence(phi, method="auto")
+    sample = coherence(phi)
     assert sample.mu > 0.1
-    assert sample.mu == pytest.approx(coherence(phi, method="gram").mu, abs=1e-12)
+    assert sample.mu == pytest.approx(coherence(phi.to_dense()).mu, abs=1e-12)
 
 
 def test_coherence_constant_codes_is_one():
@@ -618,13 +618,6 @@ def test_coherence_constant_codes_is_one():
     params = RadarParams.abstract(8, 4, n_codes=4)
     codes = FrequencyCodes(np.zeros(8), n_codes=4)
     assert coherence(build_phi(params, codes)).mu == pytest.approx(1.0, abs=1e-12)
-
-
-def test_coherence_unknown_method():
-    params = RadarParams.abstract(8, 2, n_codes=2)
-    phi = build_phi(params, sample_codes(0, 8, 2))
-    with pytest.raises(ConfigurationError):
-        coherence(phi, method="newton")
 
 
 def test_coherence_of_orthogonal_basis_is_zero():
@@ -645,8 +638,6 @@ def test_coherence_plain_matrix_normalizes_columns():
 
 def test_coherence_plain_matrix_rejections():
     a = np.eye(3, dtype=complex)
-    with pytest.raises(DomainError):
-        coherence(a, method="shortcut")  # shortcut needs the structured operator
     a[:, 1] = 0.0
     with pytest.raises(DomainError):
         coherence(a)

@@ -21,6 +21,7 @@ from farcs import (
     ExperimentResult,
     FrequencyCodes,
     SensingMatrix,
+    SolverConfig,
     SolverSettings,
     TrialRecord,
     default_config,
@@ -67,10 +68,45 @@ def test_default_configs_cover_all_experiments():
     {"experiment": "spark", "epsilon_max": 0.0},
     {"experiment": "spark", "n_scatterers": 0},
     {"experiment": "phase", "sweep": ()},
+    # integer fields take ints at or above their minimum, and noisy at most
+    # N scatterers; each of these fails at construction, before any task runs
+    {"experiment": "noisy", "n_pulses": 8, "n_hrr_bins": 2, "n_scatterers": 20,
+     "sweep": (0.0,)},  # more scatterers than grid cells
+    {"experiment": "noisy", "n_pulses": 8, "n_hrr_bins": 2, "n_scatterers": 9,
+     "sweep": (0.0,)},  # more than subspace pursuit can fit to N samples
+    {"experiment": "mip", "epsilon_count": 2.5, "sweep": (0.0,)},
+    {"experiment": "spark", "n_trials": 2.0},
+    {"experiment": "noisy", "n_scatterers": True, "sweep": (0.0,)},
+    {"experiment": "spark", "n_pulses": 6.0},
+    {"experiment": "spark", "n_hrr_bins": "3"},
+    {"experiment": "spark", "n_codes": True},
+    {"experiment": "spark", "master_seed": -1},
+    {"experiment": "spark", "max_submatrices": None},
 ])
 def test_experiment_config_rejects(kwargs):
     with pytest.raises(ConfigurationError):
         ExperimentConfig(**kwargs)
+
+
+def test_integer_fields_accept_numpy_integers():
+    config = ExperimentConfig(experiment="spark", n_pulses=np.int64(6), n_trials=np.int32(3),
+                              n_codes=np.int16(3), master_seed=np.uint8(7))
+    values = (config.n_pulses, config.n_trials, config.n_codes, config.master_seed)
+    assert values == (6, 3, 3, 7) and all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize("knob", ["bp_max_iter", "sp_max_iter", "lasso_max_iter"])
+def test_solver_settings_build_their_configs_on_construction(knob):
+    with pytest.raises(ConfigurationError):
+        SolverSettings(**{knob: 0})  # fails here, not inside the first task
+    settings = SolverSettings()
+    assert settings.bp_config == SolverConfig(max_iter=10000, residual_tol=1e-8,
+                                              magnitude_threshold=1e-2)
+    assert settings.sp_config == SolverConfig(max_iter=100)
+    assert settings.lasso_config == SolverConfig(max_iter=5000, residual_tol=1e-6,
+                                                 magnitude_threshold=0.2)
+    # the configs are not fields: the sidecar's config keeps its keys
+    assert set(dataclasses.asdict(settings)) == {f.name for f in dataclasses.fields(settings)}
 
 
 def test_load_config_overrides_defaults(tmp_path):
