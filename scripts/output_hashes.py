@@ -10,8 +10,10 @@ exactly when every output is byte-identical, so a refactor is checked with
 
 The runs: default ``spark`` with discrete codes, ``spark`` with continuous
 codes (300 trials), every perfbench config file at a fixed master seed
-(census, coherence, recovery), and small ``mip``, ``phase`` and ``noisy``
-runs. OpenBLAS, OpenMP and MKL are pinned to one thread, and the source tree
+(census, coherence, recovery), small ``mip``, ``phase`` and ``noisy`` runs,
+and one ``mip``, ``phase`` and ``spark`` run each with a hop set larger than
+the range-bin count (M* > M), so the phase tables are checked off the
+M* = M diagonal as well. OpenBLAS, OpenMP and MKL are pinned to one thread, and the source tree
 next to this script is imported, so the outputs are this checkout's.
 """
 
@@ -48,6 +50,11 @@ def fixed_runs() -> dict:
     runs["mip-small"] = dataclasses.replace(default_config("mip"), n_trials=200)
     runs["phase-small"] = dataclasses.replace(default_config("phase"), n_trials=10)
     runs["noisy-small"] = dataclasses.replace(default_config("noisy"), n_trials=10)
+    runs["mip-wide-hops"] = dataclasses.replace(default_config("mip"), n_hrr_bins=8,
+                                                n_codes=32, n_trials=200, sweep=(0.0, 0.5))
+    runs["phase-wide-hops"] = dataclasses.replace(default_config("phase"), n_codes=16,
+                                                  n_trials=10, sweep=(1, 4, 8))
+    runs["spark-wide-hops"] = dataclasses.replace(spark, n_codes=6, n_trials=100)
     return runs
 
 

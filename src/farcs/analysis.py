@@ -42,6 +42,7 @@ def min_singular_normalized(submatrix: np.ndarray) -> float:
 # sits in the middle of a bin, so rounding cannot move it across an edge
 SIGMA_HIST_EDGES = np.linspace(-0.01, 1.21, 62)
 SIGMA_HIST_EDGES.setflags(write=False)
+_CHI_BLOCK = 20_000  # trials per code draw in chi_statistics
 
 
 @dataclass
@@ -453,7 +454,7 @@ class ChiStatistics(NamedTuple):
 
 
 def chi_statistics(params: RadarParams, p: float, q: float, n_trials: int,
-                   seed=0, _block: int = 20000) -> ChiStatistics:
+                   seed=0) -> ChiStatistics:
     """Sample moments of chi over fresh discrete code draws.
 
     Uses the full-alphabet hop set (n_codes == n_hrr_bins), for which the
@@ -476,8 +477,8 @@ def chi_statistics(params: RadarParams, p: float, q: float, n_trials: int,
     rng = np.random.default_rng(seed)
     n_phase = q * np.arange(N)
     chi_vals = np.empty(n_trials, dtype=np.complex128)
-    for start in range(0, n_trials, _block):
-        stop = min(start + _block, n_trials)
+    for start in range(0, n_trials, _CHI_BLOCK):
+        stop = min(start + _CHI_BLOCK, n_trials)
         d = rng.integers(0, M, size=(stop - start, N)) / M
         chi_vals[start:stop] = np.exp(1j * (p * M * d + n_phase)).sum(axis=1) / N
     re, im = chi_vals.real, chi_vals.imag

@@ -323,8 +323,7 @@ def _census_key(codes) -> tuple | bytes:
     """
     if not codes.is_discrete:
         return codes.codes.tobytes()
-    q = codes.n_codes
-    hops = np.rint(codes.codes * q).astype(np.int64)
+    q, hops = codes.n_codes, codes.hops
     images = (np.stack([hops, -hops])[:, None, :] + np.arange(q)[:, None]) % q
     return tuple(min(images.reshape(-1, hops.size).tolist()))
 

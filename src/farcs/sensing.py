@@ -54,16 +54,15 @@ def _hop_table(n_codes: int, n_hrr_bins: int) -> np.ndarray:
 def build_R(codes: FrequencyCodes, n_hrr_bins: int) -> np.ndarray:
     """Carrier-hop response matrix, shape (N, M): exp(1j 2 pi m d_n).
 
-    Grid codes d_n = k_n / M* gather their rows from a table cached per
-    (M*, M), built by the same expression, so R is bit for bit the direct
-    formula's.
+    Discrete codes gather row k_n of a table cached per (M*, M), built by
+    the same expression, so R is bit for bit the direct formula; continuous
+    codes and tables over the entry budget use that formula.
     """
     if n_hrr_bins < 1:
         raise ConfigurationError(f"n_hrr_bins must be >= 1, got {n_hrr_bins}")
-    hops = codes.hops
-    if hops is None or codes.n_codes * n_hrr_bins > _PHASE_TABLE_BUDGET:
+    if codes.hops is None or codes.n_codes * n_hrr_bins > _PHASE_TABLE_BUDGET:
         return _hop_matrix(codes.codes, n_hrr_bins)
-    return _hop_table(codes.n_codes, n_hrr_bins)[hops]
+    return _hop_table(codes.n_codes, n_hrr_bins)[codes.hops]
 
 
 def _doppler_matrix(n_scaled: np.ndarray) -> np.ndarray:
@@ -105,20 +104,20 @@ def build_D(params: RadarParams, codes: FrequencyCodes) -> np.ndarray:
     In APPROXIMATE mode (zeta = 1) this is the unnormalized inverse DFT
     matrix, the same for every code realization: one read-only copy per N is
     built and shared.  In EXACT mode each row n is stretched by its own
-    zeta_n; grid codes d_n = k_n / M* gather row n from a table cached per
-    (N, M*, B/f_c), built by the same expressions, so D is bit for bit the
-    direct formula's.
+    zeta_n; discrete codes gather row n from a table cached per
+    (N, M*, B/f_c) at their hop index k_n, built by the same expressions, so
+    D is bit for bit the direct formula's.  Continuous codes, and tables
+    over the entry budget, take the direct formula.
     """
     N = params.n_pulses
     if codes.n_pulses != N:
         raise ShapeError(f"codes has {codes.n_pulses} pulses, params expects {N}")
     if params.mode is BandwidthMode.APPROXIMATE:
         return _inverse_dft(N)
-    hops = codes.hops
-    if hops is None or codes.n_codes * N * N > _PHASE_TABLE_BUDGET:
+    if codes.hops is None or codes.n_codes * N * N > _PHASE_TABLE_BUDGET:
         return _doppler_matrix(np.arange(N) * pulse_doppler_scalings(params, codes))
     table = _exact_doppler_table(N, codes.n_codes, params.relative_bandwidth)
-    return table[hops, np.arange(N)]
+    return table[codes.hops, np.arange(N)]
 
 
 class SensingMatrix:
@@ -127,8 +126,8 @@ class SensingMatrix:
     Stores only the N x M and N x N factors, plus their transposed and
     conjugated copies once a product has run (in APPROXIMATE mode the
     Doppler ones are shared per N); columns, products and the dense matrix
-    are formed on demand.  ``to_dense`` refuses to materialize
-    more than ``max_dense_entries`` complex values.
+    are formed on demand.  ``to_dense`` refuses to materialize more than
+    ``max_dense_entries`` complex values.  Discrete codes must use M* = params.n_codes.
     """
 
     def __init__(self, params: RadarParams, codes: FrequencyCodes,
@@ -136,6 +135,10 @@ class SensingMatrix:
         if codes.n_pulses != params.n_pulses:
             raise ShapeError(
                 f"codes has {codes.n_pulses} pulses, params expects {params.n_pulses}"
+            )
+        if codes.is_discrete and codes.n_codes != params.n_codes:
+            raise ConfigurationError(
+                f"codes come from a hop set of {codes.n_codes}, params has {params.n_codes}"
             )
         self.params = params
         self.codes = codes
@@ -297,48 +300,44 @@ class SensingStack:
         return (scaled @ self._D_conj).reshape(rows, M * N)
 
 
-def build_phi(params: RadarParams, codes: FrequencyCodes,
-              max_dense_entries: int = DEFAULT_DENSE_BUDGET) -> SensingMatrix:
+def build_phi(params: RadarParams, codes: FrequencyCodes) -> SensingMatrix:
     """Sensing operator for one code realization."""
-    return SensingMatrix(params, codes, max_dense_entries=max_dense_entries)
+    return SensingMatrix(params, codes)
 
 
 def build_iwr_psi(params: RadarParams) -> np.ndarray:
     """Full MN x MN inverse-DFT dictionary of the stepped-frequency reference.
 
-    Psi = F kron D with F[l, m] = exp(1j 2 pi m l / M) and D the N-point
-    inverse DFT matrix; (1/MN) Psi^H Psi = I.  Only defined in APPROXIMATE
-    mode — per-pulse Doppler stretching breaks the Kronecker structure.
+    Psi = F kron D with F and D the M- and N-point inverse DFT matrices,
+    F[l, m] = exp(1j 2 pi m l / M); (1/MN) Psi^H Psi = I.  Only defined in
+    APPROXIMATE mode — per-pulse Doppler stretching breaks the Kronecker
+    structure.
     """
     if params.mode is not BandwidthMode.APPROXIMATE:
         raise UnsupportedModeError(
             "the stepped-frequency dictionary is only defined in APPROXIMATE mode"
         )
-    M, N = params.n_hrr_bins, params.n_pulses
-    lm = np.arange(M)
-    F = np.exp(1j * 2.0 * np.pi * np.outer(lm, lm) / M)
-    ln = np.arange(N)
-    D = np.exp(1j * 2.0 * np.pi * np.outer(ln, ln) / N)
-    return np.kron(F, D)
+    return np.kron(_inverse_dft(params.n_hrr_bins), _inverse_dft(params.n_pulses))
 
 
 def phi_row_sampling_check(phi: SensingMatrix, psi: np.ndarray,
-                           codes: FrequencyCodes, atol: float = 1e-12) -> bool:
-    """Verify that Phi's rows are rows of Psi selected by the codes.
+                           atol: float = 1e-12) -> bool:
+    """Verify that Phi's rows are rows of Psi selected by Phi's codes.
 
     Row n of Phi must equal row n + M * d_n * N of Psi.  Requires discrete
-    codes with integer M * d_n (hop set size equal to the range-bin count).
+    codes whose offsets M * d_n = M * k_n / M* are integers, as every code's
+    are when the hop set size M* equals M.
     """
     M, N = phi.params.n_hrr_bins, phi.params.n_pulses
     if psi.shape != (M * N, M * N):
         raise ShapeError(f"psi must be ({M * N}, {M * N}), got {psi.shape}")
-    offsets = np.asarray(codes.codes) * M
-    if not codes.is_discrete or np.max(np.abs(offsets - np.round(offsets))) > 1e-9:
+    codes = phi.codes
+    if not codes.is_discrete or np.any(codes.hops * M % codes.n_codes):
         raise DomainError(
             "row-sampling check needs discrete codes with integer M * d_n "
             "(continuous codes do not select dictionary rows)"
         )
-    offsets = np.round(offsets).astype(int)
+    offsets = codes.hops * M // codes.n_codes
     dense = phi.to_dense()
     for n in range(N):
         if not np.allclose(dense[n], psi[n + offsets[n] * N], rtol=0.0, atol=atol):

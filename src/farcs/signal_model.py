@@ -15,9 +15,8 @@ frozen to 1 (``BandwidthMode.APPROXIMATE``).
 from __future__ import annotations
 
 import enum
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.constants import c as _SPEED_OF_LIGHT
@@ -133,39 +132,41 @@ class RadarParams:
             raise ConfigurationError("hrr_bin_size_m needs a positive bandwidth_hz")
         return _SPEED_OF_LIGHT / (2.0 * self.bandwidth_hz)
 
-    @property
-    def unambiguous_velocity_mps(self) -> float:
-        """One-sided unambiguous velocity span c / (2 f_c T_r)."""
-        if not self.carrier_hz or not self.pri_s:
-            raise ConfigurationError("unambiguous_velocity_mps needs carrier_hz and pri_s")
-        return _SPEED_OF_LIGHT / (2.0 * self.carrier_hz * self.pri_s)
-
 
 @dataclass(frozen=True, eq=False)
 class FrequencyCodes:
     """One realization d_0..d_{N-1} of the per-pulse frequency codes.
 
-    ``n_codes`` is the size of the discrete hop set the codes were drawn
-    from, or None for continuous (uniform on [0, 1)) codes.
+    ``n_codes`` is the size M* of the discrete hop set the codes were drawn
+    from, or None for continuous (uniform on [0, 1)) codes.  Discrete codes
+    are mapped to their hop indices k_n = rint(d_n * M*) here, once: a code
+    more than 1e-9 off the grid, or one that rounds to k = M*, is rejected,
+    and the rest are stored as d_n = k_n / M* exactly, with the k_n kept in
+    the read-only ``hops`` array (None for continuous codes).
     """
 
     codes: np.ndarray
     n_codes: int | None = None
+    hops: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         arr = np.asarray(self.codes, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ShapeError(f"codes must be a 1-D non-empty array, got shape {arr.shape}")
-        if np.any(arr < 0.0) or np.any(arr >= 1.0):
+        if not np.all((arr >= 0.0) & (arr < 1.0)):
             raise DomainError("codes must lie in [0, 1)")
-        if self.n_codes is not None:
-            if self.n_codes < 1:
-                raise ConfigurationError(f"n_codes must be >= 1, got {self.n_codes}")
-            scaled = arr * self.n_codes
-            if np.max(np.abs(scaled - np.round(scaled))) > 1e-9:
-                raise DomainError(
-                    f"discrete codes must be integer multiples of 1/{self.n_codes}"
-                )
+        q = self.n_codes
+        if q is not None:
+            if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1:
+                raise ConfigurationError(f"n_codes must be an integer >= 1, got {q!r}")
+            scaled = arr * q
+            hops = np.rint(scaled)
+            if np.max(np.abs(scaled - hops)) > 1e-9 or hops.max() >= q:
+                raise DomainError(f"discrete codes must be k/{q} with k in [0, {q})")
+            hops = hops.astype(np.intp)
+            hops.setflags(write=False)
+            arr = hops / q
+            object.__setattr__(self, "hops", hops)
         arr.setflags(write=False)
         object.__setattr__(self, "codes", arr)
 
@@ -176,22 +177,6 @@ class FrequencyCodes:
     @property
     def is_discrete(self) -> bool:
         return self.n_codes is not None
-
-    @functools.cached_property
-    def hops(self) -> np.ndarray | None:
-        """Hop indices k_n with d_n == k_n / n_codes bit for bit, or None.
-
-        Codes from ``sample_codes`` always have them.  Continuous codes, and
-        discrete codes admitted within the 1e-9 tolerance but off the exact
-        grid, do not.
-        """
-        if self.n_codes is None:
-            return None
-        hops = np.rint(self.codes * self.n_codes).astype(np.intp)
-        if not (hops / self.n_codes == self.codes).all():
-            return None
-        hops.setflags(write=False)
-        return hops
 
 
 def sample_codes(seed, n_pulses, n_codes=None) -> FrequencyCodes:

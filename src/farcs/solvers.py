@@ -71,6 +71,7 @@ class RecoveryResult:
 _BP_DEFAULTS = SolverConfig(max_iter=10000, residual_tol=1e-8)
 _LASSO_DEFAULTS = SolverConfig(max_iter=5000, residual_tol=1e-6)
 _GREEDY_DEFAULTS = SolverConfig()
+_L0_RESIDUAL_RTOL = 1e-9  # l0_oracle accepts a fit with residual <= this * ||y||
 
 
 # --- operators ----------------------------------------------------------------
@@ -510,13 +511,12 @@ def _lasso_duality_gap(phi, y, x, residual, lam: float) -> float:
 
 # --- exhaustive l0 oracle ---------------------------------------------------------
 
-def l0_oracle(phi, y, k_max: int, residual_rtol: float = 1e-9,
-              max_fits: int = 100_000) -> RecoveryResult:
+def l0_oracle(phi, y, k_max: int, max_fits: int = 100_000) -> RecoveryResult:
     """Smallest support that fits y, by brute force.
 
     Scans supports of size 0, 1, ..., k_max in lexicographic order and
     returns the first whose least-squares residual is at most
-    ``residual_rtol * ||y||``.  If none qualifies, the best fit seen is
+    ``_L0_RESIDUAL_RTOL * ||y||``.  If none qualifies, the best fit seen is
     returned with ``converged=False``.  Refuses to run when the subset count
     exceeds ``max_fits``.
     """
@@ -530,7 +530,7 @@ def l0_oracle(phi, y, k_max: int, residual_rtol: float = 1e-9,
             f"{total} candidate supports exceed the budget of {max_fits}"
         )
     y_norm = np.linalg.norm(y)
-    thresh = residual_rtol * y_norm
+    thresh = _L0_RESIDUAL_RTOL * y_norm
     x_hat = np.zeros(n_cols, dtype=np.complex128)
     if y_norm <= 0.0:
         return RecoveryResult(x_hat, (), 0.0, 0, True)

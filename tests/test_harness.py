@@ -593,7 +593,8 @@ def test_output_hashes_script(tmp_path):
     }}
     runs = script.fixed_runs()
     assert {"spark", "spark-continuous", "census-probe", "census-continuous",
-            "mip-small", "phase-small", "noisy-small"} <= set(runs)
+            "mip-small", "phase-small", "noisy-small", "mip-wide-hops", "phase-wide-hops",
+            "spark-wide-hops"} <= set(runs)
     assert runs["spark-continuous"].code_distribution == "continuous"
     assert runs["census-probe"].master_seed == 367  # set by the config file
 

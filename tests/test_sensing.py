@@ -1,10 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from farcs.errors import (
+    ConfigurationError,
     DomainError,
     ResourceError,
     ShapeError,
@@ -112,16 +114,35 @@ def test_grid_code_factors_equal_direct_formula(n_pulses, n_hrr_bins, n_codes,
         assert np.array_equal(build_D(params, codes), _direct_D(params, codes))
 
 
-@pytest.mark.parametrize("values, n_codes", [
-    ([0.25 + 1e-12, 0.5, 0.0, 0.75], 4),
-    ([1.0 - 1e-10] * 4, 1),  # rounds to hop index 1 == n_codes
-])
-def test_off_grid_codes_take_the_direct_formula(values, n_codes):
-    codes = FrequencyCodes(np.array(values), n_codes)  # within the 1e-9 tolerance
-    assert codes.hops is None
-    params = RadarParams.abstract(4, n_codes, relative_bandwidth=0.5)
-    assert np.array_equal(build_R(codes, n_codes), _direct_R(codes, n_codes))
+def test_discrete_codes_carry_their_hop_indices():
+    # codes within the 1e-9 tolerance are snapped onto their hops k / M*
+    codes = FrequencyCodes(np.array([0.25 + 1e-12, 0.5, 0.0, 0.75 - 1e-10]), 4)
+    assert np.array_equal(codes.hops, [1, 2, 0, 3])
+    assert np.array_equal(codes.codes, codes.hops / 4)
+    with pytest.raises(ValueError):
+        codes.hops[0] = 0
+    params = RadarParams.abstract(4, 4, relative_bandwidth=0.5)
+    assert np.array_equal(build_R(codes, 4), _direct_R(codes, 4))
     assert np.array_equal(build_D(params, codes), _direct_D(params, codes))
+    assert sample_codes(0, 4).hops is None  # continuous codes have none
+    # the process pool pickles codes into its workers
+    copy = pickle.loads(pickle.dumps(codes))
+    assert np.array_equal(copy.hops, codes.hops) and np.array_equal(copy.codes, codes.codes)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: FrequencyCodes(np.array([1.0 - 1e-10]), 1), DomainError),  # rounds to k = M*
+    (lambda: FrequencyCodes(np.array([0.99999999995]), 3), DomainError),  # rounds to k = M*
+    (lambda: FrequencyCodes(np.array([0.5, np.nan])), DomainError),
+    (lambda: FrequencyCodes(np.array([0.0, 0.4]), 2.5), ConfigurationError),
+    (lambda: FrequencyCodes(np.array([0.0, 0.0]), True), ConfigurationError),
+    (lambda: build_phi(RadarParams.abstract(4, 4),  # codes from a 2-hop set
+                       FrequencyCodes(np.array([0.0, 0.5, 0.0, 0.5]), 2)), ConfigurationError),
+], ids=["one-hop", "three-hops", "nan", "fractional-hop-set", "bool-hop-set",
+        "mismatched-hop-set"])
+def test_codes_outside_the_hop_set_are_rejected(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_phase_tables_are_cached_read_only_and_bounded():
@@ -328,11 +349,11 @@ def test_phi_rows_sample_psi():
     codes = sample_codes(17, 8, 4)
     phi = build_phi(params, codes)
     psi = build_iwr_psi(params)
-    assert phi_row_sampling_check(phi, psi, codes)
+    assert phi_row_sampling_check(phi, psi)
     # tampering with psi must be caught
     psi_bad = psi.copy()
     psi_bad[int(codes.codes[0] * 4) * 8] *= -1.0
-    assert not phi_row_sampling_check(phi, psi_bad, codes)
+    assert not phi_row_sampling_check(phi, psi_bad)
 
 
 def test_row_sampling_requires_integer_offsets():
@@ -341,11 +362,11 @@ def test_row_sampling_requires_integer_offsets():
     continuous = sample_codes(3, 8)
     phi_c = build_phi(params, continuous)
     with pytest.raises(DomainError):
-        phi_row_sampling_check(phi_c, psi, continuous)
+        phi_row_sampling_check(phi_c, psi)
     # hop set twice as fine as the bin count -> offsets m/2 are not integers
     params8 = RadarParams.abstract(8, 4, n_codes=8)
     halves = FrequencyCodes(np.array([0.125] * 8), 8)
     phi_h = build_phi(params8, halves)
     with pytest.raises(DomainError):
-        phi_row_sampling_check(phi_h, psi, halves)
+        phi_row_sampling_check(phi_h, psi)
 
