@@ -43,6 +43,7 @@ def min_singular_normalized(submatrix: np.ndarray) -> float:
 SIGMA_HIST_EDGES = np.linspace(-0.01, 1.21, 62)
 SIGMA_HIST_EDGES.setflags(write=False)
 _CHI_BLOCK = 20_000  # trials per code draw in chi_statistics
+_CENSUS_BATCH = 8192  # orbit representatives per batched det, eigvalsh or SVD call
 
 
 @dataclass
@@ -160,17 +161,15 @@ def _determinant_gap_applies(phi: SensingMatrix) -> bool:
     In APPROXIMATE mode with discrete codes k_n / M*, entry (n, (m, l)) is
     exp(2j pi (m k_n / M* + l n / N)), an L-th root of unity with
     L = lcm(M*, N).  For L in ``_GAP_ORDERS`` every minor is a Gaussian or
-    Eisenstein integer, whose modulus is 0 or at least 1.  The route also
-    needs the rounding error of a computed det, bounded by about
-    N * N^(N/2) * eps (Hadamard: |det| <= N^(N/2)), to stay far below the
-    threshold 1/2; for the N these orders admit (N <= 6) it is under 3e-13.
+    Eisenstein integer, whose modulus is 0 or at least 1.  The rounding
+    error of a computed det, about N * N^(N/2) * eps (Hadamard:
+    |det| <= N^(N/2)), stays far below the threshold 1/2: N divides L, so
+    N <= 6 and the error is under 3e-13.
     """
     n_codes = phi.codes.n_codes
     if phi.params.mode is not BandwidthMode.APPROXIMATE or n_codes is None:
         return False
-    N = phi.n_pulses
-    rounding = N * N ** (N / 2) * np.finfo(np.float64).eps
-    return math.lcm(n_codes, N) in _GAP_ORDERS and rounding < 1e-6
+    return math.lcm(n_codes, phi.n_pulses) in _GAP_ORDERS
 
 
 def _gram_sigma_bounds(lam: np.ndarray, n: int):
@@ -220,8 +219,7 @@ def _svd_needed(low: np.ndarray, high: np.ndarray, eps_svd: float) -> np.ndarray
 
 
 def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
-                      max_submatrices: int = 1_000_000,
-                      batch_size: int = 8192) -> SparkReport:
+                      max_submatrices: int = 1_000_000) -> SparkReport:
     """Exhaustively test every N-column submatrix for rank deficiency.
 
     Covers the C(NM, N) column subsets in lexicographic order and flags those
@@ -257,9 +255,9 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
     Every other entry of ``sigma_values`` is the Gram estimate, within its
     interval of the SVD value; ``sigma_omega``, ``n_below_eps``,
     ``sigma_hist_counts`` and those extremes are exactly what an SVD of
-    every representative gives.  The outcome does not depend on
-    ``batch_size``.  Refuses to start when the subset count exceeds
-    ``max_submatrices``.
+    every representative gives.  The representatives run in batches of
+    ``_CENSUS_BATCH``, and the outcome does not depend on that size.
+    Refuses to start when the subset count exceeds ``max_submatrices``.
     """
     if eps_svd <= 0:
         raise DomainError(f"eps_svd must be > 0, got {eps_svd}")
@@ -280,8 +278,8 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
     combos = _combination_indices(n_cols, N)
     lam = np.zeros(reps.size)  # smallest Gram eigenvalue of each representative
     rep_dets = np.empty(reps.size if gap else 0)
-    for start in range(0, reps.size, batch_size):
-        idx = combos[reps[start:start + batch_size]]
+    for start in range(0, reps.size, _CENSUS_BATCH):
+        idx = combos[reps[start:start + _CENSUS_BATCH]]
         batch = np.arange(start, start + idx.shape[0])
         if gap:
             rep_dets[batch] = np.abs(np.linalg.det(np.moveaxis(dense[:, idx], 1, 0)))
@@ -293,8 +291,8 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
     if gap:  # exactly 0: a point interval
         rep_sigmas[singular] = low[singular] = high[singular] = 0.0
     todo = np.flatnonzero(_svd_needed(low, high, eps_svd))
-    for start in range(0, todo.size, batch_size):
-        batch = todo[start:start + batch_size]
+    for start in range(0, todo.size, _CENSUS_BATCH):
+        batch = todo[start:start + _CENSUS_BATCH]
         sub = np.moveaxis(dense[:, combos[reps[batch]]], 1, 0)
         rep_sigmas[batch] = np.linalg.svd(sub, compute_uv=False)[:, -1] / math.sqrt(N)
     sigmas = rep_sigmas[orbit_of]

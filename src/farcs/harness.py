@@ -35,7 +35,7 @@ from .analysis import (
     spark_enumeration,
     union_bound,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer, check_positive
 from .sensing import build_phi
 from .signal_model import RadarParams, add_noise, sample_codes
 # noisy runs lasso_block; lasso stays imported because perfbench's tracer
@@ -66,6 +66,7 @@ class SolverSettings:
     sp_max_iter: int = 100
 
     def __post_init__(self):  # attributes, not fields: asdict and the sidecar leave them out
+        check_positive("lasso_lambda_factor", self.lasso_lambda_factor, zero_ok=True)
         object.__setattr__(self, "bp_config", SolverConfig(
             max_iter=self.bp_max_iter, residual_tol=self.bp_residual_tol,
             magnitude_threshold=self.support_threshold))
@@ -112,21 +113,14 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
         for name, least in _INTEGER_MINIMUMS.items():
-            value = getattr(self, name)
-            if name == "n_codes" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ConfigurationError(f"{name} must be >= {least}, got {value}")
-            object.__setattr__(self, name, int(value))
+            if not (name == "n_codes" and self.n_codes is None):
+                object.__setattr__(self, name, check_integer(name, getattr(self, name), least))
         if self.code_distribution not in ("discrete", "continuous"):
             raise ConfigurationError(
                 f"code_distribution must be 'discrete' or 'continuous', "
                 f"got {self.code_distribution!r}"
             )
-        if not self.epsilon_max > 0:
-            raise ConfigurationError(f"epsilon_max must be > 0, got {self.epsilon_max}")
+        check_positive("epsilon_max", self.epsilon_max)
         if self.experiment == "noisy" and self.n_scatterers > self.n_pulses:
             raise ConfigurationError(f"noisy fits n_scatterers columns to n_pulses samples: "
                                      f"{self.n_scatterers} > {self.n_pulses}")

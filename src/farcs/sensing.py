@@ -32,8 +32,8 @@ from .signal_model import (
     zeta,
 )
 
-# Default cap on materialized dense entries (complex128), ~512 MiB.
-DEFAULT_DENSE_BUDGET = 1 << 25
+# Cap on materialized dense entries (complex128), ~512 MiB.
+_DENSE_BUDGET = 1 << 25
 # Cap on the entries of one cached phase table (complex128), 4 MiB; larger
 # factors take the direct formulas.
 _PHASE_TABLE_BUDGET = 1 << 18
@@ -127,11 +127,10 @@ class SensingMatrix:
     conjugated copies once a product has run (in APPROXIMATE mode the
     Doppler ones are shared per N); columns, products and the dense matrix
     are formed on demand.  ``to_dense`` refuses to materialize more than
-    ``max_dense_entries`` complex values.  Discrete codes must use M* = params.n_codes.
+    ``_DENSE_BUDGET`` complex values.  Discrete codes must use M* = params.n_codes.
     """
 
-    def __init__(self, params: RadarParams, codes: FrequencyCodes,
-                 max_dense_entries: int = DEFAULT_DENSE_BUDGET):
+    def __init__(self, params: RadarParams, codes: FrequencyCodes):
         if codes.n_pulses != params.n_pulses:
             raise ShapeError(
                 f"codes has {codes.n_pulses} pulses, params expects {params.n_pulses}"
@@ -142,7 +141,6 @@ class SensingMatrix:
             )
         self.params = params
         self.codes = codes
-        self.max_dense_entries = int(max_dense_entries)
         self._R = build_R(codes, params.n_hrr_bins)
         self._D = build_D(params, codes)
         self._dense: np.ndarray | None = None
@@ -192,11 +190,9 @@ class SensingMatrix:
         """Materialize the full N x NM matrix (cached)."""
         if self._dense is None:
             N, M = self.params.n_pulses, self.params.n_hrr_bins
-            if N * N * M > self.max_dense_entries:
-                raise ResourceError(
-                    f"dense matrix has {N * N * M} entries, over the budget of "
-                    f"{self.max_dense_entries}; raise max_dense_entries to force it"
-                )
+            if N * N * M > _DENSE_BUDGET:
+                raise ResourceError(f"dense matrix has {N * N * M} entries, over the "
+                                    f"budget of {_DENSE_BUDGET}")
             dense = self._R[:, :, None] * self._D[:, None, :]  # (N, M, N)
             self._dense = dense.reshape(N, M * N)
         return self._dense
@@ -320,13 +316,12 @@ def build_iwr_psi(params: RadarParams) -> np.ndarray:
     return np.kron(_inverse_dft(params.n_hrr_bins), _inverse_dft(params.n_pulses))
 
 
-def phi_row_sampling_check(phi: SensingMatrix, psi: np.ndarray,
-                           atol: float = 1e-12) -> bool:
+def phi_row_sampling_check(phi: SensingMatrix, psi: np.ndarray) -> bool:
     """Verify that Phi's rows are rows of Psi selected by Phi's codes.
 
-    Row n of Phi must equal row n + M * d_n * N of Psi.  Requires discrete
-    codes whose offsets M * d_n = M * k_n / M* are integers, as every code's
-    are when the hop set size M* equals M.
+    Row n of Phi must equal row n + M * d_n * N of Psi to within 1e-12.
+    Requires discrete codes whose offsets M * d_n = M * k_n / M* are
+    integers, as every code's are when the hop set size M* equals M.
     """
     M, N = phi.params.n_hrr_bins, phi.params.n_pulses
     if psi.shape != (M * N, M * N):
@@ -340,7 +335,7 @@ def phi_row_sampling_check(phi: SensingMatrix, psi: np.ndarray,
     offsets = codes.hops * M // codes.n_codes
     dense = phi.to_dense()
     for n in range(N):
-        if not np.allclose(dense[n], psi[n + offsets[n] * N], rtol=0.0, atol=atol):
+        if not np.allclose(dense[n], psi[n + offsets[n] * N], rtol=0.0, atol=1e-12):
             return False
     return True
 

@@ -93,17 +93,16 @@ class RadarParams:
                 )
 
     @classmethod
-    def abstract(cls, n_pulses, n_hrr_bins, n_codes=None, relative_bandwidth=0.0, mode=None):
+    def abstract(cls, n_pulses, n_hrr_bins, n_codes=None, relative_bandwidth=0.0):
         """Dimensionless setup for numerical studies.
 
         ``relative_bandwidth`` is B/f_c; the carrier is pinned to 1 Hz so the
-        stored bandwidth doubles as the ratio.  With a positive ratio the
-        default mode is EXACT, otherwise APPROXIMATE.
+        stored bandwidth doubles as the ratio.  The mode follows the ratio:
+        EXACT when it is positive, otherwise APPROXIMATE.
         """
         if relative_bandwidth < 0:
             raise ConfigurationError("relative_bandwidth must be >= 0")
-        if mode is None:
-            mode = BandwidthMode.EXACT if relative_bandwidth > 0 else BandwidthMode.APPROXIMATE
+        mode = BandwidthMode.EXACT if relative_bandwidth > 0 else BandwidthMode.APPROXIMATE
         return cls(
             n_pulses=n_pulses,
             n_hrr_bins=n_hrr_bins,
@@ -148,6 +147,9 @@ class FrequencyCodes:
     codes: np.ndarray
     n_codes: int | None = None
     hops: np.ndarray | None = field(default=None, init=False)
+
+    def __reduce__(self):  # unpickling runs the checks and sets the arrays read-only again
+        return FrequencyCodes, (self.codes, self.n_codes)
 
     def __post_init__(self):
         arr = np.asarray(self.codes, dtype=np.float64)
@@ -201,22 +203,20 @@ def sample_codes(seed, n_pulses, n_codes=None) -> FrequencyCodes:
     return FrequencyCodes(codes=codes, n_codes=n_codes)
 
 
-def zeta(code, bandwidth_hz, carrier_hz, mode=BandwidthMode.EXACT):
-    """Per-pulse Doppler scaling 1 + d_n * B / f_c (EXACT) or 1 (APPROXIMATE).
+def zeta(code, bandwidth_hz, carrier_hz):
+    """EXACT-mode per-pulse Doppler scaling 1 + d_n * B / f_c.
 
-    Accepts a scalar code or an array of codes.
+    Accepts a scalar code or an array of codes.  In APPROXIMATE mode the
+    scaling is 1 (``pulse_doppler_scalings``).
     """
     code = np.asarray(code, dtype=np.float64)
     if np.any(code < 0.0) or np.any(code >= 1.0):
         raise DomainError("codes must lie in [0, 1)")
-    if mode is BandwidthMode.APPROXIMATE:
-        out = np.ones_like(code)
-    else:
-        if not carrier_hz or carrier_hz <= 0:
-            raise ConfigurationError("zeta in EXACT mode needs carrier_hz > 0")
-        if bandwidth_hz < 0:
-            raise ConfigurationError("bandwidth_hz must be >= 0")
-        out = 1.0 + code * (bandwidth_hz / carrier_hz)
+    if not carrier_hz or carrier_hz <= 0:
+        raise ConfigurationError("zeta needs carrier_hz > 0")
+    if bandwidth_hz < 0:
+        raise ConfigurationError("bandwidth_hz must be >= 0")
+    out = 1.0 + code * (bandwidth_hz / carrier_hz)
     return out if out.ndim else float(out)
 
 
@@ -228,7 +228,7 @@ def pulse_doppler_scalings(params: RadarParams, codes: FrequencyCodes) -> np.nda
         )
     if params.mode is BandwidthMode.APPROXIMATE:
         return np.ones(params.n_pulses)
-    return zeta(codes.codes, params.bandwidth_hz, params.carrier_hz, params.mode)
+    return zeta(codes.codes, params.bandwidth_hz, params.carrier_hz)
 
 
 @dataclass(frozen=True)
@@ -303,7 +303,7 @@ def scene_to_vector(scene: Scene, params: RadarParams) -> np.ndarray:
 
     Every scatterer must sit on the (m, n) grid; scatterers constructed via
     ``Scatterer.on_grid`` carry their indices, otherwise the indices are
-    recovered from (p, q) and validated.
+    recovered from (p, q), within 1e-9 of a cell, and taken mod M and N.
     """
     M, N = params.n_hrr_bins, params.n_pulses
     x = np.zeros(N * M, dtype=np.complex128)
@@ -319,7 +319,7 @@ def scene_to_vector(scene: Scene, params: RadarParams) -> np.ndarray:
             n = s.q * N / TWO_PI
             if abs(m - round(m)) > 1e-9 or abs(n - round(n)) > 1e-9:
                 raise DomainError(f"scatterer at (p, q)=({s.p}, {s.q}) is off-grid")
-            m, n = int(round(m)), int(round(n))
+            m, n = int(round(m)) % M, int(round(n)) % N
         if not 0 <= m < M:
             raise DomainError(f"grid index m={m} outside [0, {M})")
         x[flat_grid_index(m, n, N)] += s.amplitude

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, ResourceError, ShapeError, SolverError
+from .errors import (ConfigurationError, ResourceError, ShapeError, SolverError, check_integer,
+                     check_positive)
 from .sensing import SensingStack
 
 
@@ -40,19 +41,11 @@ class SolverConfig:
     max_iter: int = 1000
     residual_tol: float = 1e-8  # relative to ||y|| (or objective change, for lasso)
     magnitude_threshold: float = 1e-2  # support extraction cutoff
-    K: int | None = None  # target sparsity for greedy solvers
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.residual_tol > 0:
-            raise ConfigurationError(f"residual_tol must be > 0, got {self.residual_tol}")
-        if not self.magnitude_threshold > 0:
-            raise ConfigurationError(
-                f"magnitude_threshold must be > 0, got {self.magnitude_threshold}"
-            )
-        if self.K is not None and self.K < 1:
-            raise ConfigurationError(f"K must be >= 1, got {self.K}")
+        check_integer("max_iter", self.max_iter, 1)
+        for name in ("residual_tol", "magnitude_threshold"):
+            check_positive(name, getattr(self, name))
 
 
 @dataclass
@@ -72,6 +65,7 @@ _BP_DEFAULTS = SolverConfig(max_iter=10000, residual_tol=1e-8)
 _LASSO_DEFAULTS = SolverConfig(max_iter=5000, residual_tol=1e-6)
 _GREEDY_DEFAULTS = SolverConfig()
 _L0_RESIDUAL_RTOL = 1e-9  # l0_oracle accepts a fit with residual <= this * ||y||
+_L0_MAX_FITS = 100_000  # l0_oracle refuses to scan more candidate supports
 
 
 # --- operators ----------------------------------------------------------------
@@ -160,23 +154,25 @@ def matched_filter(phi, y) -> np.ndarray:
 
 # --- orthogonal matching pursuit ----------------------------------------------
 
-def omp(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
-    """Orthogonal matching pursuit.
+def omp(phi, y, K: int | None = None, config: SolverConfig | None = None) -> RecoveryResult:
+    """Orthogonal matching pursuit, with known sparsity K or none.
 
     Greedily picks the column most correlated with the residual (lowest
     index on ties), re-fits the least squares on the grown support
-    (``_ls_on``), and stops after ``config.K`` picks or once the residual
-    drops under ``residual_tol * ||y||``.  A numerically rank-deficient
+    (``_ls_on``), and stops after K picks (``max_iter`` without K) or once the
+    residual drops under ``residual_tol * ||y||``.  A numerically rank-deficient
     support raises ``SolverError`` carrying the fit before that pick.
     """
     cfg = config or _GREEDY_DEFAULTS
+    if K is not None:
+        K = check_integer("K", K, 1)
     phi, y = _operands(phi, y)
     n_rows, n_cols = phi.shape
     x_hat = np.zeros(n_cols, dtype=np.complex128)
     y_norm = np.linalg.norm(y)
     if y_norm == 0.0:
         return RecoveryResult(x_hat, (), 0.0, 0, True)
-    target_k = min(cfg.K if cfg.K is not None else cfg.max_iter, n_rows)
+    target_k = min(K if K is not None else cfg.max_iter, n_rows)
     stop_norm = cfg.residual_tol * y_norm
     support: list[int] = []
     coef = np.zeros(0, dtype=np.complex128)
@@ -196,7 +192,7 @@ def omp(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
         if np.linalg.norm(residual) <= stop_norm:
             converged = True
             break
-    if cfg.K is not None and len(support) == cfg.K:
+    if len(support) == K:
         converged = True
     x_hat[support] = coef
     result = RecoveryResult(
@@ -228,7 +224,7 @@ def subspace_pursuit(phi, y, K: int, config: SolverConfig | None = None) -> Reco
     cfg = config or _GREEDY_DEFAULTS
     phi, y = _operands(phi, y)
     n_rows, n_cols = phi.shape
-    if not 1 <= K <= n_rows:
+    if check_integer("K", K, 1) > n_rows:
         raise ConfigurationError(f"K must be in [1, {n_rows}], got {K}")
     y_norm = np.linalg.norm(y)
     if y_norm == 0.0:
@@ -319,9 +315,9 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
     """Equality-constrained l1 minimization via ADMM, stopped early on a certificate.
 
     Alternates projection onto {x : Phi x = y} with soft thresholding, at
-    the fixed penalty rho = 1 and over-relaxation alpha = 1.8.  The
-    projection solves against the N x N row Gram, which is a scaled identity
-    whenever the rows are orthogonal, so iterations stay O(NM).
+    the fixed penalty rho = 1 and over-relaxation alpha = 1.8.  Each
+    projection makes two factored products, O(M N^2) each, and an N x N
+    row-Gram solve, skipped when the rows are orthogonal (the Gram is NM I).
 
     The thresholded iterate z is exactly sparse.  The first time its support
     S (1 <= |S| <= N) is the same after two successive iterations, S is
@@ -511,24 +507,22 @@ def _lasso_duality_gap(phi, y, x, residual, lam: float) -> float:
 
 # --- exhaustive l0 oracle ---------------------------------------------------------
 
-def l0_oracle(phi, y, k_max: int, max_fits: int = 100_000) -> RecoveryResult:
+def l0_oracle(phi, y, k_max: int) -> RecoveryResult:
     """Smallest support that fits y, by brute force.
 
     Scans supports of size 0, 1, ..., k_max in lexicographic order and
     returns the first whose least-squares residual is at most
     ``_L0_RESIDUAL_RTOL * ||y||``.  If none qualifies, the best fit seen is
     returned with ``converged=False``.  Refuses to run when the subset count
-    exceeds ``max_fits``.
+    exceeds ``_L0_MAX_FITS``.
     """
     phi, y = _operands(phi, y)
     n_rows, n_cols = phi.shape
     if k_max < 0:
         raise ConfigurationError(f"k_max must be >= 0, got {k_max}")
     total = sum(math.comb(n_cols, k) for k in range(k_max + 1))
-    if total > max_fits:
-        raise ResourceError(
-            f"{total} candidate supports exceed the budget of {max_fits}"
-        )
+    if total > _L0_MAX_FITS:
+        raise ResourceError(f"{total} candidate supports exceed the budget of {_L0_MAX_FITS}")
     y_norm = np.linalg.norm(y)
     thresh = _L0_RESIDUAL_RTOL * y_norm
     x_hat = np.zeros(n_cols, dtype=np.complex128)

@@ -17,7 +17,6 @@ import pytest
 from farcs import (
     ExperimentConfig,
     RadarParams,
-    SolverConfig,
     basis_pursuit,
     build_phi,
     chi_statistics,
@@ -211,7 +210,7 @@ def test_criterion_09_exhaustive_oracle_agreement():
         oracle = l0_oracle(phi, y, k_max=2)
         l0_hits += oracle.support == planted
 
-        greedy = omp(phi, y, SolverConfig(K=k))
+        greedy = omp(phi, y, K=k)
         if greedy.residual_norm <= 1e-6 * y_norm:
             omp_triggered += 1
             omp_agree += greedy.support == oracle.support

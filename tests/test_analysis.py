@@ -311,7 +311,7 @@ def test_spark_count_matches_determinant_count():
     assert spark_enumeration(phi).n_below_eps == singular
 
 
-def test_spark_batching_invariant():
+def test_spark_batching_invariant(monkeypatch):
     # the screen decides which representatives go to the SVD after every
     # batch has its Gram estimate, so batches cannot change the outcome
     for phi in (
@@ -319,8 +319,10 @@ def test_spark_batching_invariant():
         build_phi(RadarParams.abstract(6, 3), sample_codes(11, 6)),  # continuous codes
         build_phi(RadarParams.abstract(5, 3, relative_bandwidth=0.3), sample_codes(3, 5)),  # EXACT
     ):
-        a = spark_enumeration(phi, batch_size=8192)
-        b = spark_enumeration(phi, batch_size=101)
+        a = spark_enumeration(phi)
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_CENSUS_BATCH", 101)
+            b = spark_enumeration(phi)
         np.testing.assert_array_equal(a.sigma_values, b.sigma_values)
         np.testing.assert_array_equal(a.sigma_hist_counts, b.sigma_hist_counts)
 

@@ -549,6 +549,15 @@ def test_cli_bad_config_key(tmp_path, capsys):
     assert "wat" in json.loads(capsys.readouterr().err)["message"]
 
 
+def test_cli_solver_option_of_wrong_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "phase", "solver": {"bp_max_iter": "100"}}))
+    assert main(["phase", "--config", str(cfg)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert "max_iter must be an integer" in err["message"]
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["spark", "--config", str(tmp_path / "absent.json")]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"

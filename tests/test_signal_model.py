@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -79,8 +80,8 @@ def test_abstract_mode_selection():
     p1 = RadarParams.abstract(16, 4, relative_bandwidth=0.1)
     assert p1.mode is BandwidthMode.EXACT
     assert_allclose(p1.relative_bandwidth, 0.1)
-    # explicit exact mode with no relative bandwidth is the degenerate setup
-    p2 = RadarParams.abstract(16, 4, mode=BandwidthMode.EXACT)
+    # exact mode with no relative bandwidth is the degenerate setup
+    p2 = RadarParams(16, 4, carrier_hz=1.0, bandwidth_hz=0.0, mode=BandwidthMode.EXACT)
     assert p2.relative_bandwidth == 0.0
 
 
@@ -143,30 +144,37 @@ def test_codes_validation():
         sample_codes(0, 0)
 
 
+@pytest.mark.parametrize("codes", [FrequencyCodes(np.array([0.25, 0.5]), 4),
+                                   sample_codes(5, 6)], ids=["discrete", "continuous"])
+def test_codes_stay_read_only_across_pickling(codes):
+    # a process pool sends codes to its workers this way
+    copy = pickle.loads(pickle.dumps(codes))
+    assert copy.n_codes == codes.n_codes
+    assert np.array_equal(copy.codes, codes.codes)
+    assert not copy.codes.flags.writeable
+    if codes.is_discrete:
+        assert np.array_equal(copy.hops, codes.hops) and not copy.hops.flags.writeable
+    else:
+        assert copy.hops is None
+
+
 # --- zeta ---------------------------------------------------------------------
 
 def test_zeta_exact_value():
-    assert_allclose(zeta(0.5, 0.1, 1.0, BandwidthMode.EXACT), 1.05)
-    assert zeta(0.0, 123.0, 456.0, BandwidthMode.EXACT) == 1.0
-
-
-def test_zeta_approximate_is_one():
-    assert zeta(0.7, 0.5, 1.0, BandwidthMode.APPROXIMATE) == 1.0
-    arr = zeta(np.array([0.1, 0.9]), 0.5, 1.0, BandwidthMode.APPROXIMATE)
-    assert np.array_equal(arr, np.ones(2))
+    assert_allclose(zeta(0.5, 0.1, 1.0), 1.05)
+    assert zeta(0.0, 123.0, 456.0) == 1.0
 
 
 def test_zeta_exact_zero_ratio_matches_approximate():
     d = np.linspace(0, 0.99, 7)
-    assert np.array_equal(zeta(d, 0.0, 1.0, BandwidthMode.EXACT),
-                          zeta(d, 0.0, 1.0, BandwidthMode.APPROXIMATE))
+    assert np.array_equal(zeta(d, 0.0, 1.0), np.ones(7))
 
 
 def test_zeta_rejects_bad_inputs():
     with pytest.raises(DomainError):
         zeta(1.0, 0.1, 1.0)
     with pytest.raises(ConfigurationError):
-        zeta(0.5, 0.1, 0.0, BandwidthMode.EXACT)
+        zeta(0.5, 0.1, 0.0)
 
 
 # --- scene --------------------------------------------------------------------
@@ -211,6 +219,21 @@ def test_scene_to_vector_round_trip():
     assert x[flat_grid_index(1, 2, 8)] == 1 - 1j
     assert x[flat_grid_index(3, 7, 8)] == 0.5
     assert np.count_nonzero(x) == 2
+
+
+def test_scene_to_vector_recovers_untagged_indices():
+    params = RadarParams.abstract(8, 4)
+    untagged = Scatterer(2.0, 2 * math.pi * 3 / 4, 2 * math.pi * 5 / 8)  # cell (3, 5)
+    x = scene_to_vector(Scene((untagged,)), params)
+    assert x[flat_grid_index(3, 5, 8)] == 2.0 and np.count_nonzero(x) == 1
+
+
+def test_scene_to_vector_wraps_phases_just_below_two_pi():
+    # within the 1e-9 grid tolerance of cell 0, so it is cell 0, not M or N
+    params = RadarParams.abstract(8, 4)
+    x = scene_to_vector(Scene((Scatterer(1.0, 2 * math.pi - 1e-12, 0.0),
+                               Scatterer(3.0, 0.0, 2 * math.pi - 1e-12))), params)
+    assert x[flat_grid_index(0, 0, 8)] == 4.0 and np.count_nonzero(x) == 1
 
 
 def test_scene_to_vector_rejects_off_grid():

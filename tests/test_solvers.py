@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from farcs import (
-    BandwidthMode,
     ConfigurationError,
     RadarParams,
     RecoveryResult,
@@ -14,6 +13,7 @@ from farcs import (
     ShapeError,
     SolverConfig,
     SolverError,
+    SolverSettings,
     add_noise,
     basis_pursuit,
     build_phi,
@@ -27,6 +27,7 @@ from farcs import (
     sample_codes,
     subspace_pursuit,
 )
+from farcs import solvers
 from farcs.sensing import SensingStack
 from farcs.solvers import _CERTIFICATE_MARGIN, _DenseOperator, _certified_fit, _soft_threshold
 
@@ -60,11 +61,39 @@ def _mc_instance(seed, k):
     {"residual_tol": 0.0},
     {"residual_tol": -1e-9},
     {"magnitude_threshold": 0.0},
-    {"K": 0},
 ])
 def test_solver_config_rejects(kwargs):
     with pytest.raises(ConfigurationError):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda phi, y: SolverSettings(bp_max_iter="100"),
+    lambda phi, y: SolverSettings(bp_max_iter=True),
+    lambda phi, y: SolverSettings(bp_max_iter=2.5),
+    lambda phi, y: SolverSettings(sp_max_iter=np.float64(3.0)),
+    lambda phi, y: SolverSettings(bp_residual_tol=float("inf")),
+    lambda phi, y: SolverSettings(support_threshold="0.01"),
+    lambda phi, y: SolverSettings(lasso_lambda_factor=float("nan")),
+    lambda phi, y: SolverSettings(lasso_lambda_factor=-1.0),
+    lambda phi, y: SolverSettings(lasso_lambda_factor="3"),
+    lambda phi, y: SolverConfig(max_iter=2.5),
+    lambda phi, y: SolverConfig(magnitude_threshold=True),
+    lambda phi, y: subspace_pursuit(phi, y, K=2.5),
+    lambda phi, y: subspace_pursuit(phi, y, K=True),
+    lambda phi, y: omp(phi, y, K=True),
+    lambda phi, y: omp(phi, y, K=2.5),
+    lambda phi, y: omp(phi, y, K=0),
+], ids=["bp_max_iter-str", "bp_max_iter-bool", "bp_max_iter-float", "sp_max_iter-npfloat",
+        "bp_residual_tol-inf", "support_threshold-str", "lambda_factor-nan",
+        "lambda_factor-negative", "lambda_factor-str", "max_iter-float", "threshold-bool",
+        "sp-K-float", "sp-K-bool", "omp-K-bool", "omp-K-float", "omp-K-zero"])
+def test_solver_options_reject_bad_values_when_built(build):
+    # non-numbers, non-finite and out-of-range values fail with a typed
+    # error before any iteration runs
+    phi, _, y, _ = _problem(n_pulses=8, n_hrr_bins=2)
+    with pytest.raises(ConfigurationError):
+        build(phi, y)
 
 
 # --- matched filter -----------------------------------------------------------
@@ -121,7 +150,7 @@ def test_matched_filter_image_is_column_correlation_magnitude():
 
 def test_omp_exact_recovery_matches_lstsq_oracle():
     phi, x, y, support = _problem(k=3, seed=0)
-    result = omp(phi, y, SolverConfig(K=3))
+    result = omp(phi, y, K=3)
     assert result.support == support
     assert result.converged
     assert result.residual_norm <= 1e-8 * np.linalg.norm(y)
@@ -133,7 +162,7 @@ def test_omp_exact_recovery_matches_lstsq_oracle():
 
 def test_omp_single_scatterer_exact():
     phi, x, y, support = _problem(k=1, seed=21, amp_seed=43)
-    result = omp(phi, y, SolverConfig(K=1))
+    result = omp(phi, y, K=1)
     assert result.converged
     assert result.support == support
     assert result.x_hat[support[0]] == pytest.approx(x[support[0]], abs=1e-9)
@@ -144,7 +173,7 @@ def test_omp_monte_carlo_recovery_rate():
     hits = 0
     for t in range(200):
         phi, support, y, _ = _mc_instance(5000 + t, k=3)
-        hits += omp(phi, y, SolverConfig(K=3)).support == support
+        hits += omp(phi, y, K=3).support == support
     assert hits >= 190  # observed 200/200 with these seeds
 
 
@@ -159,14 +188,14 @@ def test_omp_residual_stopping_without_k():
 def test_omp_tie_breaks_to_lowest_index():
     phi = np.eye(4, dtype=np.complex128)
     y = np.array([1.0, 1.0, 0.0, 0.0], dtype=np.complex128)
-    result = omp(phi, y, SolverConfig(K=1))
+    result = omp(phi, y, K=1)
     assert result.support == (0,)
 
 
 def test_omp_stagnates_when_y_outside_column_space():
     phi = np.array([[1.0], [0.0]], dtype=np.complex128)
     y = np.array([0.0, 1.0], dtype=np.complex128)
-    result = omp(phi, y, SolverConfig(K=2))
+    result = omp(phi, y, K=2)
     assert not result.converged
     assert result.residual_norm == pytest.approx(1.0)
 
@@ -279,8 +308,7 @@ def test_basis_pursuit_dense_operator_path():
 
 
 def test_basis_pursuit_exact_mode_general_gram():
-    params = RadarParams.abstract(16, 2, relative_bandwidth=0.3,
-                                  mode=BandwidthMode.EXACT)
+    params = RadarParams.abstract(16, 2, relative_bandwidth=0.3)
     phi = build_phi(params, sample_codes(8, 16))
     assert not phi.is_row_orthogonal()
     rng = np.random.default_rng(21)
@@ -681,10 +709,20 @@ def test_l0_oracle_single_atom_matches_matched_filter():
     assert l0_oracle(phi, y, k_max=1).support == (peak,) == (5,)
 
 
-def test_l0_oracle_guards():
+def test_l0_oracle_skips_supports_with_dependent_columns():
+    phi = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]], dtype=np.complex128)  # col 1 = 2 col 0
+    result = l0_oracle(phi, np.array([1.0, 1.0]), k_max=2)
+    # {0, 1} is rank deficient and passed over; {0, 2} is the first fit
+    assert result.support == (0, 2) and result.converged
+    assert result.iterations == 1 + 3 + 2  # the skipped support counts as a fit
+    np.testing.assert_allclose(result.x_hat, [1.0, 0.0, 1.0], atol=1e-12)
+
+
+def test_l0_oracle_guards(monkeypatch):
     phi, _, y, _ = _problem(n_pulses=4, n_hrr_bins=2)
-    with pytest.raises(ResourceError):
-        l0_oracle(phi, y, k_max=2, max_fits=10)
+    with monkeypatch.context() as patch, pytest.raises(ResourceError):
+        patch.setattr(solvers, "_L0_MAX_FITS", 10)
+        l0_oracle(phi, y, k_max=2)
     with pytest.raises(ConfigurationError):
         l0_oracle(phi, y, k_max=-1)
     zero = l0_oracle(phi, np.zeros(4, dtype=complex), k_max=2)
