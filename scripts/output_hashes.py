@@ -8,6 +8,10 @@ exactly when every output is byte-identical, so a refactor is checked with
 
     diff <(python3 OLD/scripts/output_hashes.py) <(python3 NEW/scripts/output_hashes.py)
 
+With ``--keep DIR`` the outputs are written into DIR (created if needed) and
+left there, so two checkouts' files can be compared key by key; the printed
+line is the same either way.
+
 The runs: default ``spark`` with discrete codes, ``spark`` with continuous
 codes (300 trials), every perfbench config file at a fixed master seed
 (census, coherence, recovery), small ``mip``, ``phase`` and ``noisy`` runs,
@@ -19,6 +23,7 @@ next to this script is imported, so the outputs are this checkout's.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -58,25 +63,36 @@ def fixed_runs() -> dict:
     return runs
 
 
-def output_hashes(runs: dict) -> dict:
-    """sha256 of the CSV and the sidecar that each named config writes."""
+def output_hashes(runs: dict, keep: Path | None = None) -> dict:
+    """sha256 of the CSV and the sidecar that each named config writes.
+
+    The files go into ``keep`` and stay there when it is given, else into a
+    temporary directory.
+    """
+    if keep is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            return output_hashes(runs, Path(tmp))
     from farcs import run_experiment
 
+    keep.mkdir(parents=True, exist_ok=True)
     hashes = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, config in runs.items():
-            paths = run_experiment(config).write(Path(tmp) / f"{name}.csv")
-            hashes[name] = {kind: hashlib.sha256(path.read_bytes()).hexdigest()
-                            for kind, path in zip(("csv", "sidecar"), paths)}
+    for name, config in runs.items():
+        paths = run_experiment(config).write(keep / f"{name}.csv")
+        hashes[name] = {kind: hashlib.sha256(path.read_bytes()).hexdigest()
+                        for kind, path in zip(("csv", "sidecar"), paths)}
     return hashes
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="write the outputs into DIR and leave them there")
+    args = parser.parse_args(argv)
     os.environ.update(PINNED)  # before numpy loads BLAS
     sys.path.insert(0, str(ROOT / "src"))
-    print(json.dumps(output_hashes(fixed_runs()), sort_keys=True))
+    print(json.dumps(output_hashes(fixed_runs(), args.keep), sort_keys=True))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

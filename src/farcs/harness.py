@@ -66,6 +66,12 @@ class SolverSettings:
     sp_max_iter: int = 100
 
     def __post_init__(self):  # attributes, not fields: asdict and the sidecar leave them out
+        # checked here so that an error names the settings key, not the SolverConfig field
+        for name in ("bp_max_iter", "lasso_max_iter", "sp_max_iter"):
+            check_integer(name, getattr(self, name), 1)
+        for name in ("bp_residual_tol", "support_threshold", "lasso_support_threshold",
+                     "lasso_objective_tol"):
+            check_positive(name, getattr(self, name))
         check_positive("lasso_lambda_factor", self.lasso_lambda_factor, zero_ok=True)
         object.__setattr__(self, "bp_config", SolverConfig(
             max_iter=self.bp_max_iter, residual_tol=self.bp_residual_tol,

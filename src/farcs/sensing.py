@@ -123,11 +123,12 @@ def build_D(params: RadarParams, codes: FrequencyCodes) -> np.ndarray:
 class SensingMatrix:
     """Lazy N x NM sensing operator for one code realization.
 
-    Stores only the N x M and N x N factors, plus their transposed and
-    conjugated copies once a product has run (in APPROXIMATE mode the
-    Doppler ones are shared per N); columns, products and the dense matrix
-    are formed on demand.  ``to_dense`` refuses to materialize more than
-    ``_DENSE_BUDGET`` complex values.  Discrete codes must use M* = params.n_codes.
+    Stores only the N x M and N x N factors, plus contiguous copies of R^T
+    and R^H once a product has run (and of D^T and conj(D) in EXACT mode;
+    APPROXIMATE mode multiplies by D through the FFT); columns, products
+    and the dense matrix are formed on demand.  ``to_dense`` refuses to
+    materialize more than ``_DENSE_BUDGET`` complex values.  Discrete codes
+    must use M* = params.n_codes.
     """
 
     def __init__(self, params: RadarParams, codes: FrequencyCodes):
@@ -201,37 +202,47 @@ class SensingMatrix:
 
     # The products work in the layout x[l + m*N] = X[m, l] (rows of X are
     # range bins), so x.reshape(M, N) is X with no copy; they read
-    # contiguous copies of R^T, D^T, R^H and conj(D), built on first use.
-    # In APPROXIMATE mode D is the shared inverse DFT matrix, which is
-    # symmetric bit for bit (entry (n, l) is formed from the product n*l),
-    # so D^T is D itself and conj(D) is shared per N as well.
+    # contiguous copies of R^T and R^H, built on first use.  In APPROXIMATE
+    # mode D is the unnormalized inverse DFT, so X D^T is an inverse FFT of
+    # each row of X and (R^H * v) conj(D) a forward FFT of each row
+    # (``_fft_matvec``/``_fft_rmatvec``, shared with ``SensingStack``).  EXACT
+    # mode multiplies by contiguous copies of D^T and conj(D), also built on
+    # first use.
 
     @functools.cached_property
-    def _matvec_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        D_t = self._D if self.is_row_orthogonal() else np.ascontiguousarray(self._D.T)
-        return np.ascontiguousarray(self._R.T), D_t
+    def _hop_t(self) -> np.ndarray:
+        return np.ascontiguousarray(self._R.T)
 
     @functools.cached_property
-    def _rmatvec_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        D_conj = (_inverse_dft_conj(self.n_pulses) if self.is_row_orthogonal()
-                  else self._D.conj())
-        return np.ascontiguousarray(self._R.conj().T), D_conj
+    def _hop_h(self) -> np.ndarray:
+        return np.ascontiguousarray(self._R.conj().T)
+
+    @functools.cached_property
+    def _doppler_t(self) -> np.ndarray:
+        return np.ascontiguousarray(self._D.T)
+
+    @functools.cached_property
+    def _doppler_conj(self) -> np.ndarray:
+        return self._D.conj()
 
     def matvec(self, x) -> np.ndarray:
         """Phi @ x for a length-NM vector: R^T * (X D^T), summed over its rows."""
         x = np.asarray(x)
         if x.shape != (self.n_columns,):
             raise ShapeError(f"expected shape ({self.n_columns},), got {x.shape}")
-        R_t, D_t = self._matvec_factors
-        return (R_t * (x.reshape(R_t.shape) @ D_t)).sum(axis=0)
+        X = x.reshape(self._hop_t.shape)
+        if self.is_row_orthogonal():
+            return _fft_matvec(self._hop_t, X)
+        return (self._hop_t * (X @ self._doppler_t)).sum(axis=0)
 
     def rmatvec(self, v) -> np.ndarray:
         """Phi^H @ v for a length-N vector: ((R^H * v) conj(D)), flattened."""
         v = np.asarray(v)
         if v.shape != (self.n_pulses,):
             raise ShapeError(f"expected shape ({self.n_pulses},), got {v.shape}")
-        R_h, D_conj = self._rmatvec_factors
-        return ((R_h * v) @ D_conj).ravel()
+        if self.is_row_orthogonal():
+            return _fft_rmatvec(self._hop_h, v).ravel()
+        return ((self._hop_h * v) @ self._doppler_conj).ravel()
 
     def row_gram(self) -> np.ndarray:
         """Phi @ Phi^H, shape (N, N): (R R^H) * (D D^H) elementwise.
@@ -248,26 +259,40 @@ class SensingMatrix:
         return self.params.mode is BandwidthMode.APPROXIMATE
 
 
-class SensingStack:
-    """Row-wise products of sensing matrices that share one Doppler factor.
+def _fft_matvec(hop_t, X):
+    """R^T * (X D^T) summed over range bins, for X of shape (..., M, N) and D the inverse DFT.
 
-    In APPROXIMATE mode every sensing matrix of one shape uses the cached
-    inverse DFT matrix, so a stack of them multiplies all their rows against
-    it in one GEMM each way; only the hop factors are stacked, shape
-    (rows, M, N).  Row i of ``matvec``/``rmatvec`` is bit for bit matrix i's
-    own product: the elementwise steps and the sum over range bins run in
-    the same order, and a GEMM row does not depend on the rows stacked with
-    it (the tests check this).
+    X D^T is the unnormalized inverse FFT of each length-N row; the hop
+    weighting runs in place on it.
+    """
+    products = np.fft.ifft(X, norm="forward", out=np.empty(X.shape, np.complex128))
+    return np.add.reduce(np.multiply(hop_t, products, out=products), axis=-2)
+
+
+def _fft_rmatvec(hop_h, v):
+    """(R^H * v) conj(D), shape (..., M, N): the forward FFT of each row, in place."""
+    scaled = hop_h * v
+    return np.fft.fft(scaled, out=scaled)
+
+
+class SensingStack:
+    """Row-wise products of APPROXIMATE-mode sensing matrices of one shape.
+
+    Their Doppler factor is the same inverse DFT, so only the hop factors
+    are stacked, shape (rows, M, N), and each product runs one batched FFT
+    over the (rows * M) length-N rows.  Row i of ``matvec``/``rmatvec`` is
+    bit for bit matrix i's own product: both go through the same
+    ``_fft_matvec``/``_fft_rmatvec``, numpy's FFT transforms each row on
+    its own, and the elementwise steps and the sum over range bins run in
+    the same order (the tests check this).
     """
 
-    def __init__(self, hop_t: np.ndarray, hop_h: np.ndarray,
-                 doppler_t: np.ndarray, doppler_conj: np.ndarray):
+    def __init__(self, hop_t: np.ndarray, hop_h: np.ndarray):
         self._R_t, self._R_h = hop_t, hop_h
-        self._D_t, self._D_conj = doppler_t, doppler_conj
 
     @classmethod
     def of(cls, operators) -> SensingStack | None:
-        """The stack of ``operators``, or None unless all share the cached factor.
+        """The stack of ``operators``, or None unless all take the FFT route.
 
         That takes APPROXIMATE-mode ``SensingMatrix`` operators of one shape.
         """
@@ -275,25 +300,20 @@ class SensingStack:
         if not all(isinstance(op, SensingMatrix) and op.is_row_orthogonal()
                    and op.shape == first.shape for op in operators):
             return None
-        return cls(np.stack([op._matvec_factors[0] for op in operators]),
-                   np.stack([op._rmatvec_factors[0] for op in operators]),
-                   first._matvec_factors[1], first._rmatvec_factors[1])
+        return cls(np.stack([op._hop_t for op in operators]),
+                   np.stack([op._hop_h for op in operators]))
 
     def take(self, rows) -> SensingStack:
         """The stack of the matrices at the given positions, in that order."""
-        return SensingStack(self._R_t[rows], self._R_h[rows], self._D_t, self._D_conj)
+        return SensingStack(self._R_t[rows], self._R_h[rows])
 
     def matvec(self, X: np.ndarray) -> np.ndarray:
         """Phi_i @ X[i] for every row i of a (rows, NM) block; shape (rows, N)."""
-        rows, M, N = self._R_t.shape
-        products = (X.reshape(rows * M, N) @ self._D_t).reshape(rows, M, N)
-        return (self._R_t * products).sum(axis=1)
+        return _fft_matvec(self._R_t, X.reshape(self._R_t.shape))
 
     def rmatvec(self, V: np.ndarray) -> np.ndarray:
         """Phi_i^H @ V[i] for every row i of a (rows, N) block; shape (rows, NM)."""
-        rows, M, N = self._R_h.shape
-        scaled = (self._R_h * V[:, None, :]).reshape(rows * M, N)
-        return (scaled @ self._D_conj).reshape(rows, M * N)
+        return _fft_rmatvec(self._R_h, V[:, None, :]).reshape(len(V), -1)
 
 
 def build_phi(params: RadarParams, codes: FrequencyCodes) -> SensingMatrix:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.constants import c as _SPEED_OF_LIGHT
 
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError, check_integer
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,12 +52,10 @@ class RadarParams:
     mode: BandwidthMode = BandwidthMode.APPROXIMATE
 
     def __post_init__(self):
-        if self.n_pulses < 1:
-            raise ConfigurationError(f"n_pulses must be >= 1, got {self.n_pulses}")
-        if self.n_hrr_bins < 1:
-            raise ConfigurationError(f"n_hrr_bins must be >= 1, got {self.n_hrr_bins}")
         if self.n_codes is None:
             object.__setattr__(self, "n_codes", self.n_hrr_bins)
+        for name in ("n_pulses", "n_hrr_bins", "n_codes"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
         if self.n_codes < self.n_hrr_bins:
             raise ConfigurationError(
                 f"n_codes={self.n_codes} must be >= n_hrr_bins={self.n_hrr_bins} "
@@ -151,6 +149,22 @@ class FrequencyCodes:
     def __reduce__(self):  # unpickling runs the checks and sets the arrays read-only again
         return FrequencyCodes, (self.codes, self.n_codes)
 
+    @classmethod
+    def _from_hops(cls, hops: np.ndarray, n_codes: int) -> FrequencyCodes:
+        """Codes k_n / M* from hop indices already known to lie in [0, M*), unchecked.
+
+        The codes and hops are those ``FrequencyCodes(hops / n_codes, n_codes)``
+        stores, bit for bit, without re-deriving the hops from the codes.
+        """
+        instance = object.__new__(cls)
+        hops = hops.astype(np.intp, copy=False)
+        hops.setflags(write=False)
+        codes = hops / n_codes
+        codes.setflags(write=False)
+        for name, value in (("codes", codes), ("n_codes", n_codes), ("hops", hops)):
+            object.__setattr__(instance, name, value)
+        return instance
+
     def __post_init__(self):
         arr = np.asarray(self.codes, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
@@ -159,8 +173,7 @@ class FrequencyCodes:
             raise DomainError("codes must lie in [0, 1)")
         q = self.n_codes
         if q is not None:
-            if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1:
-                raise ConfigurationError(f"n_codes must be an integer >= 1, got {q!r}")
+            check_integer("n_codes", q, 1)
             scaled = arr * q
             hops = np.rint(scaled)
             if np.max(np.abs(scaled - hops)) > 1e-9 or hops.max() >= q:
@@ -191,16 +204,13 @@ def sample_codes(seed, n_pulses, n_codes=None) -> FrequencyCodes:
     n_codes : size of the discrete hop set {0, 1/M*, ..., (M*-1)/M*};
         None draws continuous codes uniform on [0, 1).
     """
-    if n_pulses < 1:
-        raise ConfigurationError(f"n_pulses must be >= 1, got {n_pulses}")
+    n_pulses = check_integer("n_pulses", n_pulses, 1)
+    if n_codes is not None:
+        n_codes = check_integer("n_codes", n_codes, 1)
     rng = np.random.default_rng(seed)
     if n_codes is None:
-        codes = rng.random(n_pulses)
-    else:
-        if n_codes < 1:
-            raise ConfigurationError(f"n_codes must be >= 1, got {n_codes}")
-        codes = rng.integers(0, n_codes, size=n_pulses) / n_codes
-    return FrequencyCodes(codes=codes, n_codes=n_codes)
+        return FrequencyCodes(codes=rng.random(n_pulses))
+    return FrequencyCodes._from_hops(rng.integers(0, n_codes, size=n_pulses), n_codes)
 
 
 def zeta(code, bandwidth_hz, carrier_hz):

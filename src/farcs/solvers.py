@@ -11,13 +11,15 @@ column index so runs are reproducible.
 
 The iterative l1 solvers make one product each way per iteration: basis
 pursuit one Phi and one Phi^H in its projection, lasso one Phi^H for the
-gradient and one Phi at the new iterate.  ``lasso_block`` solves several
-lasso problems in one loop; each is solved exactly as alone, and sensing
-matrices that share the cached inverse-DFT factor make each product for the
-whole block at once.  Basis pursuit also tests each new
-stable support S of its sparse iterate for a dual certificate, at the cost
-of one SVD of Phi_S and one more Phi^H product, and stops with the exact
-minimizer when the test passes.
+gradient and one Phi at the new iterate.  In APPROXIMATE mode each product
+of a ``SensingMatrix`` is M length-N FFTs and one elementwise hop
+weighting, O(M N log N).  ``lasso_block`` solves several lasso problems in
+one loop; each is solved exactly as alone, and APPROXIMATE-mode sensing
+matrices of one shape make each product for the whole block in one batched
+FFT.  Basis pursuit also tests each new stable support S of its sparse
+iterate for a dual certificate, at the cost of one SVD of Phi_S and one
+more Phi^H product, and stops with the exact minimizer when the test
+passes.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ class _RowLoop:
     """Row-wise products of any operators, one call per row.
 
     The fallback of ``SensingStack``, with the same surface, for blocks
-    whose operators do not share the cached inverse-DFT factor (EXACT mode,
-    plain arrays, a mix).
+    whose operators are not all APPROXIMATE-mode sensing matrices of one
+    shape (EXACT mode, plain arrays, a mix).
     """
 
     def __init__(self, ops):
@@ -316,7 +318,8 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
 
     Alternates projection onto {x : Phi x = y} with soft thresholding, at
     the fixed penalty rho = 1 and over-relaxation alpha = 1.8.  Each
-    projection makes two factored products, O(M N^2) each, and an N x N
+    projection makes two factored products, O(M N log N) each through the
+    FFT in APPROXIMATE mode and O(M N^2) in EXACT mode, and an N x N
     row-Gram solve, skipped when the rows are orthogonal (the Gram is NM I).
 
     The thresholded iterate z is exactly sparse.  The first time its support
@@ -477,8 +480,8 @@ def lasso_block(phis, ys, lams, config: SolverConfig | None = None) -> list[Reco
 
 def _lasso_objectives(residual, x, lam):
     """0.5 ||Phi x - y||^2 + lam ||x||_1 per row, each as a lone solve computes it."""
-    squares = np.array([np.vdot(r, r).real for r in residual])
-    return 0.5 * squares + lam * np.abs(x).sum(axis=1)
+    parts = residual.view(np.float64)  # real and imaginary parts, interleaved
+    return 0.5 * np.einsum("ij,ij->i", parts, parts) + lam * np.abs(x).sum(axis=1)
 
 
 def _lasso_result(phi, y, x, residual, lam, iterations, converged, cfg):
@@ -516,10 +519,9 @@ def l0_oracle(phi, y, k_max: int) -> RecoveryResult:
     returned with ``converged=False``.  Refuses to run when the subset count
     exceeds ``_L0_MAX_FITS``.
     """
+    k_max = check_integer("k_max", k_max, 0)
     phi, y = _operands(phi, y)
     n_rows, n_cols = phi.shape
-    if k_max < 0:
-        raise ConfigurationError(f"k_max must be >= 0, got {k_max}")
     total = sum(math.comb(n_cols, k) for k in range(k_max + 1))
     if total > _L0_MAX_FITS:
         raise ResourceError(f"{total} candidate supports exceed the budget of {_L0_MAX_FITS}")
@@ -556,12 +558,9 @@ def extract_support(x_hat, K: int | None = None, eps: float = 1e-2) -> tuple[int
     With ``K=None`` every entry above eps is kept.  Ties between equal
     magnitudes keep the lowest index.
     """
-    if not eps > 0:
-        raise ConfigurationError(f"eps must be > 0, got {eps}")
-    if K is not None and K < 0:
-        raise ConfigurationError(f"K must be >= 0, got {K}")
+    check_positive("eps", eps)
     mag = np.abs(np.asarray(x_hat))
-    order = np.argsort(-mag, kind="stable")
-    if K is not None:
-        order = order[:K]
-    return tuple(sorted(int(i) for i in order if mag[i] > eps))
+    if K is None:
+        return tuple(np.flatnonzero(mag > eps).tolist())
+    order = np.argsort(-mag, kind="stable")[:check_integer("K", K, 0)]
+    return tuple(np.sort(order[mag[order] > eps]).tolist())

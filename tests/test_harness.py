@@ -109,6 +109,16 @@ def test_solver_settings_build_their_configs_on_construction(knob):
     assert set(dataclasses.asdict(settings)) == {f.name for f in dataclasses.fields(settings)}
 
 
+@pytest.mark.parametrize("knob,value", [
+    ("bp_max_iter", "100"), ("sp_max_iter", 2.5), ("lasso_max_iter", True),
+    ("bp_max_iter", 0), ("bp_residual_tol", "1e-8"), ("support_threshold", 0.0),
+    ("lasso_support_threshold", float("nan")), ("lasso_objective_tol", -1e-6),
+])
+def test_solver_settings_name_their_own_bad_fields(knob, value):
+    with pytest.raises(ConfigurationError, match=f"^{knob} must be"):
+        SolverSettings(**{knob: value})
+
+
 def test_load_config_overrides_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
@@ -558,6 +568,16 @@ def test_cli_solver_option_of_wrong_type(tmp_path, capsys):
     assert "max_iter must be an integer" in err["message"]
 
 
+@pytest.mark.parametrize("knob", ["bp_max_iter", "sp_max_iter", "lasso_max_iter"])
+def test_cli_solver_error_names_the_key(tmp_path, capsys, knob):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "phase", "solver": {knob: "100"}}))
+    assert main(["phase", "--config", str(cfg)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert err["message"] == f"{knob} must be an integer >= 1, got '100'"
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["spark", "--config", str(tmp_path / "absent.json")]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
@@ -600,6 +620,10 @@ def test_output_hashes_script(tmp_path):
         "csv": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
         "sidecar": hashlib.sha256(sidecar_path.read_bytes()).hexdigest(),
     }}
+    # --keep leaves the same files in its directory
+    assert script.output_hashes({"tiny": SPARK_TINY}, tmp_path / "kept") == hashes
+    assert sorted(path.name for path in (tmp_path / "kept").iterdir()) == ["tiny.csv",
+                                                                           "tiny.json"]
     runs = script.fixed_runs()
     assert {"spark", "spark-continuous", "census-probe", "census-continuous",
             "mip-small", "phase-small", "noisy-small", "mip-wide-hops", "phase-wide-hops",

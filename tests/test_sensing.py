@@ -228,41 +228,95 @@ def test_matvec_rmatvec_match_dense_edge_shapes(n_pulses, n_hrr_bins, relative_b
     assert phi.rmatvec(v).shape == (phi.n_columns,)
 
 
+def _random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def test_product_factors_are_built_on_first_product():
-    phi = _phi(seed=12)
-    assert "_matvec_factors" not in vars(phi) and "_rmatvec_factors" not in vars(phi)
-    phi.matvec(np.ones(phi.n_columns))
-    phi.rmatvec(np.ones(phi.n_pulses))
-    R_t, D_t = vars(phi)["_matvec_factors"]
-    R_h, D_conj = vars(phi)["_rmatvec_factors"]
-    assert all(a.flags.c_contiguous for a in (R_t, D_t, R_h, D_conj))
-    assert_allclose(R_h, phi.hop_response.conj().T, atol=0)
-    assert_allclose(D_t, phi.doppler_response.T, atol=0)
+    # R^T and R^H on first use in both modes; copies of D^T and conj(D) only
+    # in EXACT mode, since APPROXIMATE mode multiplies by D through the FFT
+    factors = ("_hop_t", "_hop_h", "_doppler_t", "_doppler_conj")
+    for relative_bandwidth, built in ((0.0, factors[:2]), (0.4, factors)):
+        phi = _phi(seed=12, relative_bandwidth=relative_bandwidth)
+        assert not set(factors) & set(vars(phi))
+        phi.matvec(np.ones(phi.n_columns))
+        phi.rmatvec(np.ones(phi.n_pulses))
+        assert tuple(name for name in factors if name in vars(phi)) == built
+        assert all(vars(phi)[name].flags.c_contiguous for name in built)
+        assert np.array_equal(vars(phi)["_hop_t"], phi.hop_response.T)
+        assert np.array_equal(vars(phi)["_hop_h"], phi.hop_response.conj().T)
+    assert np.array_equal(vars(phi)["_doppler_t"], phi.doppler_response.T)
+    assert np.array_equal(vars(phi)["_doppler_conj"], phi.doppler_response.conj())
 
 
-def test_approximate_mode_shares_doppler_factors_per_n():
-    # D serves as its own transpose because it is symmetric bit for bit
-    for n_pulses in (2, 6, 16, 64, 100):
-        D = build_D(RadarParams.abstract(n_pulses, 1), sample_codes(0, n_pulses))
-        assert np.array_equal(D, D.T)
+def test_approximate_mode_products_are_row_ffts():
+    # X D^T is the unnormalized inverse FFT of each row of X and
+    # (R^H * v) conj(D) the forward FFT of each row, bit for bit
     params = RadarParams.abstract(64, 8)
-    a, b = (build_phi(params, sample_codes(seed, 64, 8)) for seed in (13, 14))
     rng = np.random.default_rng(9)
-    x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    for phi in (a, b):
-        # the products of per-operator copies of D^T and conj(D), bit for bit
+    x, v = _random_complex(rng, 512), _random_complex(rng, 64)
+    for seed, n_codes in ((13, 8), (14, None)):
+        phi = build_phi(params, sample_codes(seed, 64, n_codes))
+        R = phi.hop_response
+        R_t, R_h = np.ascontiguousarray(R.T), np.ascontiguousarray(R.conj().T)
+        assert np.array_equal(
+            phi.matvec(x), np.sum(R_t * np.fft.ifft(x.reshape(8, 64), norm="forward"), axis=0))
+        assert np.array_equal(phi.rmatvec(v), np.fft.fft(R_h * v).ravel())
+
+
+def test_exact_mode_products_are_the_factored_gemms():
+    params = RadarParams.abstract(64, 8, relative_bandwidth=0.4)
+    rng = np.random.default_rng(10)
+    x, v = _random_complex(rng, 512), _random_complex(rng, 64)
+    for seed, n_codes in ((13, 8), (14, None)):
+        phi = build_phi(params, sample_codes(seed, 64, n_codes))
         R, D = phi.hop_response, phi.doppler_response
         R_t, R_h = np.ascontiguousarray(R.T), np.ascontiguousarray(R.conj().T)
         assert np.array_equal(
             phi.matvec(x), np.sum(R_t * (x.reshape(8, 64) @ np.ascontiguousarray(D.T)), axis=0))
         assert np.array_equal(phi.rmatvec(v), ((R_h * v) @ D.conj()).ravel())
-    assert a._matvec_factors[1] is b._matvec_factors[1] is a.doppler_response
-    assert a._rmatvec_factors[1] is b._rmatvec_factors[1]
-    assert not a._rmatvec_factors[1].flags.writeable
-    exact = build_phi(RadarParams.abstract(64, 8, relative_bandwidth=0.4),
-                      sample_codes(13, 64, 8))
-    assert exact._matvec_factors[1] is not exact.doppler_response
+
+
+# N = 6, 63 and 100 take other FFT factorizations than the power of two 64
+@pytest.mark.parametrize("n_pulses", [6, 63, 64, 100])
+@pytest.mark.parametrize("n_hrr_bins", [1, 3, 8])
+@pytest.mark.parametrize("discrete", [True, False])
+def test_fft_products_match_dense(n_pulses, n_hrr_bins, discrete):
+    params = RadarParams.abstract(n_pulses, n_hrr_bins)
+    phi = build_phi(params, sample_codes(n_pulses + n_hrr_bins, n_pulses,
+                                         n_hrr_bins if discrete else None))
+    # to_dense() takes exp of phases up to 2 pi (N - 1)^2 / N and is itself
+    # off by up to 2e-12 at N = 100; with the phases reduced mod N first, D
+    # is exact to rounding
+    n = np.arange(n_pulses)
+    D = np.exp(2j * np.pi * (np.outer(n, n) % n_pulses) / n_pulses)
+    accurate = (phi.hop_response[:, :, None] * D[:, None, :]).reshape(phi.shape)
+    rng = np.random.default_rng(n_pulses)
+    x, v = _random_complex(rng, phi.n_columns), _random_complex(rng, n_pulses)
+    for dense, atol in ((accurate, 1e-12), (phi.to_dense(), 1e-11)):
+        assert_allclose(phi.matvec(x), dense @ x, rtol=0, atol=atol)
+        assert_allclose(phi.rmatvec(v), dense.conj().T @ v, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("n_hrr_bins", [1, 3, 5, 8])
+@pytest.mark.parametrize("n_pulses", [63, 64])
+def test_stack_rows_are_each_matrix_own_products(n_pulses, n_hrr_bins):
+    # the lasso block's rows are its lone solves only if a batched FFT row
+    # does not depend on the rows batched with it
+    params = RadarParams.abstract(n_pulses, n_hrr_bins)
+    rng = np.random.default_rng(n_hrr_bins)
+    phis = [build_phi(params, sample_codes(rng, n_pulses, n_hrr_bins if i % 2 else None))
+            for i in range(17)]
+    X = _random_complex(rng, 17, n_pulses * n_hrr_bins)
+    V = _random_complex(rng, 17, n_pulses)
+    for rows in (1, 2, 7, 16, 17):
+        stack = sensing.SensingStack.of(phis[:rows])
+        reversed_stack = stack.take(np.arange(rows)[::-1])
+        for block, order in ((stack, range(rows)), (reversed_stack, range(rows)[::-1])):
+            products, adjoints = block.matvec(X[:rows]), block.rmatvec(V[:rows])
+            for row, i in enumerate(order):
+                assert products[row].tobytes() == phis[i].matvec(X[row]).tobytes()
+                assert adjoints[row].tobytes() == phis[i].rmatvec(V[row]).tobytes()
 
 
 def test_matvec_shape_checks():

@@ -49,6 +49,21 @@ def test_params_rejects_bad_config(kwargs):
         RadarParams(**kwargs)
 
 
+@pytest.mark.parametrize("args,name", [
+    ((4.5, 2), "n_pulses"), ((4, 2.0), "n_hrr_bins"), ((4, 2, 3.5), "n_codes"),
+    ((True, 2), "n_pulses"), (("4", 2), "n_pulses"), ((4, 2, 0), "n_codes"),
+])
+def test_params_counts_must_be_integers(args, name):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be an integer"):
+        RadarParams.abstract(*args)
+
+
+def test_params_counts_accept_numpy_integers():
+    params = RadarParams.abstract(np.int64(4), np.int32(2), np.int16(4))
+    counts = (params.n_pulses, params.n_hrr_bins, params.n_codes)
+    assert counts == (4, 2, 4) and all(type(n) is int for n in counts)
+
+
 def test_params_bin_count_must_match_timing():
     # M = ceil(T_p * B): 31.25 ns * 1024 MHz = 32
     RadarParams(n_pulses=16, n_hrr_bins=32, n_codes=64,
@@ -131,6 +146,34 @@ def test_sample_codes_always_in_unit_interval(seed, n, m_star):
     codes = sample_codes(seed, n, m_star)
     assert codes.codes.shape == (n,)
     assert np.all(codes.codes >= 0.0) and np.all(codes.codes < 1.0)
+
+
+def test_sample_codes_from_hops_match_the_checked_constructor():
+    # sample_codes builds discrete codes from its hop draws without re-deriving
+    # them; the result is what the public constructor makes of the same codes
+    for n_codes in (3, 8, 16, 32):
+        for seed in range(2000):
+            codes = sample_codes(seed, 64, n_codes)
+            checked = FrequencyCodes(codes.codes.copy(), n_codes)
+            assert codes.codes.tobytes() == checked.codes.tobytes()
+            assert codes.hops.tobytes() == checked.hops.tobytes()
+            assert codes.hops.dtype == checked.hops.dtype
+    assert not codes.codes.flags.writeable and not codes.hops.flags.writeable
+    assert codes.n_codes == 32 and codes.is_discrete
+
+
+def test_sample_codes_from_hops_survive_pickling():
+    codes = sample_codes(17, 64, 16)
+    copy = pickle.loads(pickle.dumps(codes))
+    assert copy.codes.tobytes() == codes.codes.tobytes()
+    assert copy.hops.tobytes() == codes.hops.tobytes() and copy.n_codes == 16
+    assert not copy.codes.flags.writeable and not copy.hops.flags.writeable
+
+
+@pytest.mark.parametrize("args", [(0, 4.5), (0, 0), (0, 8, 2.5), (0, 8, 0), (0, 8, True)])
+def test_sample_codes_rejects_bad_counts(args):
+    with pytest.raises(ConfigurationError):
+        sample_codes(*args)
 
 
 def test_codes_validation():

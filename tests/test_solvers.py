@@ -753,3 +753,28 @@ def test_extract_support_complex_and_validation():
         extract_support(x, eps=0.0)
     with pytest.raises(ConfigurationError):
         extract_support(x, K=-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, phi, y: extract_support(x, K=1.5),
+    lambda x, phi, y: extract_support(x, K=True),
+    lambda x, phi, y: extract_support(x, eps="0.1"),
+    lambda x, phi, y: extract_support(x, eps=float("nan")),
+    lambda x, phi, y: l0_oracle(phi, y, k_max=1.5),
+], ids=["K-float", "K-bool", "eps-str", "eps-nan", "k_max-float"])
+def test_support_and_oracle_options_of_wrong_type_are_typed_errors(call):
+    phi, x, y, _ = _problem(n_pulses=4, n_hrr_bins=2)
+    with pytest.raises(ConfigurationError):
+        call(x, phi, y)
+
+
+def test_extract_support_matches_the_sorted_scan():
+    # the masks return what sorting the above-eps entries of the K largest did
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        x = rng.choice([0.0, 1e-3, 0.5, 1.0, 2.0], size=24) * np.exp(1j * rng.uniform(0, 6, 24))
+        for K in (None, 0, 1, 3, 8, 30):
+            mag = np.abs(x)
+            order = np.argsort(-mag, kind="stable")[:K]
+            expected = tuple(sorted(int(i) for i in order if mag[i] > 0.1))
+            assert extract_support(x, K=K, eps=0.1) == expected
