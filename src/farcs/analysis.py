@@ -3,10 +3,11 @@
 Covers the spark census over all N-column submatrices (one classification
 per orbit of column subsets under the symmetries of the sensing matrix, by
 the determinant gap where every minor is a Gaussian or Eisenstein integer),
-the mutual coherence (with a shortcut that reads the Gram matrix's
-dependence on the column-cell difference alone from the operator's
-factors, in either bandwidth mode), Rayleigh tail bounds on the column
-cross-correlations, and the resulting sparsity guarantees.
+the mutual coherence (a shortcut that reads the Gram matrix's dependence
+on the column-cell difference alone from the operator's factors: one
+Doppler FFT of the hop response in APPROXIMATE mode, two products with D
+in EXACT mode; a plain matrix takes its Gram), Rayleigh tail bounds on the
+column cross-correlations, and the resulting sparsity guarantees.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ResourceError, ShapeError
-from .sensing import SensingMatrix, _inverse_dft_conj
+from .sensing import SensingMatrix
 from .signal_model import (TWO_PI, BandwidthMode, FrequencyCodes, RadarParams,
                            pulse_doppler_scalings)
 
@@ -353,22 +354,26 @@ def coherence(phi) -> CoherenceSample:
     product sum_n R[n, dm] D[n, dl] for dl >= 0 and sum_n R[n, dm] conj(D[n, -dl])
     for dl <= 0, whatever the base cell.  So chi+ = D^T R / N and
     chi- = D^H R / N hold every normalized Gram entry up to conjugation, and
-    mu is their largest magnitude off (dm, dl) = (0, 0), in either mode.  In
-    APPROXIMATE mode the columns of D are orthogonal, so the dm = 0 entries
-    vanish exactly and are not evaluated.  A plain complex matrix takes the
-    Gram route: all pairwise inner products, each column normalized by its
-    own norm.
+    mu is their largest magnitude off (dm, dl) = (0, 0).  In EXACT mode
+    these are two dense products.  In APPROXIMATE mode D is the unnormalized
+    inverse DFT: its columns are orthogonal, so the dm = 0 entries vanish
+    exactly and are not evaluated, and D^H R is the forward DFT of R's
+    columns, whose magnitudes are those of D^T R with dl mirrored to
+    (N - dl) mod N.  One FFT over the pulses of R's other M - 1 columns
+    therefore gives mu, without reading D.  A plain complex matrix takes
+    the Gram route: all pairwise inner products, each column normalized by
+    its own norm.
     """
     if isinstance(phi, SensingMatrix):
-        first = 1 if phi.params.mode is BandwidthMode.APPROXIMATE else 0
-        R = phi.hop_response[:, first:]
-        D = phi.doppler_response
-        D_conj = _inverse_dft_conj(phi.n_pulses) if first else D.conj()
-        chi_pos = np.abs(D.T @ R)  # (dl, dm - first), dl >= 0
-        chi_neg = np.abs(D_conj.T @ R)  # (-dl, dm - first), dl <= 0
-        if first == 0:
+        R = phi.hop_response
+        if phi.is_row_orthogonal():
+            peak = np.abs(np.fft.fft(R[:, 1:], axis=0)).max(initial=0.0)
+        else:
+            D = phi.doppler_response
+            chi_pos = np.abs(D.T @ R)  # (dl, dm), dl >= 0
+            chi_neg = np.abs(D.conj().T @ R)  # (-dl, dm), dl <= 0
             chi_pos[0, 0] = chi_neg[0, 0] = 0.0  # each column with itself
-        peak = max(chi_pos.max(initial=0.0), chi_neg.max(initial=0.0))
+            peak = max(chi_pos.max(), chi_neg.max())
         return CoherenceSample(mu=float(min(peak / phi.n_pulses, 1.0)), method="shortcut")
     dense = np.asarray(phi, dtype=np.complex128)
     if dense.ndim != 2:

@@ -8,8 +8,10 @@ under noise), and ``bounds`` (tabulated sparsity guarantees).
 ``run_experiment`` is the one driver.  It looks the experiment up in a
 table that gives its CSV columns, a sweep check, a task list with the work
 function that runs each task, and a function that collects the outcomes into
-rows and aggregates.  Each task carries the frozen config; the tasks run in
-order in this process, or through one process pool with ``threads > 1``.
+rows and aggregates.  Each task carries the frozen config, and in ``mip``,
+``phase`` and ``noisy`` its sweep point's ``RadarParams``, which the task
+list builds once per point before any task runs; the tasks run in order in
+this process, or through one process pool with ``threads > 1``.
 Trial t of sweep point s always runs on the seed
 ``master_seed + s * n_trials + t``, so results are reproducible record for
 record regardless of worker count.
@@ -253,9 +255,10 @@ def _trial_seed(config: ExperimentConfig, sweep_idx: int, trial_idx: int) -> int
     return config.master_seed + sweep_idx * config.n_trials + trial_idx
 
 
-def _trial_tasks(config: ExperimentConfig):
-    """One task ``(config, s, t)`` per trial t of sweep point s, in sweep order."""
-    return ((config, s, t) for s in range(len(config.sweep)) for t in range(config.n_trials))
+def _trial_tasks(config: ExperimentConfig, params: list):
+    """One task ``(config, s, t, params[s])`` per trial t of sweep point s, in sweep order."""
+    return ((config, s, t, params[s])
+            for s in range(len(config.sweep)) for t in range(config.n_trials))
 
 
 def _convergence(runs) -> dict:
@@ -405,20 +408,26 @@ def _spark_collect(config, keys, draws, censuses):
 def _mip_key(config, arm) -> str:
     if arm == "continuous":
         return arm
-    if isinstance(arm, bool) or not isinstance(arm, (int, float)) or not math.isfinite(arm):
-        raise ConfigurationError(f"mip sweep entries must be finite B/f_c floats or "
+    if (isinstance(arm, bool) or not isinstance(arm, (int, float)) or not math.isfinite(arm)
+            or arm < 0):
+        raise ConfigurationError(f"mip sweep entries must be finite B/f_c floats >= 0 or "
                                  f"'continuous', got {arm!r}")
-    return repr(float(arm))
+    return repr(abs(float(arm)))  # -0.0 is the arm 0.0
+
+
+def _mip_tasks(config):
+    """One task per trial; each arm's ``RadarParams`` is built once."""
+    params = [RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes,
+                                   relative_bandwidth=0.0 if arm == "continuous" else float(arm))
+              for arm in config.sweep]
+    return _trial_tasks(config, params)
 
 
 def _mip_work(task) -> float:
-    config, s, t = task
-    arm = config.sweep[s]
-    continuous = arm == "continuous"
+    config, s, t, params = task
+    continuous = config.sweep[s] == "continuous"
     codes = sample_codes(_trial_seed(config, s, t), config.n_pulses,
                          None if continuous else config.n_codes or config.n_hrr_bins)
-    params = RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes,
-                                  relative_bandwidth=0.0 if continuous else float(arm))
     return coherence(build_phi(params, codes)).mu
 
 
@@ -468,11 +477,15 @@ def _recovery_collect(config, keys, outcomes, solvers, values):
     return rows, rates, convergence, extras
 
 
-def _recovery_trial(config, s, t, sparsity):
+def _recovery_params(config) -> RadarParams:
+    """The APPROXIMATE-mode ``RadarParams`` every recovery trial runs on."""
+    return RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes)
+
+
+def _recovery_trial(config, s, t, params, sparsity):
     """Draw trial t of point s: (rng, Phi, noiseless y, true support) of a scene."""
     rng = np.random.default_rng(_trial_seed(config, s, t))
     codes = sample_codes(rng, config.n_pulses, config.n_codes or config.n_hrr_bins)
-    params = RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes)
     phi = build_phi(params, codes)
     support = np.sort(rng.choice(phi.n_columns, size=sparsity, replace=False))
     amplitudes = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=sparsity))
@@ -486,10 +499,15 @@ def _phase_key(config, k) -> str:
     return str(k)
 
 
+def _phase_tasks(config):
+    """One task per trial; every trial runs on the same ``RadarParams``."""
+    return _trial_tasks(config, [_recovery_params(config)] * len(config.sweep))
+
+
 def _phase_work(task):
-    config, s, t = task
+    config, s, t, params = task
     sparsity, settings = config.sweep[s], config.solver
-    _, phi, y, truth = _recovery_trial(config, s, t, sparsity)
+    _, phi, y, truth = _recovery_trial(config, s, t, params, sparsity)
     mf_est = extract_support(matched_filter(phi, y) / config.n_pulses, K=sparsity,
                              eps=settings.support_threshold)
     bp = basis_pursuit(phi, y, settings.bp_config)
@@ -514,10 +532,20 @@ def _phase_collect(config, keys, tasks, outcomes):
     return rows, aggregates
 
 
+def _noisy_db(db) -> float:
+    return float(db) + 0.0  # -0.0 + 0.0 is 0.0: -0.0 dB is the point 0.0
+
+
 def _noisy_key(config, db) -> str:
     if isinstance(db, bool) or not isinstance(db, (int, float)) or not math.isfinite(db):
         raise ConfigurationError(f"noisy sweep entries must be finite dB floats, got {db!r}")
-    return _fmt(float(db))
+    return _fmt(_noisy_db(db))
+
+
+def _noisy_tasks(config):
+    """One task per noise point; every point runs on the same ``RadarParams``."""
+    params = _recovery_params(config)
+    return [(config, s, params) for s in range(len(config.sweep))]
 
 
 def _noisy_work(task):
@@ -526,12 +554,12 @@ def _noisy_work(task):
     The trials are drawn in order and subspace pursuit runs on each as it is
     drawn; lasso then solves all of them as one block (``lasso_block``).
     """
-    config, s = task
+    config, s, params = task
     settings = config.solver
     sigma2 = 10.0 ** (float(config.sweep[s]) / 10.0)
     trials = []
     for t in range(config.n_trials):
-        rng, phi, y, truth = _recovery_trial(config, s, t, config.n_scatterers)
+        rng, phi, y, truth = _recovery_trial(config, s, t, params, config.n_scatterers)
         y = add_noise(y, sigma2, rng)
         sp = subspace_pursuit(phi, y, config.n_scatterers, settings.sp_config)
         trials.append((phi, y, truth, sp))
@@ -552,7 +580,7 @@ def _noisy_collect(config, keys, tasks, points):
     and, under ``lasso_exit``, the median and maximum relative duality gap
     of the lasso solutions and the median count of their nonzero entries.
     """
-    sigma2_db = [float(db) for db in config.sweep]
+    sigma2_db = [_noisy_db(db) for db in config.sweep]
     rows, rates, convergence, exits = _recovery_collect(
         config, keys, [trial for point in points for trial in point], ("sp", "lasso"), sigma2_db)
     lasso_exit = {}
@@ -615,15 +643,14 @@ _EXPERIMENTS = {
                          _no_sweep, _SparkDraws, _spark_work, _spark_collect,
                          dict(n_pulses=6, n_hrr_bins=3, n_codes=3, n_trials=2000)),
     "mip": _Experiment(("arm", "trial", "mu"),
-                       _mip_key, _trial_tasks, _mip_work, _mip_collect,
+                       _mip_key, _mip_tasks, _mip_work, _mip_collect,
                        dict(n_pulses=64, n_hrr_bins=16, n_trials=10_000,
                             sweep=(0.0, 0.1, 0.5, "continuous"))),
     "phase": _Experiment(("solver", "K", "trial", "success"),
-                         _phase_key, _trial_tasks, _phase_work, _phase_collect,
+                         _phase_key, _phase_tasks, _phase_work, _phase_collect,
                          dict(n_pulses=64, n_hrr_bins=8, n_trials=200, sweep=tuple(range(1, 11)))),
-    "noisy": _Experiment(("solver", "sigma2_db", "trial", "success"), _noisy_key,
-                         lambda config: [(config, s) for s in range(len(config.sweep))],
-                         _noisy_work, _noisy_collect,
+    "noisy": _Experiment(("solver", "sigma2_db", "trial", "success"),
+                         _noisy_key, _noisy_tasks, _noisy_work, _noisy_collect,
                          dict(n_pulses=64, n_hrr_bins=8, n_trials=200, n_scatterers=3,
                               sweep=(-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0))),
     "bounds": _Experiment(("n_pulses", "n_hrr_bins", "delta", "k_mip", "k_l0"),
@@ -636,8 +663,8 @@ _EXPERIMENTS = {
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run any experiment from its config; ``threads > 1`` pools its tasks.
 
-    A bad or repeated sweep point raises ``ConfigurationError`` before any
-    task runs.
+    A bad or repeated sweep point, or a point whose ``RadarParams`` cannot
+    be built, raises ``ConfigurationError`` before any task runs.
     """
     experiment = _EXPERIMENTS[config.experiment]
     keys = [experiment.sweep_key(config, point) for point in config.sweep]

@@ -91,13 +91,6 @@ def _inverse_dft(n_pulses: int) -> np.ndarray:
     return D
 
 
-@functools.lru_cache(maxsize=16)
-def _inverse_dft_conj(n_pulses: int) -> np.ndarray:
-    D_conj = _inverse_dft(n_pulses).conj()
-    D_conj.setflags(write=False)
-    return D_conj
-
-
 def build_D(params: RadarParams, codes: FrequencyCodes) -> np.ndarray:
     """Doppler response matrix, shape (N, N): exp(1j 2 pi l n zeta_n / N).
 

@@ -599,6 +599,66 @@ def test_coherence_exact_mode_shortcut_matches_gram(relative_bandwidth, n_codes)
         assert sample.mu == pytest.approx(coherence(phi.to_dense()).mu, abs=1e-12)
 
 
+def _gram_mu(dense):
+    """mu from the column-normalized Gram of a dense matrix, diagonal excluded."""
+    normed = dense / np.linalg.norm(dense, axis=0)
+    gram = np.abs(normed.conj().T @ normed)
+    np.fill_diagonal(gram, 0.0)
+    return gram.max()
+
+
+@pytest.mark.parametrize("n_pulses", [1, 6, 63, 64, 100])
+@pytest.mark.parametrize("n_hrr_bins", [1, 2, 3, 16])
+def test_coherence_fft_route_matches_dense_gram(n_pulses, n_hrr_bins):
+    # APPROXIMATE mode: discrete codes with M* = M and 2M, and continuous codes
+    for n_codes in (n_hrr_bins, 2 * n_hrr_bins, None):
+        params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes)
+        for seed in range(3):
+            phi = build_phi(params, sample_codes(seed, n_pulses, n_codes))
+            sample = coherence(phi)
+            assert sample.method == "shortcut"
+            assert sample.mu == pytest.approx(_gram_mu(phi.to_dense()), abs=1e-12)
+            if n_hrr_bins == 1:
+                assert sample.mu == 0.0
+
+
+def _extended_mu(codes, n_pulses, n_hrr_bins):
+    """APPROXIMATE-mode mu in extended precision, every phase reduced to [0, 1) turns."""
+    turn = 2 * np.longdouble("3.14159265358979323846264338327950288")
+    m = np.arange(n_hrr_bins)
+    if codes.is_discrete:  # m k_n / M*, reduced mod M*
+        hop_turns = (np.outer(codes.hops, m) % codes.n_codes).astype(np.longdouble)
+        hop_turns /= codes.n_codes
+    else:
+        hop_turns = np.outer(codes.codes.astype(np.longdouble), m) % 1
+    n = np.arange(n_pulses)
+    doppler_turns = (np.outer(n, n) % n_pulses).astype(np.longdouble) / n_pulses
+    R = np.exp(1j * turn * hop_turns.astype(np.clongdouble))
+    D = np.exp(1j * turn * doppler_turns.astype(np.clongdouble))
+    return float(np.abs(D.T @ R[:, 1:]).max() / n_pulses)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("n_pulses", [64, 100])
+@pytest.mark.parametrize("n_codes", [16, 32, None])
+def test_coherence_fft_route_against_extended_precision(n_pulses, n_codes):
+    # the FFT route is no farther from the exact mu than the dense products
+    # D^T R and D^H R with the cached inverse DFT, whose phases are unreduced
+    params = RadarParams.abstract(n_pulses, 16, n_codes=n_codes)
+    fft_errors, gemm_errors = [], []
+    for seed in range(20):
+        codes = sample_codes(seed, n_pulses, n_codes)
+        phi = build_phi(params, codes)
+        exact = _extended_mu(codes, n_pulses, 16)
+        R, D = phi.hop_response[:, 1:], phi.doppler_response
+        gemm = max(np.abs(D.T @ R).max(), np.abs(D.conj().T @ R).max()) / n_pulses
+        fft_errors.append(abs(coherence(phi).mu - exact))
+        gemm_errors.append(abs(gemm - exact))
+    assert max(fft_errors) <= 1e-14
+    assert max(fft_errors) <= max(gemm_errors)
+
+
 def test_coherence_single_bin_is_zero():
     params = RadarParams.abstract(8, 1, n_codes=1)
     codes = FrequencyCodes(np.zeros(8), n_codes=1)

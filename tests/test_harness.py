@@ -433,6 +433,38 @@ def test_bad_or_repeated_sweep_points_are_configuration_errors(config):
         run_experiment(config)
 
 
+@pytest.mark.parametrize("config", [
+    dataclasses.replace(MIP_TINY, sweep=(0.0, -0.5)),  # negative B/f_c
+    dataclasses.replace(MIP_TINY, sweep=(0.0, -0.0)),  # both arm "0.0"
+    dataclasses.replace(MIP_TINY, sweep=(-0.0, 0.1, 0)),
+    dataclasses.replace(NOISY_TINY, sweep=(0.0, -0.0)),  # both "0.0" dB
+    dataclasses.replace(NOISY_TINY, sweep=(-0.0, 15.0, 0.0)),
+    # fewer hops than range bins: RadarParams refuses it, before the tasks run
+    dataclasses.replace(MIP_TINY, n_codes=1),
+    dataclasses.replace(PHASE_TINY, n_codes=1),
+    dataclasses.replace(NOISY_TINY, n_codes=1),
+], ids=lambda config: f"{config.experiment}-{config.sweep!r}-{config.n_codes}")
+def test_bad_points_fail_before_any_task_runs(monkeypatch, config):
+    calls = []
+    experiment = harness._EXPERIMENTS[config.experiment]
+    monkeypatch.setitem(harness._EXPERIMENTS, config.experiment,
+                        experiment._replace(work=calls.append))
+    with pytest.raises(ConfigurationError):
+        run_experiment(config)
+    assert calls == []
+
+
+@pytest.mark.parametrize("config, zero", [
+    (MIP_TINY, dataclasses.replace(MIP_TINY, sweep=(-0.0, "continuous"))),
+    (dataclasses.replace(NOISY_TINY, sweep=(0.0,)),
+     dataclasses.replace(NOISY_TINY, sweep=(-0.0,))),
+], ids=lambda config: config.experiment)
+def test_negative_zero_point_is_the_point_zero(config, zero):
+    plain, signed = run_experiment(config), run_experiment(zero)
+    assert signed.to_csv() == plain.to_csv()
+    assert _jsonable(signed.aggregates) == _jsonable(plain.aggregates)
+
+
 def test_run_bounds_single_bin_domain_error():
     # M=1 violates the N(M-1) >= 2 assumption behind the recoverable-K bound
     cfg = dataclasses.replace(default_config("bounds"), sweep=((64, 1, 0.1),))
@@ -452,7 +484,8 @@ def test_repeat_runs_are_byte_identical():
 def test_worker_count_does_not_change_results():
     # a noisy pool task is a whole noise point, so it needs two of them
     noisy = dataclasses.replace(NOISY_TINY, sweep=(0.0, 15.0))
-    for config in (MIP_TINY, PHASE_TINY, noisy):
+    mip = dataclasses.replace(MIP_TINY, sweep=(0.0, 0.1, 0.5, "continuous"))  # both modes
+    for config in (mip, PHASE_TINY, noisy):
         serial = run_experiment(config, threads=1)
         pooled = run_experiment(config, threads=2)
         assert serial.to_csv() == pooled.to_csv()
