@@ -242,8 +242,7 @@ class SensingMatrix:
 
         In APPROXIMATE mode D / sqrt(N) is unitary, so D D^H = N I and only
         the diagonal of R R^H, all M, survives: the product is N*M*I for any
-        codes.  In EXACT mode it is generally dense; for solvers it is cheap
-        to factor once (N x N).
+        codes.  In EXACT mode it is generally dense.
         """
         return (self._R @ self._R.conj().T) * (self._D @ self._D.conj().T)
 
@@ -284,15 +283,8 @@ class SensingStack:
         self._R_t, self._R_h = hop_t, hop_h
 
     @classmethod
-    def of(cls, operators) -> SensingStack | None:
-        """The stack of ``operators``, or None unless all take the FFT route.
-
-        That takes APPROXIMATE-mode ``SensingMatrix`` operators of one shape.
-        """
-        first = operators[0]
-        if not all(isinstance(op, SensingMatrix) and op.is_row_orthogonal()
-                   and op.shape == first.shape for op in operators):
-            return None
+    def of(cls, operators) -> SensingStack:
+        """The stack of ``operators``, APPROXIMATE-mode ``SensingMatrix`` operators of one shape."""
         return cls(np.stack([op._hop_t for op in operators]),
                    np.stack([op._hop_h for op in operators]))
 

@@ -1,25 +1,24 @@
 """Sparse recovery of range-Doppler scenes from slow-time samples.
 
-All solvers accept either a ``SensingMatrix`` (preferred — products use the
-factored form) or a plain complex ndarray, which is wrapped once on entry
-in a dense operator with the same surface, so each solver has one code
-path.  Results report the estimated
-coefficient vector, its support, the final residual norm, a convergence
-flag and whether a dual certificate proved the result optimal; ties in
-greedy selections and support extraction always resolve to the lowest
-column index so runs are reproducible.
+Every solver takes one kind of operator: an APPROXIMATE-mode
+``SensingMatrix``, whose rows are orthogonal, Phi Phi^H = NM I.  Anything
+else (a plain ndarray, an EXACT-mode matrix) is a ``ConfigurationError``,
+and a measurement with a NaN or infinite entry a ``DomainError``, before
+any product runs.  Results report the estimated coefficient vector, its
+support, the final residual norm, a convergence flag and whether a dual
+certificate proved the result optimal; ties in greedy selections and
+support extraction always resolve to the lowest column index so runs are
+reproducible.
 
 The iterative l1 solvers make one product each way per iteration: basis
 pursuit one Phi and one Phi^H in its projection, lasso one Phi^H for the
-gradient and one Phi at the new iterate.  In APPROXIMATE mode each product
-of a ``SensingMatrix`` is M length-N FFTs and one elementwise hop
-weighting, O(M N log N).  ``lasso_block`` solves several lasso problems in
-one loop; each is solved exactly as alone, and APPROXIMATE-mode sensing
-matrices of one shape make each product for the whole block in one batched
-FFT.  Basis pursuit also tests each new stable support S of its sparse
-iterate for a dual certificate, at the cost of one SVD of Phi_S and one
-more Phi^H product, and stops with the exact minimizer when the test
-passes.
+gradient and one Phi at the new iterate.  Each product is M length-N FFTs
+and one elementwise hop weighting, O(M N log N).  ``lasso_block`` solves
+several lasso problems in one loop; each is solved exactly as alone, and
+each product for the whole block is one batched FFT.  Basis pursuit also
+tests each new stable support S of its sparse iterate for a dual
+certificate, at the cost of one SVD of Phi_S and one more Phi^H product,
+and stops with the exact minimizer when the test passes.
 """
 
 from __future__ import annotations
@@ -29,11 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (ConfigurationError, ResourceError, ShapeError, SolverError, check_integer,
-                     check_positive)
-from .sensing import SensingStack
+from .errors import (ConfigurationError, DomainError, ResourceError, ShapeError, SolverError,
+                     check_integer, check_positive)
+from .sensing import SensingMatrix, SensingStack
 
 
 @dataclass(frozen=True)
@@ -72,64 +70,19 @@ _L0_MAX_FITS = 100_000  # l0_oracle refuses to scan more candidate supports
 
 # --- operators ----------------------------------------------------------------
 
-class _DenseOperator:
-    """A plain matrix with the ``SensingMatrix`` surface; never row-orthogonal."""
-
-    def __init__(self, matrix):
-        self._a = matrix
-        self.shape = matrix.shape
-
-    def matvec(self, x):
-        return self._a @ x
-
-    def rmatvec(self, v):
-        return self._a.conj().T @ v
-
-    def columns(self, indices):
-        return self._a[:, np.asarray(indices, dtype=np.intp)]
-
-    def row_gram(self):
-        return self._a @ self._a.conj().T
-
-    def is_row_orthogonal(self) -> bool:
-        return False
-
-
-def _spectral_norm_sq(op):
-    if op.is_row_orthogonal():
-        return float(op.shape[1])  # Phi Phi^H = NM I exactly
-    return float(np.linalg.eigvalsh(op.row_gram())[-1])
-
-
-class _RowLoop:
-    """Row-wise products of any operators, one call per row.
-
-    The fallback of ``SensingStack``, with the same surface, for blocks
-    whose operators are not all APPROXIMATE-mode sensing matrices of one
-    shape (EXACT mode, plain arrays, a mix).
-    """
-
-    def __init__(self, ops):
-        self.ops = ops
-
-    def take(self, rows):
-        return _RowLoop([self.ops[i] for i in rows])
-
-    def matvec(self, X):
-        return np.array([op.matvec(x) for op, x in zip(self.ops, X)])
-
-    def rmatvec(self, V):
-        return np.array([op.rmatvec(v) for op, v in zip(self.ops, V)])
-
-
 def _operands(phi, y):
-    """``phi`` as an operator (a plain ndarray is wrapped) and y as a complex vector."""
-    op = _DenseOperator(phi) if isinstance(phi, np.ndarray) else phi
+    """``phi`` checked to be row-orthogonal, and y as a finite complex vector of its rows."""
+    if not (isinstance(phi, SensingMatrix) and phi.is_row_orthogonal()):
+        got = (f"one in {phi.params.mode.name} mode" if isinstance(phi, SensingMatrix)
+               else type(phi).__name__)
+        raise ConfigurationError(f"solvers take an APPROXIMATE-mode SensingMatrix, got {got}")
     y = np.asarray(y, dtype=np.complex128)
-    n_rows = op.shape[0]
+    n_rows = phi.shape[0]
     if y.shape != (n_rows,):
         raise ShapeError(f"y must have shape ({n_rows},), got {y.shape}")
-    return op, y
+    if not np.isfinite(y).all():
+        raise DomainError("y has a NaN or infinite entry")
+    return phi, y
 
 
 def _ls_on(phi, y, support):
@@ -317,10 +270,9 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
     """Equality-constrained l1 minimization via ADMM, stopped early on a certificate.
 
     Alternates projection onto {x : Phi x = y} with soft thresholding, at
-    the fixed penalty rho = 1 and over-relaxation alpha = 1.8.  Each
-    projection makes two factored products, O(M N log N) each through the
-    FFT in APPROXIMATE mode and O(M N^2) in EXACT mode, and an N x N
-    row-Gram solve, skipped when the rows are orthogonal (the Gram is NM I).
+    the fixed penalty rho = 1 and over-relaxation alpha = 1.8.  The rows are
+    orthogonal, Phi Phi^H = NM I, so the projection is
+    v - Phi^H (Phi v - y) / NM: two FFT products, O(M N log N) each.
 
     The thresholded iterate z is exactly sparse.  The first time its support
     S (1 <= |S| <= N) is the same after two successive iterations, S is
@@ -339,21 +291,11 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
     if y_norm == 0.0:
         return RecoveryResult(np.zeros(n_cols, dtype=np.complex128), (), 0.0, 0, True)
 
-    if phi.is_row_orthogonal():
-        scale = float(n_cols)
-        y_scaled = y / scale
+    scale = float(n_cols)
+    y_scaled = y / scale
 
-        def project(v):
-            return v - phi.rmatvec(phi.matvec(v) / scale - y_scaled)
-    else:
-        gram = phi.row_gram()
-        try:
-            factor = scipy.linalg.cho_factor(gram)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise SolverError(f"row Gram is singular: {exc}") from exc
-
-        def project(v):
-            return v - phi.rmatvec(scipy.linalg.cho_solve(factor, phi.matvec(v) - y))
+    def project(v):
+        return v - phi.rmatvec(phi.matvec(v) / scale - y_scaled)
 
     kappa = 1.0 / _ADMM_RHO
     stop_norm = cfg.residual_tol * y_norm
@@ -398,8 +340,8 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
 def lasso(phi, y, lam: float, config: SolverConfig | None = None) -> RecoveryResult:
     """l1-regularized least squares, solved with FISTA.
 
-    Minimizes 0.5 ||Phi x - y||^2 + lam ||x||_1 with the fixed step 1/L,
-    L = ||Phi||_2^2 (exactly NM for row-orthogonal sensing matrices).  Stops
+    Minimizes 0.5 ||Phi x - y||^2 + lam ||x||_1, lam a finite real >= 0,
+    with the fixed step 1/L, L = ||Phi||_2^2 = NM (Phi Phi^H = NM I).  Stops
     when the relative objective change drops under ``residual_tol``.  Each
     iteration makes one product each way: Phi^H for the gradient and Phi at
     the new iterate.  The residual Phi x - y is carried between iterations,
@@ -417,29 +359,30 @@ def lasso_block(phis, ys, lams, config: SolverConfig | None = None) -> list[Reco
     """``lasso(phis[i], ys[i], lams[i], config)`` for every i, in one FISTA loop.
 
     The problems (operators of one shape) advance in lockstep as the rows of
-    a block: the momentum depends only on the iteration index, so every row
-    shares it, and each row stops on its own objective change (or at
-    ``max_iter``) and leaves the block.  Each result, its iteration count
-    and duality gap included, is bit for bit the one a lone ``lasso`` call
-    returns; the block only changes how many products run at once.
+    a block, whose products are each one batched FFT (``SensingStack``): the
+    step 1/NM and the momentum are the same for every row, and each row
+    stops on its own objective change (or at ``max_iter``) and leaves the
+    block.  Each result, its iteration count and duality gap included, is
+    bit for bit the one a lone ``lasso`` call returns; the block only
+    changes how many products run at once.
     """
     cfg = config or _LASSO_DEFAULTS
     if not phis or not len(phis) == len(ys) == len(lams):
         raise ShapeError(f"a lasso block needs as many operators ({len(phis)}) as "
                          f"measurements ({len(ys)}) and lambdas ({len(lams)}), at least one")
+    for lam_i in lams:
+        check_positive("lam", lam_i, zero_ok=True)
     lam = np.array(lams, dtype=np.float64)
-    if np.any(lam < 0):
-        raise ConfigurationError(f"lam must be >= 0, got {lam.min()}")
     ops, y = zip(*(_operands(phi, y_i) for phi, y_i in zip(phis, ys)))
     n_cols = ops[0].shape[1]
     if any(op.shape != ops[0].shape for op in ops):
         raise ShapeError("the operators of a lasso block must share one shape")
     y = np.array(y)
-    step = np.array([[1.0 / _spectral_norm_sq(op)] for op in ops])
+    step = 1.0 / float(n_cols)  # Phi Phi^H = NM I, so ||Phi||_2^2 = NM
     kappa = step * lam[:, None]
     rows = np.arange(len(ops))  # the problem each row of the block solves
     results = [None] * len(ops)
-    block = SensingStack.of(ops) or _RowLoop(ops)  # row i goes through ops[i]
+    block = SensingStack.of(ops)  # row i goes through ops[i]
     x = np.zeros((len(ops), n_cols), dtype=np.complex128)
     w = x
     momentum = 1.0
@@ -468,8 +411,7 @@ def lasso_block(phis, ys, lams, config: SolverConfig | None = None) -> list[Reco
         if not keep.size:
             break
         ops, block = [ops[i] for i in keep], block.take(keep)
-        rows, y, step, kappa, lam, objective = (a[keep] for a in (rows, y, step, kappa, lam,
-                                                                  objective))
+        rows, y, kappa, lam, objective = (a[keep] for a in (rows, y, kappa, lam, objective))
         x, w, residual, residual_w = (a[keep] for a in (x, w, residual, residual_w))
     else:  # max_iter reached: the rows still in the block did not converge
         for i, row in enumerate(rows):
