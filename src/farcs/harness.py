@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -245,6 +244,8 @@ def _run_tasks(worker, tasks, threads):
     if threads is not None and threads > 1:
         tasks = list(tasks)
         if len(tasks) > 1:
+            # imported here so that a serial run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             chunk = max(1, len(tasks) // (threads * 8))
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 return list(pool.map(worker, tasks, chunksize=chunk))

@@ -19,11 +19,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as _SPEED_OF_LIGHT
 
 from .errors import ConfigurationError, DomainError, ShapeError, check_integer
 
 TWO_PI = 2.0 * math.pi
+# speed of light in vacuum, m/s: exact by the SI definition of the metre
+_SPEED_OF_LIGHT = 299_792_458.0
 
 
 class BandwidthMode(enum.Enum):

@@ -771,3 +771,14 @@ def test_blas_thread_count_does_not_change_outputs():
         hashes.append(json.loads(out.stdout))
     assert set(hashes[0]) == set(_BLAS_RUNS)
     assert hashes[0] == hashes[1]
+
+
+def test_import_loads_neither_scipy_nor_multiprocessing():
+    # every `farcs <experiment>` pays for its imports; scipy would more than
+    # double them, and only a pooled run needs multiprocessing
+    program = ("import sys, farcs, farcs.cli; "
+               "print(sorted(m for m in ('scipy', 'multiprocessing') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

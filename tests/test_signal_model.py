@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from farcs import signal_model
 from farcs.errors import ConfigurationError, DomainError, ShapeError
 from farcs.signal_model import (
     BandwidthMode,
@@ -86,6 +87,14 @@ def test_hrr_bin_size():
                     carrier_hz=9e9, bandwidth_hz=1024e6)
     assert_allclose(p.hrr_bin_size_m, C_LIGHT / (2 * 1024e6))
     assert abs(p.hrr_bin_size_m - 0.1464) < 1e-4
+
+
+def test_speed_of_light_is_exact():
+    # a bandwidth of c/2 Hz gives a 1 m bin exactly, so a mistyped digit in
+    # the constant fails here rather than shifting conversions by < 1e-7
+    assert signal_model._SPEED_OF_LIGHT == C_LIGHT
+    p = RadarParams(n_pulses=4, n_hrr_bins=2, bandwidth_hz=149_896_229.0)
+    assert p.hrr_bin_size_m == 1.0
 
 
 def test_abstract_mode_selection():
