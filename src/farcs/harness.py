@@ -15,6 +15,11 @@ this process, or through one process pool with ``threads > 1``.
 Trial t of sweep point s always runs on the seed
 ``master_seed + s * n_trials + t``, so results are reproducible record for
 record regardless of worker count.
+
+``spark`` keeps the census outcome of each discrete code vector for the life
+of the process (one table per pool worker, at most 4,096 outcomes), so a
+later run that draws the vector again reads the outcome instead of censusing
+it; outputs are the same whatever ran before.
 """
 
 from __future__ import annotations
@@ -128,9 +133,12 @@ class ExperimentConfig:
                 f"got {self.code_distribution!r}"
             )
         check_positive("epsilon_max", self.epsilon_max)
+        check_positive("eps_svd", self.eps_svd)
         if self.experiment == "noisy" and self.n_scatterers > self.n_pulses:
             raise ConfigurationError(f"noisy fits n_scatterers columns to n_pulses samples: "
                                      f"{self.n_scatterers} > {self.n_pulses}")
+        if not isinstance(self.sweep, (list, tuple)):
+            raise ConfigurationError(f"sweep must be a list of points, got {self.sweep!r}")
         sweep = tuple(tuple(s) if isinstance(s, (list, tuple)) else s for s in self.sweep)
         object.__setattr__(self, "sweep", sweep)
         if self.experiment != "spark" and not sweep:
@@ -146,11 +154,16 @@ def default_config(experiment: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Read a JSON config; keys not in ExperimentConfig are errors."""
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+            raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config root must be an object, got {type(raw).__name__}")
     if "experiment" not in raw:
         raise ConfigurationError("config is missing the 'experiment' key")
+    if not isinstance(raw["experiment"], str):
+        raise ConfigurationError(f"experiment must be a name, got {raw['experiment']!r}")
     solver_raw = raw.pop("solver", None)
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = sorted(set(raw) - known)
@@ -158,6 +171,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
     base = default_config(raw["experiment"])
     if solver_raw is not None:
+        if not isinstance(solver_raw, dict):
+            raise ConfigurationError(f"solver must be an object, got {solver_raw!r}")
         solver_known = {f.name for f in fields(SolverSettings)}
         solver_unknown = sorted(set(solver_raw) - solver_known)
         if solver_unknown:
@@ -241,7 +256,7 @@ def _run_tasks(worker, tasks, threads):
     list keeps its draws interleaved with the work; a pooled run lists the
     tasks first.
     """
-    if threads is not None and threads > 1:
+    if threads > 1:
         tasks = list(tasks)
         if len(tasks) > 1:
             # imported here so that a serial run never loads multiprocessing
@@ -300,8 +315,31 @@ def _no_sweep(config, point):
     raise ConfigurationError(f"{config.experiment} takes no sweep, got {point!r}")
 
 
+# Census outcomes of discrete code vectors, oldest first, kept for the life of
+# the process; each pool worker keeps its own table
+_CENSUS_TABLE_CAP = 4096  # about 1.2 KB an outcome
+_census_table: dict[tuple, _CensusOutcome] = {}
+
+
 def _spark_work(task) -> _CensusOutcome:
+    """The census outcome of one code vector.
+
+    A discrete vector's outcome is a pure function of (N, M, M*, its hops,
+    ``eps_svd``, ``max_submatrices``), so it is kept under that key in one
+    table per process, its ``hist`` read-only, and a later run that draws
+    the vector reads it back instead of censusing again.  The table keeps
+    at most ``_CENSUS_TABLE_CAP`` outcomes and drops the oldest first.
+    Continuous vectors are censused every time.  A miss runs
+    ``spark_enumeration`` on the drawn vector, so outputs are the same
+    whatever ran earlier in the process.
+    """
     config, codes = task
+    key = None
+    if codes.is_discrete:
+        key = (codes.codes.size, config.n_hrr_bins, codes.n_codes, codes.hops.tobytes(),
+               config.eps_svd, config.max_submatrices)
+        if key in _census_table:
+            return _census_table[key]
     params = RadarParams.abstract(codes.codes.size, config.n_hrr_bins, n_codes=codes.n_codes)
     report = spark_enumeration(build_phi(params, codes), config.eps_svd,
                                config.max_submatrices)
@@ -309,9 +347,15 @@ def _spark_work(task) -> _CensusOutcome:
     below = sigmas < config.eps_svd
     below_max = float(sigmas[below].max()) if below.any() else None
     above_min = float(sigmas[~below].min()) if not below.all() else None
-    return _CensusOutcome(report.sigma_omega, report.n_below_eps, report.sigma_hist_counts,
-                          report.n_submatrices, below_max, above_min, report.route,
-                          report.det_singular_max, report.det_nonsingular_min)
+    outcome = _CensusOutcome(report.sigma_omega, report.n_below_eps, report.sigma_hist_counts,
+                             report.n_submatrices, below_max, above_min, report.route,
+                             report.det_singular_max, report.det_nonsingular_min)
+    if key is not None:
+        if len(_census_table) >= _CENSUS_TABLE_CAP:
+            del _census_table[next(iter(_census_table))]
+        outcome.hist.setflags(write=False)
+        _census_table[key] = outcome
+    return outcome
 
 
 def _census_key(codes) -> tuple | bytes:
@@ -340,7 +384,9 @@ class _SparkDraws:
     after its draw (the 2000 default discrete trials hold 122 classes).  The
     first vector stays the representative: members agree on their margins
     only to about 1e-14.  ``classes`` holds each trial's class as the
-    position of its task.
+    position of its task.  Every run yields the same tasks; ``_spark_work``
+    may read a discrete representative's outcome from its process's table,
+    which holds exactly what a fresh census gives.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -665,8 +711,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     """Run any experiment from its config; ``threads > 1`` pools its tasks.
 
     A bad or repeated sweep point, or a point whose ``RadarParams`` cannot
-    be built, raises ``ConfigurationError`` before any task runs.
+    be built, or a ``threads`` that is not an integer >= 1, raises
+    ``ConfigurationError`` before any task runs.
     """
+    check_integer("threads", threads, 1)
     experiment = _EXPERIMENTS[config.experiment]
     keys = [experiment.sweep_key(config, point) for point in config.sweep]
     if len(set(keys)) < len(keys):

@@ -47,6 +47,14 @@ NOISY_TINY = ExperimentConfig(experiment="noisy", n_pulses=16, n_hrr_bins=2,
                               n_trials=3, n_scatterers=1, sweep=(15.0,))
 
 
+@pytest.fixture
+def empty_census_table(monkeypatch):
+    """An empty census table for the test, so that every class is censused anew."""
+    table = {}
+    monkeypatch.setattr(harness, "_census_table", table)
+    return table
+
+
 # --- config ---------------------------------------------------------------------
 
 
@@ -224,7 +232,7 @@ def test_census_class_members_share_outcome():
     assert _census_key(continuous) == continuous.codes.tobytes()
 
 
-def test_run_spark_censuses_each_class_once(monkeypatch):
+def test_run_spark_censuses_each_class_once(monkeypatch, empty_census_table):
     cfg = dataclasses.replace(SPARK_TINY, n_trials=40)
     classes = {_census_key(sample_codes(t, 6, 3)) for t in range(40)}
     calls = []
@@ -240,6 +248,42 @@ def test_run_spark_censuses_each_class_once(monkeypatch):
     pooled = run_experiment(cfg, threads=2)
     assert serial.to_csv() == pooled.to_csv()
     assert _jsonable(serial.aggregates) == _jsonable(pooled.aggregates)
+
+
+def test_census_table_serves_repeat_discrete_runs(monkeypatch, tmp_path, empty_census_table):
+    calls = []  # (table size, hops) at each census that runs
+
+    def spy(phi, *args):
+        hops = phi.codes.hops
+        calls.append((len(empty_census_table), None if hops is None else hops.tobytes()))
+        return spark_enumeration(phi, *args)
+
+    monkeypatch.setattr(harness, "spark_enumeration", spy)
+    cfg = dataclasses.replace(SPARK_TINY, n_trials=40)
+    first = [p.read_bytes() for p in run_experiment(cfg).write(tmp_path / "first.csv")]
+    n_censused = len(calls)
+    assert n_censused == len(empty_census_table) > 4
+    assert all(not o.hist.flags.writeable for o in empty_census_table.values())
+    # a repeat run reads every census from the table and writes the same bytes
+    again = [p.read_bytes() for p in run_experiment(cfg).write(tmp_path / "again.csv")]
+    assert len(calls) == n_censused
+    assert again == first
+    # eps_svd is part of the key
+    run_experiment(dataclasses.replace(cfg, eps_svd=1e-14))
+    assert len(calls) == 2 * n_censused
+    # continuous codes are censused every time and never stored
+    size = len(empty_census_table)
+    run_experiment(dataclasses.replace(cfg, n_trials=3, code_distribution="continuous"))
+    assert len(calls) == 2 * n_censused + 3
+    assert len(empty_census_table) == size
+    # at its cap the table drops its oldest outcome for each new one
+    monkeypatch.setattr(harness, "_CENSUS_TABLE_CAP", 4)
+    empty_census_table.clear()
+    calls.clear()
+    run_experiment(cfg)
+    assert len(calls) == n_censused
+    assert max(size for size, _ in calls) == 4
+    assert [key[3] for key in empty_census_table] == [hops for _, hops in calls[-4:]]
 
 
 def test_run_spark_continuous_census_min_sigma():
@@ -601,6 +645,44 @@ def test_cli_solver_option_of_wrong_type(tmp_path, capsys):
     assert "max_iter must be an integer" in err["message"]
 
 
+@pytest.mark.parametrize("eps_svd", [math.nan, math.inf, True, "x"], ids=repr)
+def test_cli_eps_svd_must_be_a_finite_positive_number(tmp_path, capsys, eps_svd):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "spark", "n_trials": 2, "eps_svd": eps_svd}))
+    assert main(["spark", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert err["message"].startswith("eps_svd must be a finite number > 0")
+
+
+@pytest.mark.parametrize("body", [
+    '{"experiment": "phase", "n_trials": 2',  # malformed JSON
+    '{"experiment": "phase", "n_trials": 2, "solver": 5}',
+    '{"experiment": "phase", "n_trials": 2, "sweep": 5}',
+    '{"experiment": ["phase"]}',
+], ids=["malformed", "solver", "sweep", "experiment"])
+def test_cli_unreadable_config_is_a_one_line_error(tmp_path, capsys, body):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    assert main(["phase", "--config", str(cfg), "--out", str(tmp_path / "p.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ConfigurationError"
+
+
+@pytest.mark.parametrize("threads", [0, -3, True], ids=repr)
+def test_bad_threads_are_rejected_before_any_task(monkeypatch, tmp_path, capsys, threads):
+    def run_tasks(*args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(harness, "_run_tasks", run_tasks)
+    with pytest.raises(ConfigurationError, match="threads must be an integer >= 1"):
+        run_experiment(SPARK_TINY, threads=threads)
+    if not isinstance(threads, bool):  # the CLI parses --threads as an int
+        assert main(["spark", "--threads", str(threads), "--out", str(tmp_path / "s.csv")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
+
+
 @pytest.mark.parametrize("knob", ["bp_max_iter", "sp_max_iter", "lasso_max_iter"])
 def test_cli_solver_error_names_the_key(tmp_path, capsys, knob):
     cfg = tmp_path / "cfg.json"
@@ -686,7 +768,8 @@ def test_tracer_names_resolve(monkeypatch):
     (PHASE_TINY, "basis_pursuit"),
     (dataclasses.replace(NOISY_TINY, sweep=(0.0, 15.0)), "subspace_pursuit"),
 ], ids=lambda v: getattr(v, "experiment", v))
-def test_serial_runs_work_on_each_trial_after_its_own_draw(monkeypatch, config, solver):
+def test_serial_runs_work_on_each_trial_after_its_own_draw(monkeypatch, empty_census_table,
+                                                           config, solver):
     events, draws = [], []
     experiment = harness._EXPERIMENTS[config.experiment]
 
