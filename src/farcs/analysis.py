@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ResourceError, ShapeError
+from .errors import ConfigurationError, DomainError, ResourceError, ShapeError, check_integer
 from .sensing import SensingMatrix
 from .signal_model import (TWO_PI, BandwidthMode, FrequencyCodes, RadarParams,
                            pulse_doppler_scalings)
@@ -400,7 +400,7 @@ def rayleigh_tail_bound(eps: float, n_pulses: int) -> TailBound:
     where N * eps^2 > 2/pi; outside that region the flag is False and the
     value is merely the evaluated expression.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError(f"eps must be > 0, got {eps}")
     if n_pulses < 1:
         raise ConfigurationError(f"n_pulses must be >= 1, got {n_pulses}")
@@ -412,9 +412,9 @@ def union_bound(eps: float, n_pulses: int, n_hrr_bins: int) -> float:
     """Union bound P(mu > eps) <= (MN - N) exp(-N eps^2 / 2), returned raw.
 
     The value can exceed 1 for small eps; callers clip to [0, 1] when using
-    it as a probability.
+    it as a probability.  NaN ``eps`` is a DomainError.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError(f"eps must be > 0, got {eps}")
     if n_hrr_bins < 1:
         raise ConfigurationError(f"n_hrr_bins must be >= 1, got {n_hrr_bins}")
@@ -439,10 +439,11 @@ def max_recoverable_K(n_pulses: int, n_hrr_bins: int, delta: float) -> float:
 
 
 def l0_limit(n_pulses: int) -> float:
-    """Largest sparsity with a unique l0 solution under full spark: N / 2."""
-    if n_pulses < 1:
-        raise ConfigurationError(f"n_pulses must be >= 1, got {n_pulses}")
-    return n_pulses / 2.0
+    """Largest sparsity with a unique l0 solution under full spark: N / 2.
+
+    ``n_pulses`` must be an integer >= 1 (ConfigurationError).
+    """
+    return check_integer("n_pulses", n_pulses, 1) / 2.0
 
 
 class ChiStatistics(NamedTuple):

@@ -16,10 +16,11 @@ Trial t of sweep point s always runs on the seed
 ``master_seed + s * n_trials + t``, so results are reproducible record for
 record regardless of worker count.
 
-``spark`` keeps the census outcome of each discrete code vector for the life
-of the process (one table per pool worker, at most 4,096 outcomes), so a
-later run that draws the vector again reads the outcome instead of censusing
-it; outputs are the same whatever ran before.
+``spark`` censuses each discrete code class once per process, on its
+canonical member, and keeps the outcome (one table per pool worker, at most
+one outcome per class and 4,096 in all), so a later draw of any member of
+the class reads the outcome instead of censusing; outputs are the same
+whatever ran before.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -43,7 +45,7 @@ from .analysis import (
 )
 from .errors import ConfigurationError, check_integer, check_positive
 from .sensing import build_phi
-from .signal_model import RadarParams, add_noise, sample_codes
+from .signal_model import FrequencyCodes, RadarParams, add_noise, sample_codes
 # noisy runs lasso_block; lasso stays imported because perfbench's tracer
 # wraps the solver names this module imports
 from .solvers import (
@@ -326,12 +328,14 @@ def _spark_work(task) -> _CensusOutcome:
 
     A discrete vector's outcome is a pure function of (N, M, M*, its hops,
     ``eps_svd``, ``max_submatrices``), so it is kept under that key in one
-    table per process, its ``hist`` read-only, and a later run that draws
-    the vector reads it back instead of censusing again.  The table keeps
-    at most ``_CENSUS_TABLE_CAP`` outcomes and drops the oldest first.
-    Continuous vectors are censused every time.  A miss runs
-    ``spark_enumeration`` on the drawn vector, so outputs are the same
-    whatever ran earlier in the process.
+    table per process, its ``hist`` read-only, and a later task on the
+    same vector reads it back instead of censusing again.  ``_SparkDraws``
+    passes only the canonical member of each class, so the table holds at
+    most one outcome per class (122 at N=6, M*=3).  It keeps at most
+    ``_CENSUS_TABLE_CAP`` outcomes and drops the oldest first.  Continuous
+    vectors are censused every time.  A miss runs ``spark_enumeration`` on
+    the vector it is given, so outputs are the same whatever ran earlier in
+    the process.
     """
     config, codes = task
     key = None
@@ -379,14 +383,15 @@ def _census_key(codes) -> tuple | bytes:
 class _SparkDraws:
     """The spark task list: one census per code class (``_census_key``).
 
-    Iterating draws the trials in order and yields ``(config, codes)`` for
-    the first vector of each class, so a serial run takes each census right
-    after its draw (the 2000 default discrete trials hold 122 classes).  The
-    first vector stays the representative: members agree on their margins
-    only to about 1e-14.  ``classes`` holds each trial's class as the
-    position of its task.  Every run yields the same tasks; ``_spark_work``
-    may read a discrete representative's outcome from its process's table,
-    which holds exactly what a fresh census gives.
+    Iterating draws the trials in order and yields one task per class,
+    right after the first draw of that class, so a serial run takes each
+    census right after its draw (the 2000 default discrete trials hold 122
+    classes).  A discrete class is censused on its canonical member, the
+    smallest image that ``_census_key`` returns as hop indices, so its
+    outcome does not depend on which member was drawn first, and
+    ``_spark_work`` may read it from its process's table; a continuous
+    vector is its own class and is censused as drawn.  ``classes`` holds
+    each trial's class as the position of its task.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -403,6 +408,8 @@ class _SparkDraws:
             key = _census_key(codes)
             if key not in positions:
                 positions[key] = len(positions)
+                if codes.is_discrete:
+                    codes = FrequencyCodes._from_hops(np.array(key), n_codes)
                 yield config, codes
             self.classes.append(positions[key])
 
@@ -645,16 +652,22 @@ def _noisy_collect(config, keys, tasks, points):
 # --- bounds ----------------------------------------------------------------------
 
 def _bounds_key(config, case) -> tuple[int, int, float]:
-    """An (N, M, delta) sweep triple as int, int, float."""
+    """An (N, M, delta) sweep triple as int, int, float.
+
+    N and M must be integers >= 1 and delta a real number, or the entry is a
+    ConfigurationError; ``max_recoverable_K`` checks delta's range.
+    """
     try:
         n_pulses, n_hrr_bins, delta = case
-        parsed = (int(n_pulses), int(n_hrr_bins), float(delta))
     except (TypeError, ValueError):
-        parsed = None
-    if parsed is None or any(isinstance(v, bool) for v in case):
         raise ConfigurationError(f"bounds sweep entries must be (N, M, delta) triples, "
-                                 f"got {case!r}")
-    return parsed
+                                 f"got {case!r}") from None
+    n_pulses = check_integer(f"N of bounds sweep entry {case!r}", n_pulses, 1)
+    n_hrr_bins = check_integer(f"M of bounds sweep entry {case!r}", n_hrr_bins, 1)
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
+        raise ConfigurationError(f"delta of bounds sweep entry {case!r} must be a real number, "
+                                 f"got {delta!r}")
+    return n_pulses, n_hrr_bins, float(delta)
 
 
 def _bounds_collect(config, cases, tasks, outcomes):

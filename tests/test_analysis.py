@@ -763,6 +763,14 @@ def test_union_bound_rejects():
         union_bound(0.1, 64, 0)
 
 
+def test_tail_bounds_reject_nan_eps():
+    # NaN fails every comparison, so `eps <= 0` would let it through
+    with pytest.raises(DomainError):
+        union_bound(math.nan, 64, 8)
+    with pytest.raises(DomainError):
+        rayleigh_tail_bound(math.nan, 64)
+
+
 def test_max_recoverable_K_frozen_value():
     # sqrt(64 / (ln 448 - ln 0.1)) / (2 sqrt 2) + 1/2, frozen from a
     # 40-digit evaluation of the same expression
@@ -796,6 +804,12 @@ def test_l0_limit():
     assert l0_limit(7) == 3.5
     with pytest.raises(ConfigurationError):
         l0_limit(0)
+
+
+@pytest.mark.parametrize("n_pulses", [True, "6", 6.0, 6.5], ids=repr)
+def test_l0_limit_takes_only_integer_pulse_counts(n_pulses):
+    with pytest.raises(ConfigurationError, match="n_pulses must be an integer >= 1"):
+        l0_limit(n_pulses)
 
 
 # --- chi statistics ----------------------------------------------------------------

@@ -250,6 +250,56 @@ def test_run_spark_censuses_each_class_once(monkeypatch, empty_census_table):
     assert _jsonable(serial.aggregates) == _jsonable(pooled.aggregates)
 
 
+def _spark_drawing(monkeypatch, config, hops):
+    """Make spark draw trial t of ``config`` as the hop vector ``hops[t]``."""
+    def draw(seed, n_pulses, n_codes):
+        return FrequencyCodes(np.array(hops[seed - config.master_seed]) / n_codes, n_codes=n_codes)
+
+    monkeypatch.setattr(harness, "sample_codes", draw)
+
+
+def test_census_outcome_depends_only_on_the_class(monkeypatch, tmp_path, empty_census_table):
+    # two runs with empty tables that first draw different members of one
+    # class give that class the same outcome, bit for bit
+    hops = np.array([2, 1, 0, 2, 1, 2])
+    first, other = hops.tolist(), ((2 - hops) % 3).tolist()
+    assert _census_key(FrequencyCodes(hops / 3, n_codes=3)) == _census_key(
+        FrequencyCodes(np.array(other) / 3, n_codes=3))
+    cfg = dataclasses.replace(SPARK_TINY, n_trials=2)
+    runs = []
+    for order in ([first, other], [other, first]):
+        empty_census_table.clear()
+        _spark_drawing(monkeypatch, cfg, order)
+        files = run_experiment(cfg).write(tmp_path / f"{len(runs)}.csv")
+        (outcome,) = empty_census_table.values()
+        runs.append((outcome, [p.read_bytes() for p in files]))
+    (a, a_files), (b, b_files) = runs
+    assert a._replace(hist=None) == b._replace(hist=None)
+    np.testing.assert_array_equal(a.hist, b.hist)
+    assert a_files == b_files
+    # all 729 vectors at N=6, M*=3, drawn in reverse order so that no class
+    # is first drawn on its smallest member, leave one outcome per class
+    # (122), each keyed on its canonical hops
+    empty_census_table.clear()
+    vectors = list(itertools.product(range(3), repeat=6))[::-1]
+    cfg = dataclasses.replace(SPARK_TINY, n_trials=len(vectors))
+    _spark_drawing(monkeypatch, cfg, vectors)
+    run_experiment(cfg)
+    canonical = {np.array(_census_key(FrequencyCodes(np.array(v) / 3, n_codes=3)),
+                          dtype=np.intp).tobytes() for v in vectors}
+    assert len(canonical) == len(empty_census_table) == 122
+    assert {key[3] for key in empty_census_table} == canonical
+
+
+def test_spark_after_another_seed_matches_a_fresh_table(tmp_path, empty_census_table):
+    cfg = default_config("spark")
+    fresh = [p.read_bytes() for p in run_experiment(cfg).write(tmp_path / "fresh.csv")]
+    empty_census_table.clear()
+    run_experiment(dataclasses.replace(cfg, master_seed=10_000))
+    after = [p.read_bytes() for p in run_experiment(cfg).write(tmp_path / "after.csv")]
+    assert after == fresh
+
+
 def test_census_table_serves_repeat_discrete_runs(monkeypatch, tmp_path, empty_census_table):
     calls = []  # (table size, hops) at each census that runs
 
@@ -469,6 +519,14 @@ def test_run_bounds_rejects_bad_case():
     dataclasses.replace(default_config("bounds"), sweep=("abc",)),
     dataclasses.replace(default_config("bounds"), sweep=((64, True, 0.1),)),
     dataclasses.replace(default_config("bounds"), sweep=((64, 8, 0.1), (64.0, 8, 0.1))),
+    # N and M must be integers >= 1 and delta a real number
+    dataclasses.replace(default_config("bounds"), sweep=((64.7, 8, 0.1),)),
+    dataclasses.replace(default_config("bounds"), sweep=(("64", 8, 0.1),)),
+    dataclasses.replace(default_config("bounds"), sweep=((64, 8.0, 0.1),)),
+    dataclasses.replace(default_config("bounds"), sweep=((64, 0, 0.1),)),
+    dataclasses.replace(default_config("bounds"), sweep=((64, 8, "0.1"),)),
+    dataclasses.replace(default_config("bounds"), sweep=((64, 8, True),)),
+    dataclasses.replace(default_config("bounds"), sweep=((64, 8, 0.1, 1),)),
     dataclasses.replace(SPARK_TINY, sweep=(1,)),
 ], ids=lambda config: f"{config.experiment}-{config.sweep!r}")
 def test_bad_or_repeated_sweep_points_are_configuration_errors(config):
@@ -507,6 +565,23 @@ def test_negative_zero_point_is_the_point_zero(config, zero):
     plain, signed = run_experiment(config), run_experiment(zero)
     assert signed.to_csv() == plain.to_csv()
     assert _jsonable(signed.aggregates) == _jsonable(plain.aggregates)
+
+
+def test_run_bounds_nan_delta_is_a_domain_error():
+    cfg = dataclasses.replace(default_config("bounds"), sweep=((64, 8, math.nan),))
+    with pytest.raises(DomainError):
+        run_experiment(cfg)
+
+
+def test_cli_bounds_non_integer_pulse_count_is_a_one_line_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiment": "bounds", "sweep": [[64.7, 8, 0.1]]}')
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    err = json.loads(err)
+    assert err["error"] == "ConfigurationError" and "64.7" in err["message"]
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_run_bounds_single_bin_domain_error():
@@ -789,7 +864,11 @@ def test_serial_runs_work_on_each_trial_after_its_own_draw(monkeypatch, empty_ce
 
         def wrapper(phi, *args):
             last = phi[-1] if name == "lasso_block" else phi
-            events.append(name if last.codes is draws[-1] else name + " on an earlier draw")
+            if name == "spark_enumeration":  # the census runs on the class's canonical member
+                own = _census_key(last.codes) == _census_key(draws[-1])
+            else:
+                own = last.codes is draws[-1]
+            events.append(name if own else name + " on an earlier draw")
             return original(phi, *args)
         return wrapper
 
