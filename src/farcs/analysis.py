@@ -398,12 +398,12 @@ def rayleigh_tail_bound(eps: float, n_pulses: int) -> TailBound:
 
     The bound comes from the Rayleigh limit of |chi| and is only a bound
     where N * eps^2 > 2/pi; outside that region the flag is False and the
-    value is merely the evaluated expression.
+    value is merely the evaluated expression.  N must be an integer >= 1
+    (ConfigurationError).
     """
     if not eps > 0:
         raise DomainError(f"eps must be > 0, got {eps}")
-    if n_pulses < 1:
-        raise ConfigurationError(f"n_pulses must be >= 1, got {n_pulses}")
+    n_pulses = check_integer("n_pulses", n_pulses, 1)
     n_eps2 = n_pulses * eps * eps
     return TailBound(value=math.exp(-0.5 * n_eps2), asymptotic_valid=n_eps2 > 2.0 / math.pi)
 
@@ -412,12 +412,13 @@ def union_bound(eps: float, n_pulses: int, n_hrr_bins: int) -> float:
     """Union bound P(mu > eps) <= (MN - N) exp(-N eps^2 / 2), returned raw.
 
     The value can exceed 1 for small eps; callers clip to [0, 1] when using
-    it as a probability.  NaN ``eps`` is a DomainError.
+    it as a probability.  NaN ``eps`` is a DomainError; N and M must be
+    integers >= 1 (ConfigurationError).
     """
     if not eps > 0:
         raise DomainError(f"eps must be > 0, got {eps}")
-    if n_hrr_bins < 1:
-        raise ConfigurationError(f"n_hrr_bins must be >= 1, got {n_hrr_bins}")
+    n_pulses = check_integer("n_pulses", n_pulses, 1)
+    n_hrr_bins = check_integer("n_hrr_bins", n_hrr_bins, 1)
     n_offsets = n_pulses * n_hrr_bins - n_pulses
     return n_offsets * rayleigh_tail_bound(eps, n_pulses).value
 
@@ -426,10 +427,13 @@ def max_recoverable_K(n_pulses: int, n_hrr_bins: int, delta: float) -> float:
     """Sparsity supporting coherence-based recovery with probability 1 - delta.
 
     K = (1 / (2 sqrt(2))) * sqrt(N / (ln(MN - N) - ln(delta))) + 1/2.
-    Requires 0 < delta < 1 and N(M - 1) >= 2 so the logarithm is positive.
+    Requires 0 < delta < 1 and N(M - 1) >= 2 so the logarithm is positive
+    (DomainError); N and M must be integers >= 1 (ConfigurationError).
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
+    n_pulses = check_integer("n_pulses", n_pulses, 1)
+    n_hrr_bins = check_integer("n_hrr_bins", n_hrr_bins, 1)
     if n_pulses * (n_hrr_bins - 1) < 2:
         raise DomainError(
             f"need N(M-1) >= 2 off-bin offsets, got N={n_pulses}, M={n_hrr_bins}"

@@ -43,6 +43,8 @@ class SolverError(FarcsError, RuntimeError):
 
 def check_integer(name, value, least) -> int:
     """``value`` as an int if it is a non-bool integer >= ``least``, else ConfigurationError."""
+    if type(value) is int and value >= least:  # the common case, without the ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)

@@ -251,19 +251,21 @@ class SensingMatrix:
         return self.params.mode is BandwidthMode.APPROXIMATE
 
 
-def _fft_matvec(hop_t, X):
+def _fft_matvec(hop_t, X, out=None, work=None):
     """R^T * (X D^T) summed over range bins, for X of shape (..., M, N) and D the inverse DFT.
 
-    X D^T is the unnormalized inverse FFT of each length-N row; the hop
-    weighting runs in place on it.
+    X D^T is the unnormalized inverse FFT of each length-N row, written into
+    ``work`` (X's shape) when given; the hop weighting runs in place on it,
+    and the sum goes into ``out`` when given.
     """
-    products = np.fft.ifft(X, norm="forward", out=np.empty(X.shape, np.complex128))
-    return np.add.reduce(np.multiply(hop_t, products, out=products), axis=-2)
+    products = np.fft.ifft(X, norm="forward",
+                           out=np.empty(X.shape, np.complex128) if work is None else work)
+    return np.add.reduce(np.multiply(hop_t, products, out=products), axis=-2, out=out)
 
 
-def _fft_rmatvec(hop_h, v):
-    """(R^H * v) conj(D), shape (..., M, N): the forward FFT of each row, in place."""
-    scaled = hop_h * v
+def _fft_rmatvec(hop_h, v, out=None):
+    """(R^H * v) conj(D), shape (..., M, N): the forward FFT of each row, in place in ``out``."""
+    scaled = np.multiply(hop_h, v, out=out)
     return np.fft.fft(scaled, out=scaled)
 
 
@@ -292,13 +294,21 @@ class SensingStack:
         """The stack of the matrices at the given positions, in that order."""
         return SensingStack(self._R_t[rows], self._R_h[rows])
 
-    def matvec(self, X: np.ndarray) -> np.ndarray:
-        """Phi_i @ X[i] for every row i of a (rows, NM) block; shape (rows, N)."""
-        return _fft_matvec(self._R_t, X.reshape(self._R_t.shape))
+    def matvec(self, X: np.ndarray, out=None, work=None) -> np.ndarray:
+        """Phi_i @ X[i] for every row i of a (rows, NM) block; shape (rows, N).
 
-    def rmatvec(self, V: np.ndarray) -> np.ndarray:
-        """Phi_i^H @ V[i] for every row i of a (rows, N) block; shape (rows, NM)."""
-        return _fft_rmatvec(self._R_h, V[:, None, :]).reshape(len(V), -1)
+        The result goes into ``out`` (rows, N) and the inverse FFTs into
+        ``work`` (rows, M, N) when they are given; the numbers are the same.
+        """
+        return _fft_matvec(self._R_t, X.reshape(self._R_t.shape), out, work)
+
+    def rmatvec(self, V: np.ndarray, out=None) -> np.ndarray:
+        """Phi_i^H @ V[i] for every row i of a (rows, N) block; shape (rows, NM).
+
+        With ``out`` (rows, M, N) given, the products are computed in it and
+        the result is a view of it; the numbers are the same.
+        """
+        return _fft_rmatvec(self._R_h, V[:, None, :], out).reshape(len(V), -1)
 
 
 def build_phi(params: RadarParams, codes: FrequencyCodes) -> SensingMatrix:

@@ -771,6 +771,20 @@ def test_tail_bounds_reject_nan_eps():
         rayleigh_tail_bound(math.nan, 64)
 
 
+@pytest.mark.parametrize("count", [64.7, 64.5, True, "64"], ids=repr)
+@pytest.mark.parametrize("bound", [
+    lambda count: rayleigh_tail_bound(0.3, count),
+    lambda count: union_bound(0.3, count, 8),
+    lambda count: union_bound(0.3, 64, count),
+    lambda count: max_recoverable_K(count, 8, 0.1),
+    lambda count: max_recoverable_K(64, count, 0.1),
+], ids=["rayleigh_N", "union_N", "union_M", "max_K_N", "max_K_M"])
+def test_tail_bounds_take_only_integer_counts(bound, count):
+    # before the check, 64.7 and True were taken as numbers and "64" raised a bare TypeError
+    with pytest.raises(ConfigurationError):
+        bound(count)
+
+
 def test_max_recoverable_K_frozen_value():
     # sqrt(64 / (ln 448 - ln 0.1)) / (2 sqrt 2) + 1/2, frozen from a
     # 40-digit evaluation of the same expression

@@ -319,6 +319,23 @@ def test_stack_rows_are_each_matrix_own_products(n_pulses, n_hrr_bins):
                 assert adjoints[row].tobytes() == phis[i].rmatvec(V[row]).tobytes()
 
 
+@pytest.mark.parametrize("n_pulses, n_hrr_bins", [(64, 8), (63, 5)])
+def test_stack_products_into_buffers_match_allocating_ones(n_pulses, n_hrr_bins):
+    params = RadarParams.abstract(n_pulses, n_hrr_bins)
+    rng = np.random.default_rng(n_pulses)
+    stack = sensing.SensingStack.of(
+        [build_phi(params, sample_codes(rng, n_pulses, n_hrr_bins)) for _ in range(5)])
+    X = _random_complex(rng, 5, n_pulses * n_hrr_bins)
+    V = _random_complex(rng, 5, n_pulses)
+    # buffers full of garbage, which the products must overwrite
+    out = _random_complex(rng, 5, n_pulses)
+    work, into = (_random_complex(rng, 5, n_hrr_bins, n_pulses) for _ in range(2))
+    product = stack.matvec(X, out=out, work=work)
+    assert product is out and product.tobytes() == stack.matvec(X).tobytes()
+    adjoint = stack.rmatvec(V, out=into)
+    assert np.shares_memory(adjoint, into) and adjoint.tobytes() == stack.rmatvec(V).tobytes()
+
+
 def test_matvec_shape_checks():
     phi = _phi()
     with pytest.raises(ShapeError):

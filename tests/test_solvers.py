@@ -542,9 +542,9 @@ def test_lasso_makes_one_product_each_way_per_iteration(monkeypatch):
     # the iterations make block products; the exit duality gap one Phi^H on each phi
     for owner in (SensingStack, *phis):
         for name in calls:
-            def counted(*args, _name=name, _product=getattr(owner, name)):
+            def counted(*args, _name=name, _product=getattr(owner, name), **kwargs):
                 calls[_name] += 1
-                return _product(*args)
+                return _product(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
     for n_rows in (1, 3):
         calls.update(matvec=0, rmatvec=0)
@@ -601,6 +601,44 @@ def test_lasso_block_does_not_depend_on_block_size():
             _assert_block_matches_lone_solves(problems[start:start + size])
     order = np.random.default_rng(0).permutation(15)
     _assert_block_matches_lone_solves([problems[i] for i in order])
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 5])
+def test_lasso_block_over_the_chunk_cap_matches_lone_solves(monkeypatch, chunk_rows):
+    # chunk_rows None keeps the module's cap; the block is more than two
+    # chunks, and in every chunk rows take both exits at many iteration counts
+    if chunk_rows is not None:
+        monkeypatch.setattr(solvers, "_LASSO_CHUNK_ROWS", chunk_rows)
+    cap = solvers._LASSO_CHUNK_ROWS
+    problems = _lasso_problems(9400)
+    block = [problems[i % 15] for i in range(2 * cap + 5)]
+    _assert_block_matches_lone_solves(block)
+    results = lasso_block(*zip(*block), _BLOCK_CONFIG)
+    for start in range(0, len(block), cap):
+        chunk = results[start:start + cap]
+        assert {r.converged for r in chunk} == {True, False}
+        assert len({r.iterations for r in chunk if r.converged}) > 2
+
+
+def test_lasso_block_buffers_stay_private():
+    problems = _lasso_problems(9400)
+    phis, ys, lams = zip(*problems)
+    hops = [(phi._hop_t.copy(), phi._hop_h.copy()) for phi in phis]
+    ys_before = [y.copy() for y in ys]
+    first = lasso_block(phis, ys, lams, _BLOCK_CONFIG)
+    # no result is a view of a buffer that the block went on to overwrite
+    for i, a in enumerate(first):
+        for b in first[i + 1:]:
+            assert not np.shares_memory(a.x_hat, b.x_hat)
+    for y, before in zip(ys, ys_before):
+        assert y.tobytes() == before.tobytes()
+    for phi, (hop_t, hop_h) in zip(phis, hops):
+        assert phi._hop_t.tobytes() == hop_t.tobytes()
+        assert phi._hop_h.tobytes() == hop_h.tobytes()
+    for a, b in zip(first, lasso_block(phis, ys, lams, _BLOCK_CONFIG)):
+        assert a.x_hat.tobytes() == b.x_hat.tobytes()
+        assert (a.iterations, a.converged, a.duality_gap, a.support, a.residual_norm) == (
+            b.iterations, b.converged, b.duality_gap, b.support, b.residual_norm)
 
 
 def test_lasso_block_rejects():
