@@ -6,7 +6,11 @@ Prints one JSON line of times in microseconds:
   ``SensingStack`` product over 15 rows (the rows of a benchmark noise point);
 - ``lasso_iteration``: one FISTA iteration of a ``lasso_block`` call at 1, 15
   and 200 rows (200 is a default ``noisy`` noise point), per call and per row;
-- ``admm_iteration``: one basis pursuit (ADMM) iteration.
+- ``admm_iteration``: one basis pursuit (ADMM) iteration;
+- ``bp_solve_3``: one whole basis pursuit solve of a noiseless 3-scatterer
+  scene, as the benchmark's ``recovery-phase`` config draws at K = 3; it must
+  end on a certificate.  ``bp_solve_3_fixed`` is its per-solve fixed cost,
+  the solve less ``bp_solve_3_iterations`` times ``admm_iteration``.
 
 An iteration's cost is the difference between two solves capped at
 ``SHORT`` and ``LONG`` iterations, divided by ``LONG - SHORT``, so set-up
@@ -22,6 +26,7 @@ imported.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -47,18 +52,22 @@ NEVER = 1e-300  # a relative objective change this small only comes from an exac
 
 
 def _problems(n_rows, seed=0):
-    """``n_rows`` noisy 3-scatterer scenes at -5 dB, each with its own codes; lam = 3 sigma^2."""
+    """``n_rows`` 3-scatterer scenes, each with its own codes, noiseless and at -5 dB.
+
+    Returns the operators, the noiseless scenes, the noisy ones and lam = 3 sigma^2.
+    """
     rng = np.random.default_rng(seed)
     params = RadarParams.abstract(N_PULSES, N_HRR_BINS)
     sigma2 = 10.0 ** (-5.0 / 10.0)
-    phis, ys = [], []
+    phis, scenes, ys = [], [], []
     for _ in range(n_rows):
         phi = build_phi(params, sample_codes(rng, N_PULSES, N_HRR_BINS))
         idx = rng.choice(phi.n_columns, size=N_SCATTERERS, replace=False)
         scene = phi.columns(idx) @ np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N_SCATTERERS))
         phis.append(phi)
+        scenes.append(scene)
         ys.append(add_noise(scene, sigma2, rng))
-    return phis, ys, 3.0 * sigma2
+    return phis, scenes, ys, 3.0 * sigma2
 
 
 def _best_us(run, repeats=REPEATS):
@@ -86,7 +95,7 @@ def _per_iteration_us(solve):
 
 
 def main() -> int:
-    phis, ys, lam = _problems(max(LASSO_ROWS))
+    phis, scenes, ys, lam = _problems(max(LASSO_ROWS))
     rng = np.random.default_rng(1)
     x = rng.standard_normal(phis[0].n_columns) + 1j * rng.standard_normal(phis[0].n_columns)
     stack = SensingStack.of(phis[:STACK_ROWS])
@@ -108,7 +117,13 @@ def main() -> int:
     dense_y = rng.standard_normal(N_PULSES) + 1j * rng.standard_normal(N_PULSES)
     us["admm_iteration"] = _per_iteration_us(
         lambda config: [basis_pursuit(phis[0], dense_y, config)])
+    solve = basis_pursuit(phis[0], scenes[0])
+    if not solve.certified:
+        raise RuntimeError("the timed basis pursuit solve ended without a certificate")
+    us["bp_solve_3"] = _per_call_us(functools.partial(basis_pursuit, phis[0]), scenes[0], calls=20)
+    us["bp_solve_3_fixed"] = us["bp_solve_3"] - solve.iterations * us["admm_iteration"]
     print(json.dumps({"us": {name: round(value, 2) for name, value in us.items()},
+                      "bp_solve_3_iterations": solve.iterations,
                       "n_pulses": N_PULSES, "n_hrr_bins": N_HRR_BINS, "blas_threads": 1}))
     return 0
 

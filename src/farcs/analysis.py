@@ -260,7 +260,7 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
     ``_CENSUS_BATCH``, and the outcome does not depend on that size.
     Refuses to start when the subset count exceeds ``max_submatrices``.
     """
-    if eps_svd <= 0:
+    if not eps_svd > 0:
         raise DomainError(f"eps_svd must be > 0, got {eps_svd}")
     N, n_cols = phi.shape
     total = math.comb(n_cols, N)
@@ -479,8 +479,7 @@ def chi_statistics(params: RadarParams, p: float, q: float, n_trials: int,
     _validate_on_grid(q, TWO_PI / params.n_pulses, "q")
     if m == 0:
         raise DomainError("p = 0 makes chi deterministic; pick an off-bin offset")
-    if n_trials < 2:
-        raise ConfigurationError(f"n_trials must be >= 2, got {n_trials}")
+    n_trials = check_integer("n_trials", n_trials, 2)
     N, M = params.n_pulses, params.n_hrr_bins
     rng = np.random.default_rng(seed)
     n_phase = q * np.arange(N)

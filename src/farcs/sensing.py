@@ -117,11 +117,10 @@ class SensingMatrix:
     """Lazy N x NM sensing operator for one code realization.
 
     Stores only the N x M and N x N factors, plus contiguous copies of R^T
-    and R^H once a product has run (and of D^T and conj(D) in EXACT mode;
-    APPROXIMATE mode multiplies by D through the FFT); columns, products
-    and the dense matrix are formed on demand.  ``to_dense`` refuses to
-    materialize more than ``_DENSE_BUDGET`` complex values.  Discrete codes
-    must use M* = params.n_codes.
+    and R^H once a product has run; columns, products (APPROXIMATE mode
+    only) and the dense matrix are formed on demand.  ``to_dense`` builds a
+    new array per call, of at most ``_DENSE_BUDGET`` complex values.
+    Discrete codes must use M* = params.n_codes.
     """
 
     def __init__(self, params: RadarParams, codes: FrequencyCodes):
@@ -137,7 +136,6 @@ class SensingMatrix:
         self.codes = codes
         self._R = build_R(codes, params.n_hrr_bins)
         self._D = build_D(params, codes)
-        self._dense: np.ndarray | None = None
 
     # --- shape bookkeeping -------------------------------------------------
 
@@ -164,43 +162,44 @@ class SensingMatrix:
     # --- column access -----------------------------------------------------
 
     def _split_index(self, j):
+        """(m, l) of integer column indices j = l + m*N; an empty selection may have any dtype."""
         j = np.asarray(j)
+        if j.dtype.kind not in "iu":
+            if j.size:
+                raise DomainError(f"column indices must be integers, got {j.dtype} values")
+            j = j.astype(np.intp)
         if np.any(j < 0) or np.any(j >= self.n_columns):
             raise DomainError(f"column index outside [0, {self.n_columns})")
-        m, l = np.divmod(j, self.n_pulses)
-        return m, l
+        return np.divmod(j, self.n_pulses)
 
     def column(self, j: int) -> np.ndarray:
         """Column j = l + m*N, shape (N,)."""
-        m, l = self._split_index(int(j))
+        m, l = self._split_index(j)
         return self._R[:, m] * self._D[:, l]
 
     def columns(self, indices) -> np.ndarray:
         """Submatrix of the given columns, shape (N, len(indices))."""
-        m, l = self._split_index(np.asarray(indices, dtype=np.intp))
+        m, l = self._split_index(indices)
         return self._R[:, m] * self._D[:, l]
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the full N x NM matrix (cached)."""
-        if self._dense is None:
-            N, M = self.params.n_pulses, self.params.n_hrr_bins
-            if N * N * M > _DENSE_BUDGET:
-                raise ResourceError(f"dense matrix has {N * N * M} entries, over the "
-                                    f"budget of {_DENSE_BUDGET}")
-            dense = self._R[:, :, None] * self._D[:, None, :]  # (N, M, N)
-            self._dense = dense.reshape(N, M * N)
-        return self._dense
+        """Materialize the full N x NM matrix, a new array on every call."""
+        N, M = self.params.n_pulses, self.params.n_hrr_bins
+        if N * N * M > _DENSE_BUDGET:
+            raise ResourceError(f"dense matrix has {N * N * M} entries, over the "
+                                f"budget of {_DENSE_BUDGET}")
+        return (self._R[:, :, None] * self._D[:, None, :]).reshape(N, M * N)
 
     # --- products ----------------------------------------------------------
 
-    # The products work in the layout x[l + m*N] = X[m, l] (rows of X are
-    # range bins), so x.reshape(M, N) is X with no copy; they read
-    # contiguous copies of R^T and R^H, built on first use.  In APPROXIMATE
-    # mode D is the unnormalized inverse DFT, so X D^T is an inverse FFT of
-    # each row of X and (R^H * v) conj(D) a forward FFT of each row
-    # (``_fft_matvec``/``_fft_rmatvec``, shared with ``SensingStack``).  EXACT
-    # mode multiplies by contiguous copies of D^T and conj(D), also built on
-    # first use.
+    # The products are defined in APPROXIMATE mode only, where D is the
+    # unnormalized inverse DFT: X D^T is an inverse FFT of each row of X and
+    # (R^H * v) conj(D) a forward FFT of each row (``_fft_matvec``/
+    # ``_fft_rmatvec``, shared with ``SensingStack``).  They work in the
+    # layout x[l + m*N] = X[m, l] (rows of X are range bins), so
+    # x.reshape(M, N) is X with no copy, and read contiguous copies of R^T
+    # and R^H, built on first use.  In EXACT mode they raise
+    # UnsupportedModeError; ``to_dense() @ x`` is the product there.
 
     @functools.cached_property
     def _hop_t(self) -> np.ndarray:
@@ -210,32 +209,25 @@ class SensingMatrix:
     def _hop_h(self) -> np.ndarray:
         return np.ascontiguousarray(self._R.conj().T)
 
-    @functools.cached_property
-    def _doppler_t(self) -> np.ndarray:
-        return np.ascontiguousarray(self._D.T)
-
-    @functools.cached_property
-    def _doppler_conj(self) -> np.ndarray:
-        return self._D.conj()
+    def _approximate_only(self):
+        if not self.is_row_orthogonal():
+            raise UnsupportedModeError("products need APPROXIMATE mode; use to_dense() in EXACT")
 
     def matvec(self, x) -> np.ndarray:
         """Phi @ x for a length-NM vector: R^T * (X D^T), summed over its rows."""
+        self._approximate_only()
         x = np.asarray(x)
         if x.shape != (self.n_columns,):
             raise ShapeError(f"expected shape ({self.n_columns},), got {x.shape}")
-        X = x.reshape(self._hop_t.shape)
-        if self.is_row_orthogonal():
-            return _fft_matvec(self._hop_t, X)
-        return (self._hop_t * (X @ self._doppler_t)).sum(axis=0)
+        return _fft_matvec(self._hop_t, x.reshape(self._hop_t.shape))
 
     def rmatvec(self, v) -> np.ndarray:
         """Phi^H @ v for a length-N vector: ((R^H * v) conj(D)), flattened."""
+        self._approximate_only()
         v = np.asarray(v)
         if v.shape != (self.n_pulses,):
             raise ShapeError(f"expected shape ({self.n_pulses},), got {v.shape}")
-        if self.is_row_orthogonal():
-            return _fft_rmatvec(self._hop_h, v).ravel()
-        return ((self._hop_h * v) @ self._doppler_conj).ravel()
+        return _fft_rmatvec(self._hop_h, v).ravel()
 
     def row_gram(self) -> np.ndarray:
         """Phi @ Phi^H, shape (N, N): (R R^H) * (D D^H) elementwise.

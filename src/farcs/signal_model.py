@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError, check_integer
+from .errors import ConfigurationError, DomainError, ShapeError, check_integer, check_positive
 
 TWO_PI = 2.0 * math.pi
 # speed of light in vacuum, m/s: exact by the SI definition of the metre
@@ -62,16 +62,14 @@ class RadarParams:
                 f"n_codes={self.n_codes} must be >= n_hrr_bins={self.n_hrr_bins} "
                 "(coarser hop sets alias range bins)"
             )
-        if self.carrier_hz is not None and not self.carrier_hz > 0:
-            raise ConfigurationError(f"carrier_hz must be > 0, got {self.carrier_hz}")
         # bandwidth_hz == 0.0 is tolerated as the degenerate "no relative
         # bandwidth" setting used by dimensionless studies; physical
         # configurations (with pulse timing) need a real bandwidth.
-        if self.bandwidth_hz is not None and self.bandwidth_hz < 0:
-            raise ConfigurationError(f"bandwidth_hz must be >= 0, got {self.bandwidth_hz}")
+        for name, zero_ok in (("carrier_hz", False), ("bandwidth_hz", True),
+                              ("pulse_width_s", False), ("pri_s", False)):
+            if getattr(self, name) is not None:
+                check_positive(name, getattr(self, name), zero_ok)
         if self.pulse_width_s is not None:
-            if not self.pulse_width_s > 0:
-                raise ConfigurationError("pulse_width_s must be > 0")
             if not self.bandwidth_hz:
                 raise ConfigurationError("pulse_width_s given without a positive bandwidth_hz")
             expected = math.ceil(self.pulse_width_s * self.bandwidth_hz)
@@ -80,10 +78,8 @@ class RadarParams:
                     f"n_hrr_bins={self.n_hrr_bins} inconsistent with "
                     f"ceil(pulse_width_s * bandwidth_hz)={expected}"
                 )
-        if self.pri_s is not None:
-            if not self.pri_s > 0:
-                raise ConfigurationError("pri_s must be > 0")
-            if self.pulse_width_s is not None and not self.pri_s > self.pulse_width_s:
+        if self.pri_s is not None and self.pulse_width_s is not None:
+            if not self.pri_s > self.pulse_width_s:
                 raise ConfigurationError("pri_s must exceed pulse_width_s")
         if self.mode is BandwidthMode.EXACT:
             if self.carrier_hz is None or self.bandwidth_hz is None:
@@ -99,8 +95,7 @@ class RadarParams:
         stored bandwidth doubles as the ratio.  The mode follows the ratio:
         EXACT when it is positive, otherwise APPROXIMATE.
         """
-        if relative_bandwidth < 0:
-            raise ConfigurationError("relative_bandwidth must be >= 0")
+        check_positive("relative_bandwidth", relative_bandwidth, zero_ok=True)
         mode = BandwidthMode.EXACT if relative_bandwidth > 0 else BandwidthMode.APPROXIMATE
         return cls(
             n_pulses=n_pulses,
@@ -223,10 +218,8 @@ def zeta(code, bandwidth_hz, carrier_hz):
     code = np.asarray(code, dtype=np.float64)
     if np.any(code < 0.0) or np.any(code >= 1.0):
         raise DomainError("codes must lie in [0, 1)")
-    if not carrier_hz or carrier_hz <= 0:
-        raise ConfigurationError("zeta needs carrier_hz > 0")
-    if bandwidth_hz < 0:
-        raise ConfigurationError("bandwidth_hz must be >= 0")
+    check_positive("carrier_hz", carrier_hz)
+    check_positive("bandwidth_hz", bandwidth_hz, zero_ok=True)
     out = 1.0 + code * (bandwidth_hz / carrier_hz)
     return out if out.ndim else float(out)
 
@@ -358,8 +351,7 @@ def add_noise(y, sigma2, seed) -> np.ndarray:
     Real and imaginary parts each get variance sigma2 / 2, so
     E|noise|^2 = sigma2.  ``seed`` may be an int or a Generator.
     """
-    if sigma2 < 0:
-        raise ConfigurationError(f"sigma2 must be >= 0, got {sigma2}")
+    check_positive("sigma2", sigma2, zero_ok=True)
     y = np.asarray(y, dtype=np.complex128)
     if sigma2 == 0:
         return y.copy()

@@ -222,29 +222,22 @@ def _norm(v) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
 
-def _soft_threshold(v, kappa):
-    """Complex soft thresholding: shrink magnitudes by kappa, keep phases.
-
-    ``kappa`` is a scalar or broadcasts against ``v`` (one threshold per row
-    of a block).  Where it is 0, ``v`` passes unchanged.
-    """
-    return _shrink_into(v, kappa, _shrink_floor(kappa), np.empty(v.shape),
-                        np.zeros(v.shape, dtype=np.complex128), np.empty(v.shape, np.complex128))
-
-
 def _shrink_floor(kappa):
     """The floor of |v| in ``_shrink_into``: kappa = 0 would divide 0 by 0 at v = 0."""
     return np.where(kappa > 0, kappa, np.inf)
 
 
 def _shrink_into(v, kappa, floor, magnitude, shrink, out):
-    """v * (1 - kappa / max(|v|, floor)) written into ``out``, allocating nothing.
+    """Complex soft thresholding, v * (1 - kappa / max(|v|, floor)) into ``out``.
 
-    ``floor`` is ``_shrink_floor(kappa)``, ``magnitude`` a float buffer of
-    v's shape and ``shrink`` a complex one whose imaginary part is 0.  The
-    real factor goes into ``shrink.real``, so the product is the complex
-    multiply that numpy's promotion of a float factor would run, with the
-    same bits.
+    Magnitudes shrink by kappa and phases stay.  ``kappa`` is a scalar or
+    broadcasts against ``v`` (one threshold per row of a block); where it
+    is 0, ``v`` passes unchanged.  Allocates nothing: ``floor`` is
+    ``_shrink_floor(kappa)``, ``magnitude`` a float buffer of v's shape,
+    ``shrink`` a complex one whose imaginary part is 0, and ``out`` may be
+    ``v`` itself.  The real factor goes into ``shrink.real``, so the product
+    is the complex multiply that numpy's promotion of a float factor would
+    run, with the same bits.
     """
     np.abs(v, out=magnitude)
     np.divide(kappa, np.maximum(magnitude, floor, out=magnitude), out=magnitude)
@@ -318,6 +311,8 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
         return v - phi.rmatvec(phi.matvec(v) / scale - y_scaled)
 
     kappa = 1.0 / _ADMM_RHO
+    floor = _shrink_floor(kappa)
+    magnitude, shrink = np.empty(n_cols), np.zeros(n_cols, dtype=np.complex128)
     stop_norm = cfg.residual_tol * y_norm
     z = np.zeros(n_cols, dtype=np.complex128)
     u = np.zeros(n_cols, dtype=np.complex128)
@@ -329,7 +324,8 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
     for iterations in range(1, cfg.max_iter + 1):
         x = project(z - u)
         x_relaxed = _ADMM_RELAXATION * x + (1.0 - _ADMM_RELAXATION) * z
-        z_new = _soft_threshold(x_relaxed + u, kappa)
+        z_new = x_relaxed + u
+        _shrink_into(z_new, kappa, floor, magnitude, shrink, out=z_new)
         u = u + x_relaxed - z_new
         primal = _norm(x - z_new)
         dual = _ADMM_RHO * _norm(z_new - z)

@@ -134,8 +134,11 @@ def test_spark_budget_guard():
 
 def test_spark_rejects_bad_eps():
     phi = _abstract_phi((0.0,) * 6, 3, n_codes=3)
-    with pytest.raises(DomainError):
-        spark_enumeration(phi, eps_svd=0.0)
+    # NaN fails every comparison, so a `<= 0` test let it through to count
+    # no deficient submatrix at all
+    for eps_svd in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            spark_enumeration(phi, eps_svd=eps_svd)
 
 
 def _per_subset_sigmas(phi):
@@ -862,8 +865,9 @@ def test_chi_statistics_rejects():
     params = RadarParams.abstract(64, 8, n_codes=8)
     with pytest.raises(DomainError):
         chi_statistics(params, 0.0, np.pi, n_trials=100)
-    with pytest.raises(ConfigurationError):
-        chi_statistics(params, np.pi, np.pi, n_trials=1)
+    for n_trials in (1, 2.5, 100.0, True, "100"):
+        with pytest.raises(ConfigurationError, match="^n_trials must be an integer >= 2"):
+            chi_statistics(params, np.pi, np.pi, n_trials=n_trials)
     wide = RadarParams.abstract(64, 8, n_codes=16)
     with pytest.raises(ConfigurationError):
         chi_statistics(wide, np.pi, np.pi, n_trials=100)

@@ -196,6 +196,33 @@ def test_column_access_matches_dense():
         phi.columns([-1])
 
 
+def test_column_indices_must_be_integers():
+    phi = _phi(seed=9)
+    dense = phi.to_dense()
+    for bad in ([1.5], [1.0], np.array([0.5, 2.0]), [True], ["1"]):
+        with pytest.raises(DomainError, match="column indices must be integers"):
+            phi.columns(bad)
+    for bad in (1.5, 37.0):
+        with pytest.raises(DomainError, match="column indices must be integers"):
+            phi.column(bad)
+    # an empty selection of any kind is an empty submatrix
+    for empty in ([], (), np.array([], dtype=np.intp)):
+        assert phi.columns(empty).shape == (16, 0)
+    # numpy integers of any width select like Python ints
+    assert np.array_equal(phi.column(np.int16(37)), dense[:, 37])
+    assert np.array_equal(phi.columns(np.array([5, 37], dtype=np.uint8)), dense[:, [5, 37]])
+
+
+def test_to_dense_returns_a_new_array_per_call():
+    phi = _phi(seed=9)
+    first = phi.to_dense()
+    expected = first.copy()
+    first[:] = 0.0
+    second = phi.to_dense()
+    assert second is not first and np.array_equal(second, expected)
+    assert phi.column(37).tobytes() == expected[:, 37].tobytes()
+
+
 def test_matvec_rmatvec_match_dense():
     phi = _phi(seed=11)
     dense = phi.to_dense()
@@ -210,9 +237,10 @@ def test_matvec_rmatvec_match_dense():
                         atol=1e-10)
 
 
-# EXACT mode, a single range bin, and two pulses with many range bins
+# a single range bin, and two pulses with many range bins; APPROXIMATE mode
+# only, since EXACT-mode products raise (test_exact_mode_products_raise)
 @pytest.mark.parametrize("n_pulses,n_hrr_bins", [(16, 4), (16, 1), (2, 32)])
-@pytest.mark.parametrize("relative_bandwidth", [0.0, 0.4])
+@pytest.mark.parametrize("relative_bandwidth", [0.0])
 def test_matvec_rmatvec_match_dense_edge_shapes(n_pulses, n_hrr_bins, relative_bandwidth):
     params = RadarParams.abstract(n_pulses, n_hrr_bins,
                                   relative_bandwidth=relative_bandwidth)
@@ -233,20 +261,15 @@ def _random_complex(rng, *shape):
 
 
 def test_product_factors_are_built_on_first_product():
-    # R^T and R^H on first use in both modes; copies of D^T and conj(D) only
-    # in EXACT mode, since APPROXIMATE mode multiplies by D through the FFT
-    factors = ("_hop_t", "_hop_h", "_doppler_t", "_doppler_conj")
-    for relative_bandwidth, built in ((0.0, factors[:2]), (0.4, factors)):
-        phi = _phi(seed=12, relative_bandwidth=relative_bandwidth)
-        assert not set(factors) & set(vars(phi))
-        phi.matvec(np.ones(phi.n_columns))
-        phi.rmatvec(np.ones(phi.n_pulses))
-        assert tuple(name for name in factors if name in vars(phi)) == built
-        assert all(vars(phi)[name].flags.c_contiguous for name in built)
-        assert np.array_equal(vars(phi)["_hop_t"], phi.hop_response.T)
-        assert np.array_equal(vars(phi)["_hop_h"], phi.hop_response.conj().T)
-    assert np.array_equal(vars(phi)["_doppler_t"], phi.doppler_response.T)
-    assert np.array_equal(vars(phi)["_doppler_conj"], phi.doppler_response.conj())
+    # contiguous R^T and R^H, on first use; D is applied through the FFT
+    factors = ("_hop_t", "_hop_h")
+    phi = _phi(seed=12)
+    assert not set(factors) & set(vars(phi))
+    phi.matvec(np.ones(phi.n_columns))
+    phi.rmatvec(np.ones(phi.n_pulses))
+    assert all(vars(phi)[name].flags.c_contiguous for name in factors)
+    assert np.array_equal(vars(phi)["_hop_t"], phi.hop_response.T)
+    assert np.array_equal(vars(phi)["_hop_h"], phi.hop_response.conj().T)
 
 
 def test_approximate_mode_products_are_row_ffts():
@@ -264,17 +287,16 @@ def test_approximate_mode_products_are_row_ffts():
         assert np.array_equal(phi.rmatvec(v), np.fft.fft(R_h * v).ravel())
 
 
-def test_exact_mode_products_are_the_factored_gemms():
-    params = RadarParams.abstract(64, 8, relative_bandwidth=0.4)
-    rng = np.random.default_rng(10)
-    x, v = _random_complex(rng, 512), _random_complex(rng, 64)
-    for seed, n_codes in ((13, 8), (14, None)):
-        phi = build_phi(params, sample_codes(seed, 64, n_codes))
-        R, D = phi.hop_response, phi.doppler_response
-        R_t, R_h = np.ascontiguousarray(R.T), np.ascontiguousarray(R.conj().T)
-        assert np.array_equal(
-            phi.matvec(x), np.sum(R_t * (x.reshape(8, 64) @ np.ascontiguousarray(D.T)), axis=0))
-        assert np.array_equal(phi.rmatvec(v), ((R_h * v) @ D.conj()).ravel())
+def test_exact_mode_products_raise():
+    # EXACT mode serves columns and the dense matrix, but no products; no
+    # product factor is built on the way to the error
+    for n_codes in (8, None):
+        phi = _phi(n_pulses=64, n_hrr_bins=8, seed=13, n_codes=n_codes, relative_bandwidth=0.4)
+        for product, operand in ((phi.matvec, np.ones(512)), (phi.rmatvec, np.ones(64))):
+            with pytest.raises(UnsupportedModeError, match="to_dense"):
+                product(operand)
+        assert not {"_hop_t", "_hop_h"} & set(vars(phi))
+        assert phi.to_dense().shape == (64, 512)
 
 
 # N = 6, 63 and 100 take other FFT factorizations than the power of two 64
@@ -373,8 +395,10 @@ def test_synthesis_agrees_with_matvec(relative_bandwidth):
     scene = Scene((Scatterer.on_grid(1, 3, params, amplitude=1.5 - 0.5j),
                    Scatterer.on_grid(3, 11, params, amplitude=2j)))
     y_model = synthesize_echoes(params, codes, scene)
-    y_matrix = phi.matvec(scene_to_vector(scene, params))
-    assert_allclose(y_model, y_matrix, atol=1e-12)
+    x = scene_to_vector(scene, params)
+    assert_allclose(y_model, phi.to_dense() @ x, atol=1e-12)
+    if phi.is_row_orthogonal():  # EXACT mode has no matvec
+        assert_allclose(y_model, phi.matvec(x), atol=1e-12)
 
 
 def test_row_gram_structure():

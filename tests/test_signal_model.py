@@ -44,6 +44,15 @@ def test_params_basic_fields():
     dict(n_pulses=4, n_hrr_bins=4, carrier_hz=-1.0),
     dict(n_pulses=4, n_hrr_bins=4, bandwidth_hz=-5.0),
     dict(n_pulses=4, n_hrr_bins=4, mode=BandwidthMode.EXACT),  # no carrier/bandwidth
+    # carrier, bandwidth and timing must be finite numbers
+    dict(n_pulses=4, n_hrr_bins=4, carrier_hz=math.inf),
+    dict(n_pulses=4, n_hrr_bins=4, carrier_hz="1"),
+    dict(n_pulses=4, n_hrr_bins=4, carrier_hz=1.0, bandwidth_hz=math.nan),
+    dict(n_pulses=4, n_hrr_bins=4, bandwidth_hz=math.inf),
+    dict(n_pulses=4, n_hrr_bins=4, bandwidth_hz=True),
+    dict(n_pulses=4, n_hrr_bins=2, bandwidth_hz=2.0, pulse_width_s=math.inf),
+    dict(n_pulses=4, n_hrr_bins=4, pri_s=math.inf),
+    dict(n_pulses=4, n_hrr_bins=4, pri_s=math.nan),
 ])
 def test_params_rejects_bad_config(kwargs):
     with pytest.raises(ConfigurationError):
@@ -74,6 +83,14 @@ def test_params_bin_count_must_match_timing():
         RadarParams(n_pulses=16, n_hrr_bins=31, n_codes=64,
                     carrier_hz=9e9, bandwidth_hz=1024e6,
                     pri_s=0.2e-3, pulse_width_s=31.25e-9)
+
+
+@pytest.mark.parametrize("relative_bandwidth", [math.nan, math.inf, -0.1, "0.1"], ids=repr)
+def test_abstract_relative_bandwidth_must_be_finite(relative_bandwidth):
+    # NaN used to build an APPROXIMATE operator with a NaN bandwidth, and inf
+    # an EXACT one whose Doppler factor was all NaN
+    with pytest.raises(ConfigurationError, match="^relative_bandwidth must be a finite number"):
+        RadarParams.abstract(4, 2, relative_bandwidth=relative_bandwidth)
 
 
 def test_params_pri_must_exceed_pulse_width():
@@ -227,6 +244,10 @@ def test_zeta_rejects_bad_inputs():
         zeta(1.0, 0.1, 1.0)
     with pytest.raises(ConfigurationError):
         zeta(0.5, 0.1, 0.0)
+    for bandwidth, carrier in ((math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan),
+                               (0.1, math.inf), (-0.1, 1.0), (0.1, None)):
+        with pytest.raises(ConfigurationError, match="must be a finite number"):
+            zeta(0.5, bandwidth, carrier)
 
 
 # --- scene --------------------------------------------------------------------
@@ -378,8 +399,11 @@ def test_add_noise_variance_split():
 def test_add_noise_deterministic_and_validated():
     y = np.ones(8, dtype=complex)
     assert np.array_equal(add_noise(y, 0.5, 11), add_noise(y, 0.5, 11))
-    with pytest.raises(ConfigurationError):
-        add_noise(y, -1e-3, 0)
+    # NaN and inf used to come back as NaN or infinite samples, and a string
+    # as a bare TypeError
+    for sigma2 in (-1e-3, math.nan, math.inf, -math.inf, "1", None, True):
+        with pytest.raises(ConfigurationError, match="^sigma2 must be a finite number >= 0"):
+            add_noise(y, sigma2, 0)
 
 
 # --- physical mapping ----------------------------------------------------------------

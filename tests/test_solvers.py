@@ -31,7 +31,7 @@ from farcs import (
 )
 from farcs import solvers
 from farcs.sensing import SensingStack
-from farcs.solvers import _CERTIFICATE_MARGIN, _certified_fit, _soft_threshold
+from farcs.solvers import _CERTIFICATE_MARGIN, _certified_fit, _shrink_floor, _shrink_into
 
 
 def _problem(n_pulses=64, n_hrr_bins=8, k=3, seed=0, amp_seed=100):
@@ -675,6 +675,12 @@ def test_lasso_reports_its_duality_gap():
     assert basis_pursuit(phi, y).duality_gap is None
 
 
+def _soft_threshold(v, kappa):
+    """``_shrink_into`` with fresh buffers, out of place."""
+    return _shrink_into(v, kappa, _shrink_floor(kappa), np.empty(v.shape),
+                        np.zeros(v.shape, dtype=np.complex128), np.empty(v.shape, np.complex128))
+
+
 def test_soft_threshold_edges():
     v = np.array([0.0, 3.0 + 4.0j, -2.0, 1e-3j])
     # kappa = 0 returns v unchanged, zeros included (no 0/0)
@@ -688,6 +694,11 @@ def test_soft_threshold_edges():
     for kappa in (2.0, 5.0, 1e-3, 0.5):
         np.testing.assert_array_equal(_soft_threshold(v, kappa),
                                       _reference_soft_threshold(v, kappa))
+        # in place, as basis pursuit runs it, with the same bits
+        inplace = v.copy()
+        _shrink_into(inplace, kappa, _shrink_floor(kappa), np.empty(4),
+                     np.zeros(4, dtype=np.complex128), out=inplace)
+        assert inplace.tobytes() == _soft_threshold(v, kappa).tobytes()
 
 
 # --- lasso ---------------------------------------------------------------------------
