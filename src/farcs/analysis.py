@@ -310,13 +310,15 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
     )
 
 
-def _validate_on_grid(value, step, name):
+def _validate_on_grid(value, size, name):
+    """The index k in [0, size) of an on-grid phase value = 2*pi*k/size."""
     if not 0.0 <= value < TWO_PI:
         raise DomainError(f"{name}={value} outside [0, 2*pi)")
+    step = TWO_PI / size
     ratio = value / step
     if abs(ratio - round(ratio)) > 1e-9:
         raise DomainError(f"{name}={value} is not a multiple of {step}")
-    return int(round(ratio))
+    return int(round(ratio)) % size  # a value just under 2*pi is index 0
 
 
 def chi(params: RadarParams, codes: FrequencyCodes, p: float, q: float) -> complex:
@@ -330,8 +332,8 @@ def chi(params: RadarParams, codes: FrequencyCodes, p: float, q: float) -> compl
     for Doppler offset l - N; EXACT mode is not, and its negative Doppler
     offsets are outside the q range accepted here.
     """
-    _validate_on_grid(p, TWO_PI / params.n_hrr_bins, "p")
-    _validate_on_grid(q, TWO_PI / params.n_pulses, "q")
+    _validate_on_grid(p, params.n_hrr_bins, "p")
+    _validate_on_grid(q, params.n_pulses, "q")
     n_scaled = np.arange(params.n_pulses) * pulse_doppler_scalings(params, codes)
     vals = np.exp(1j * (p * params.n_hrr_bins * codes.codes + q * n_scaled))
     return complex(vals.sum() / params.n_pulses)
@@ -475,8 +477,8 @@ def chi_statistics(params: RadarParams, p: float, q: float, n_trials: int,
             "chi statistics are defined for the full-alphabet hop set "
             f"(n_codes == n_hrr_bins), got n_codes={params.n_codes}"
         )
-    m = _validate_on_grid(p, TWO_PI / params.n_hrr_bins, "p")
-    _validate_on_grid(q, TWO_PI / params.n_pulses, "q")
+    m = _validate_on_grid(p, params.n_hrr_bins, "p")
+    _validate_on_grid(q, params.n_pulses, "q")
     if m == 0:
         raise DomainError("p = 0 makes chi deterministic; pick an off-bin offset")
     n_trials = check_integer("n_trials", n_trials, 2)

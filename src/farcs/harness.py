@@ -217,10 +217,11 @@ class ExperimentResult:
         payload = {
             "experiment": self.experiment,
             "columns": list(self.columns),
-            "config": _jsonable(self.config),
-            "aggregates": _jsonable(self.aggregates),
+            "config": self.config,
+            "aggregates": self.aggregates,
         }
-        sidecar.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sidecar.write_text(json.dumps(payload, sort_keys=True, indent=2,
+                                      default=_json_default) + "\n")
         return path, sidecar
 
 
@@ -234,21 +235,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        items = obj.tolist()  # Python scalars, unless the array holds objects
-        return _jsonable(items) if obj.dtype == object else items
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+def _json_default(obj):
+    """json's hook for what it cannot write itself: numpy arrays and scalars as Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _run_tasks(worker, tasks, threads):

@@ -172,15 +172,12 @@ class SensingMatrix:
             raise DomainError(f"column index outside [0, {self.n_columns})")
         return np.divmod(j, self.n_pulses)
 
-    def column(self, j: int) -> np.ndarray:
-        """Column j = l + m*N, shape (N,)."""
-        m, l = self._split_index(j)
-        return self._R[:, m] * self._D[:, l]
-
     def columns(self, indices) -> np.ndarray:
-        """Submatrix of the given columns, shape (N, len(indices))."""
+        """Columns j = l + m*N, shape (N, len(indices)); a scalar j gives column j, shape (N,)."""
         m, l = self._split_index(indices)
         return self._R[:, m] * self._D[:, l]
+
+    column = columns
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full N x NM matrix, a new array on every call."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,7 +217,7 @@ def zeta(code, bandwidth_hz, carrier_hz):
     scaling is 1 (``pulse_doppler_scalings``).
     """
     code = np.asarray(code, dtype=np.float64)
-    if np.any(code < 0.0) or np.any(code >= 1.0):
+    if not np.all((code >= 0.0) & (code < 1.0)):
         raise DomainError("codes must lie in [0, 1)")
     check_positive("carrier_hz", carrier_hz)
     check_positive("bandwidth_hz", bandwidth_hz, zero_ok=True)
@@ -233,6 +234,13 @@ def pulse_doppler_scalings(params: RadarParams, codes: FrequencyCodes) -> np.nda
     if params.mode is BandwidthMode.APPROXIMATE:
         return np.ones(params.n_pulses)
     return zeta(codes.codes, params.bandwidth_hz, params.carrier_hz)
+
+
+def _grid_index(name, value) -> int:
+    """``value`` as an int if it is a non-bool integer, else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer grid index, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -255,12 +263,13 @@ class Scatterer:
                 raise DomainError(f"{name}={val} outside [0, 2*pi)")
         if self.grid is not None:
             m, n = self.grid
-            if m < 0 or n < 0:
+            if _grid_index("m", m) < 0 or _grid_index("n", n) < 0:
                 raise DomainError(f"grid indices must be non-negative, got {self.grid}")
 
     @classmethod
     def on_grid(cls, m, n, params: RadarParams, amplitude=1.0 + 0.0j) -> "Scatterer":
         """Scatterer sitting exactly on grid cell (m, n)."""
+        m, n = _grid_index("m", m), _grid_index("n", n)
         if not 0 <= m < params.n_hrr_bins:
             raise DomainError(f"m={m} outside [0, {params.n_hrr_bins})")
         if not 0 <= n < params.n_pulses:
@@ -269,7 +278,7 @@ class Scatterer:
             amplitude=complex(amplitude),
             p=TWO_PI * m / params.n_hrr_bins,
             q=TWO_PI * n / params.n_pulses,
-            grid=(int(m), int(n)),
+            grid=(m, n),
         )
 
 
@@ -295,11 +304,12 @@ class Scene:
 
 def flat_grid_index(hrr_idx, doppler_idx, n_pulses) -> int:
     """Column index of grid cell (m, n) in the vectorized scene: n + m * N."""
+    hrr_idx, doppler_idx = _grid_index("hrr_idx", hrr_idx), _grid_index("doppler_idx", doppler_idx)
     if not 0 <= doppler_idx < n_pulses:
         raise DomainError(f"doppler_idx={doppler_idx} outside [0, {n_pulses})")
     if hrr_idx < 0:
         raise DomainError(f"hrr_idx must be >= 0, got {hrr_idx}")
-    return int(doppler_idx) + int(hrr_idx) * int(n_pulses)
+    return doppler_idx + hrr_idx * int(n_pulses)
 
 
 def scene_to_vector(scene: Scene, params: RadarParams) -> np.ndarray:

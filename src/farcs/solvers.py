@@ -227,22 +227,19 @@ def _shrink_floor(kappa):
     return np.where(kappa > 0, kappa, np.inf)
 
 
-def _shrink_into(v, kappa, floor, magnitude, shrink, out):
+def _shrink_into(v, kappa, floor, magnitude, out):
     """Complex soft thresholding, v * (1 - kappa / max(|v|, floor)) into ``out``.
 
     Magnitudes shrink by kappa and phases stay.  ``kappa`` is a scalar or
     broadcasts against ``v`` (one threshold per row of a block); where it
-    is 0, ``v`` passes unchanged.  Allocates nothing: ``floor`` is
-    ``_shrink_floor(kappa)``, ``magnitude`` a float buffer of v's shape,
-    ``shrink`` a complex one whose imaginary part is 0, and ``out`` may be
-    ``v`` itself.  The real factor goes into ``shrink.real``, so the product
-    is the complex multiply that numpy's promotion of a float factor would
-    run, with the same bits.
+    is 0, ``v`` passes unchanged.  ``floor`` is ``_shrink_floor(kappa)``,
+    ``magnitude`` a float buffer of v's shape that ends up holding the real
+    factor (numpy casts it to complex in bounded chunks as it multiplies),
+    and ``out`` may be ``v`` itself.
     """
     np.abs(v, out=magnitude)
     np.divide(kappa, np.maximum(magnitude, floor, out=magnitude), out=magnitude)
-    np.subtract(1.0, magnitude, out=shrink.real)
-    return np.multiply(v, shrink, out=out)
+    return np.multiply(v, np.subtract(1.0, magnitude, out=magnitude), out=out)
 
 
 # The off-support dual peak must stay this far under 1, so that a
@@ -312,7 +309,7 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
 
     kappa = 1.0 / _ADMM_RHO
     floor = _shrink_floor(kappa)
-    magnitude, shrink = np.empty(n_cols), np.zeros(n_cols, dtype=np.complex128)
+    magnitude = np.empty(n_cols)
     stop_norm = cfg.residual_tol * y_norm
     z = np.zeros(n_cols, dtype=np.complex128)
     u = np.zeros(n_cols, dtype=np.complex128)
@@ -325,7 +322,7 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
         x = project(z - u)
         x_relaxed = _ADMM_RELAXATION * x + (1.0 - _ADMM_RELAXATION) * z
         z_new = x_relaxed + u
-        _shrink_into(z_new, kappa, floor, magnitude, shrink, out=z_new)
+        _shrink_into(z_new, kappa, floor, magnitude, out=z_new)
         u = u + x_relaxed - z_new
         primal = _norm(x - z_new)
         dual = _ADMM_RHO * _norm(z_new - z)
@@ -422,11 +419,10 @@ def _fista_chunk(ops, y, lam, cfg):
     results = [None] * n_rows
     block = SensingStack.of(ops)  # row i goes through ops[i]
     # the iterates x and x_new and the extrapolated point w; the products of
-    # both FFTs; |v| and the shrink factor, whose imaginary part stays 0
+    # both FFTs; |v|, then the shrink factor
     x, x_new, w = (np.zeros((n_rows, n_cols), dtype=np.complex128) for _ in range(3))
     products = np.empty((n_rows, ops[0].params.n_hrr_bins, ops[0].n_pulses), dtype=np.complex128)
     magnitude = np.empty((n_rows, n_cols))
-    shrink = np.zeros((n_rows, n_cols), dtype=np.complex128)
     residual, residual_new, residual_w = (np.empty_like(y) for _ in range(3))
     momentum = 1.0
     np.subtract(block.matvec(x, out=residual, work=products), y, out=residual)  # Phi x - y
@@ -435,7 +431,7 @@ def _fista_chunk(ops, y, lam, cfg):
     for iterations in range(1, cfg.max_iter + 1):
         v = block.rmatvec(residual_w, out=products)  # the gradient at w, then w - step grad
         np.subtract(w, np.multiply(step, v, out=v), out=v)
-        _shrink_into(v, kappa, floor, magnitude, shrink, out=x_new)
+        _shrink_into(v, kappa, floor, magnitude, out=x_new)
         np.subtract(block.matvec(x_new, out=residual_new, work=products), y, out=residual_new)
         momentum_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
         beta = (momentum - 1.0) / momentum_new
@@ -460,8 +456,8 @@ def _fista_chunk(ops, y, lam, cfg):
             a[keep] for a in (rows, y, kappa, floor, lam, objective))
         for a in (x, w, residual, residual_w):  # carried state moves to the leading rows
             a[:keep.size] = a[keep]
-        x, x_new, w, products, magnitude, shrink, residual, residual_new, residual_w = (
-            a[:keep.size] for a in (x, x_new, w, products, magnitude, shrink,
+        x, x_new, w, products, magnitude, residual, residual_new, residual_w = (
+            a[:keep.size] for a in (x, x_new, w, products, magnitude,
                                     residual, residual_new, residual_w))
     else:  # max_iter reached: the rows still in the chunk did not converge
         for i, row in enumerate(rows):

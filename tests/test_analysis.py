@@ -865,6 +865,10 @@ def test_chi_statistics_rejects():
     params = RadarParams.abstract(64, 8, n_codes=8)
     with pytest.raises(DomainError):
         chi_statistics(params, 0.0, np.pi, n_trials=100)
+    # a p just under 2*pi rounds to grid index M, which is p = 0 again
+    with pytest.raises(DomainError, match="p = 0 makes chi deterministic"):
+        chi_statistics(RadarParams.abstract(16, 4, n_codes=4), TWO_PI - 1e-12,
+                       TWO_PI * 3 / 16, n_trials=1000)
     for n_trials in (1, 2.5, 100.0, True, "100"):
         with pytest.raises(ConfigurationError, match="^n_trials must be an integer >= 2"):
             chi_statistics(params, np.pi, np.pi, n_trials=n_trials)

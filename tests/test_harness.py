@@ -34,7 +34,7 @@ from farcs import (
 from farcs import harness
 from farcs.analysis import SIGMA_HIST_EDGES
 from farcs.cli import main
-from farcs.harness import _census_key, _fmt, _jsonable, _spark_work
+from farcs.harness import _census_key, _fmt, _json_default, _spark_work
 
 # small, fast configurations used throughout
 SPARK_TINY = dataclasses.replace(default_config("spark"), n_trials=3)
@@ -53,6 +53,11 @@ def empty_census_table(monkeypatch):
     table = {}
     monkeypatch.setattr(harness, "_census_table", table)
     return table
+
+
+def _written(obj) -> str:
+    """``obj`` as the sidecar writer turns it into JSON text."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
 
 
 # --- config ---------------------------------------------------------------------
@@ -247,7 +252,7 @@ def test_run_spark_censuses_each_class_once(monkeypatch, empty_census_table):
     monkeypatch.undo()
     pooled = run_experiment(cfg, threads=2)
     assert serial.to_csv() == pooled.to_csv()
-    assert _jsonable(serial.aggregates) == _jsonable(pooled.aggregates)
+    assert _written(serial.aggregates) == _written(pooled.aggregates)
 
 
 def _spark_drawing(monkeypatch, config, hops):
@@ -564,7 +569,7 @@ def test_bad_points_fail_before_any_task_runs(monkeypatch, config):
 def test_negative_zero_point_is_the_point_zero(config, zero):
     plain, signed = run_experiment(config), run_experiment(zero)
     assert signed.to_csv() == plain.to_csv()
-    assert _jsonable(signed.aggregates) == _jsonable(plain.aggregates)
+    assert _written(signed.aggregates) == _written(plain.aggregates)
 
 
 def test_run_bounds_nan_delta_is_a_domain_error():
@@ -608,7 +613,7 @@ def test_worker_count_does_not_change_results():
         serial = run_experiment(config, threads=1)
         pooled = run_experiment(config, threads=2)
         assert serial.to_csv() == pooled.to_csv()
-        assert _jsonable(serial.aggregates) == _jsonable(pooled.aggregates)
+        assert _written(serial.aggregates) == _written(pooled.aggregates)
 
 
 def test_master_seed_changes_draws():
@@ -619,21 +624,26 @@ def test_master_seed_changes_draws():
 # --- serialization -------------------------------------------------------------------
 
 
-def test_fmt_and_jsonable():
+def test_fmt_and_json_default():
     assert _fmt(True) == "1" and _fmt(np.bool_(False)) == "0"
     assert _fmt(np.int64(7)) == "7"
     assert _fmt(2.5) == "2.5" and _fmt(np.float64(0.1)) == "0.1"
     assert _fmt("continuous") == "continuous"
-    out = _jsonable({"a": np.arange(3), "b": (np.float64(1.5), np.bool_(True))})
-    assert out == {"a": [0, 1, 2], "b": [1.5, True]}
-    json.dumps(out)  # round-trippable
-    grid = _jsonable(np.array([[0.1, 2.0], [np.inf, -0.0]]))
-    flags = _jsonable(np.array([[True, False], [False, True]]))
-    assert grid == [[0.1, 2.0], [math.inf, -0.0]] and flags == [[True, False], [False, True]]
-    assert all(type(v) is float for row in grid for v in row)
-    assert all(type(v) is bool for row in flags for v in row)
-    assert _jsonable(np.array([np.int64(3), {"k": np.float64(0.5)}], dtype=object)) == [
-        3, {"k": 0.5}]
+    # numpy values are written as the Python values they hold, byte for byte
+    text = _written({"a": np.arange(3), "b": (np.float64(1.5), np.bool_(True))})
+    assert text == _written({"a": [0, 1, 2], "b": [1.5, True]})
+    assert json.loads(text) == {"a": [0, 1, 2], "b": [1.5, True]}
+    grid = np.array([[0.1, 2.0], [np.inf, -0.0]])
+    flags = np.array([[True, False], [False, True]])
+    assert _written(grid) == _written([[0.1, 2.0], [math.inf, -0.0]])
+    assert _written(flags) == _written([[True, False], [False, True]])
+    assert "Infinity" in _written(grid) and "-0.0" in _written(grid)
+    assert all(type(v) is float for row in json.loads(_written(grid)) for v in row)
+    assert all(type(v) is bool for row in json.loads(_written(flags)) for v in row)
+    nested = np.array([np.int64(3), {"k": np.float64(0.5)}], dtype=object)
+    assert _written(nested) == _written([3, {"k": 0.5}])
+    with pytest.raises(TypeError):
+        _written({"a": object()})
 
 
 def test_to_csv_layout():

@@ -240,8 +240,9 @@ def test_zeta_exact_zero_ratio_matches_approximate():
 
 
 def test_zeta_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        zeta(1.0, 0.1, 1.0)
+    for code in (1.0, math.nan, np.array([0.2, math.nan, 0.5])):
+        with pytest.raises(DomainError):
+            zeta(code, 0.1, 1.0)
     with pytest.raises(ConfigurationError):
         zeta(0.5, 0.1, 0.0)
     for bandwidth, carrier in ((math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan),
@@ -267,6 +268,28 @@ def test_scatterer_on_grid():
     assert s.grid == (3, 5)
     with pytest.raises(DomainError):
         Scatterer.on_grid(4, 0, params)
+
+
+def test_grid_indices_must_be_integers():
+    params = RadarParams.abstract(8, 4)
+    for bad in (0.5, 1.0, True, np.bool_(True), "1"):
+        with pytest.raises(DomainError, match="must be an integer grid index"):
+            Scatterer.on_grid(bad, 1, params)
+        with pytest.raises(DomainError, match="must be an integer grid index"):
+            Scatterer.on_grid(1, bad, params)
+        with pytest.raises(DomainError, match="must be an integer grid index"):
+            flat_grid_index(bad, 2, 8)
+        with pytest.raises(DomainError, match="must be an integer grid index"):
+            flat_grid_index(2, bad, 8)
+        with pytest.raises(DomainError, match="must be an integer grid index"):
+            Scatterer(1.0, 0.0, 0.0, grid=(bad, 1))
+        with pytest.raises(DomainError, match="must be an integer grid index"):
+            Scatterer(1.0, 0.0, 0.0, grid=(0, bad))
+    # numpy integers are integers
+    s = Scatterer.on_grid(np.int64(3), np.uint8(5), params)
+    assert s.grid == (3, 5) and all(type(i) is int for i in s.grid)
+    assert flat_grid_index(np.int32(2), np.int64(3), 8) == 3 + 2 * 8
+    assert Scatterer(1.0, 0.0, 0.0, grid=(np.int64(0), np.int64(0))).grid == (0, 0)
 
 
 def test_scene_rejects_duplicates():

@@ -678,7 +678,7 @@ def test_lasso_reports_its_duality_gap():
 def _soft_threshold(v, kappa):
     """``_shrink_into`` with fresh buffers, out of place."""
     return _shrink_into(v, kappa, _shrink_floor(kappa), np.empty(v.shape),
-                        np.zeros(v.shape, dtype=np.complex128), np.empty(v.shape, np.complex128))
+                        np.empty(v.shape, np.complex128))
 
 
 def test_soft_threshold_edges():
@@ -696,9 +696,26 @@ def test_soft_threshold_edges():
                                       _reference_soft_threshold(v, kappa))
         # in place, as basis pursuit runs it, with the same bits
         inplace = v.copy()
-        _shrink_into(inplace, kappa, _shrink_floor(kappa), np.empty(4),
-                     np.zeros(4, dtype=np.complex128), out=inplace)
+        _shrink_into(inplace, kappa, _shrink_floor(kappa), np.empty(4), out=inplace)
         assert inplace.tobytes() == _soft_threshold(v, kappa).tobytes()
+
+
+def test_shrink_into_a_block_is_the_float_factor_product():
+    # 20 x 512 entries: more than numpy's cast buffer holds, so the promoted
+    # factor is cast in chunks; every third row has kappa = 0 and keeps its zeros
+    rng = np.random.default_rng(17)
+    v = rng.standard_normal((20, 512)) + 1j * rng.standard_normal((20, 512))
+    v[:, :8] = 0.0
+    kappa = np.where(np.arange(20) % 3 == 0, 0.0, rng.uniform(0.0, 2.0, 20))[:, None]
+    floor = _shrink_floor(kappa)
+    expected = v * (1 - kappa / np.maximum(abs(v), floor))
+    out = np.empty_like(v)
+    assert _shrink_into(v, kappa, floor, np.empty(v.shape), out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    assert np.array_equal(out[::3], v[::3])
+    inplace = v.copy()
+    _shrink_into(inplace, kappa, floor, np.empty(v.shape), out=inplace)
+    assert inplace.tobytes() == expected.tobytes()
 
 
 # --- lasso ---------------------------------------------------------------------------
