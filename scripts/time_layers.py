@@ -1,6 +1,8 @@
-"""Time farcs's solver layers one by one, at the default ``noisy`` size (N=64, M=8).
+"""Time farcs's solver and coherence layers one by one.
 
-Prints one JSON line of times in microseconds:
+The solver layers run at the default ``noisy`` size (N=64, M=8), the
+coherence layers at the default ``mip`` size (N=64, M=M*=16).  Prints one
+JSON line of times in microseconds:
 
 - ``matvec``/``rmatvec``: one lone product of a ``SensingMatrix``, and one
   ``SensingStack`` product over 15 rows (the rows of a benchmark noise point);
@@ -10,7 +12,14 @@ Prints one JSON line of times in microseconds:
 - ``bp_solve_3``: one whole basis pursuit solve of a noiseless 3-scatterer
   scene, as the benchmark's ``recovery-phase`` config draws at K = 3; it must
   end on a certificate.  ``bp_solve_3_fixed`` is its per-solve fixed cost,
-  the solve less ``bp_solve_3_iterations`` times ``admm_iteration``.
+  the solve less ``bp_solve_3_iterations`` times ``admm_iteration``;
+- ``coherence_approximate``/``coherence_exact``: one lone ``coherence`` call
+  on an operator already built, APPROXIMATE mode (the FFT shortcut) and
+  EXACT mode at B/f_c = 0.5 (two products with D);
+- ``coherence_chunk_30_per_trial``: 30 trials' discrete draws (one arm of
+  the benchmark's ``coherence`` config) scored the way a ``mip`` chunk
+  scores its trials, the gather of their (30, N, M) hop-response stack and
+  one batched FFT shortcut, divided by 30.
 
 An iteration's cost is the difference between two solves capped at
 ``SHORT`` and ``LONG`` iterations, divided by ``LONG - SHORT``, so set-up
@@ -40,10 +49,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from farcs import (RadarParams, SolverConfig, add_noise, basis_pursuit, build_phi,  # noqa: E402
-                   lasso_block, sample_codes)
-from farcs.sensing import SensingStack  # noqa: E402
+                   coherence, lasso_block, sample_codes)
+from farcs.analysis import _dft_coherence  # noqa: E402
+from farcs.sensing import SensingStack, _hop_responses  # noqa: E402
 
 N_PULSES, N_HRR_BINS, N_SCATTERERS = 64, 8, 3
+MIP_HRR_BINS, CHUNK_TRIALS, EXACT_BANDWIDTH = 16, 30, 0.5
 STACK_ROWS = 15
 LASSO_ROWS = (1, 15, 200)
 SHORT, LONG = 20, 120
@@ -94,6 +105,22 @@ def _per_iteration_us(solve):
     return (_best_us(capped(LONG)) - _best_us(capped(SHORT))) / (LONG - SHORT)
 
 
+def _coherence_us() -> dict:
+    """The coherence layers at N=64, M=M*=16."""
+    codes = [sample_codes(seed, N_PULSES, MIP_HRR_BINS) for seed in range(CHUNK_TRIALS)]
+    approximate, exact = (build_phi(RadarParams.abstract(N_PULSES, MIP_HRR_BINS,
+                                                         relative_bandwidth=bandwidth), codes[0])
+                          for bandwidth in (0.0, EXACT_BANDWIDTH))
+    hops = np.array([c.hops for c in codes])
+    return {
+        "coherence_approximate": _per_call_us(coherence, approximate),
+        "coherence_exact": _per_call_us(coherence, exact),
+        "coherence_chunk_30_per_trial": _per_call_us(
+            lambda draws: _dft_coherence(_hop_responses(draws, MIP_HRR_BINS, MIP_HRR_BINS),
+                                         overwrite=True), hops, calls=20) / CHUNK_TRIALS,
+    }
+
+
 def main() -> int:
     phis, scenes, ys, lam = _problems(max(LASSO_ROWS))
     rng = np.random.default_rng(1)
@@ -122,9 +149,11 @@ def main() -> int:
         raise RuntimeError("the timed basis pursuit solve ended without a certificate")
     us["bp_solve_3"] = _per_call_us(functools.partial(basis_pursuit, phis[0]), scenes[0], calls=20)
     us["bp_solve_3_fixed"] = us["bp_solve_3"] - solve.iterations * us["admm_iteration"]
+    us.update(_coherence_us())
     print(json.dumps({"us": {name: round(value, 2) for name, value in us.items()},
                       "bp_solve_3_iterations": solve.iterations,
-                      "n_pulses": N_PULSES, "n_hrr_bins": N_HRR_BINS, "blas_threads": 1}))
+                      "n_pulses": N_PULSES, "n_hrr_bins": N_HRR_BINS,
+                      "mip_n_hrr_bins": MIP_HRR_BINS, "blas_threads": 1}))
     return 0
 
 

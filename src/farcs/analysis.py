@@ -369,13 +369,12 @@ def coherence(phi) -> CoherenceSample:
     if isinstance(phi, SensingMatrix):
         R = phi.hop_response
         if phi.is_row_orthogonal():
-            peak = np.abs(np.fft.fft(R[:, 1:], axis=0)).max(initial=0.0)
-        else:
-            D = phi.doppler_response
-            chi_pos = np.abs(D.T @ R)  # (dl, dm), dl >= 0
-            chi_neg = np.abs(D.conj().T @ R)  # (-dl, dm), dl <= 0
-            chi_pos[0, 0] = chi_neg[0, 0] = 0.0  # each column with itself
-            peak = max(chi_pos.max(), chi_neg.max())
+            return CoherenceSample(mu=float(_dft_coherence(R[None])[0]), method="shortcut")
+        D = phi.doppler_response
+        chi_pos = np.abs(D.T @ R)  # (dl, dm), dl >= 0
+        chi_neg = np.abs(D.conj().T @ R)  # (-dl, dm), dl <= 0
+        chi_pos[0, 0] = chi_neg[0, 0] = 0.0  # each column with itself
+        peak = max(chi_pos.max(), chi_neg.max())
         return CoherenceSample(mu=float(min(peak / phi.n_pulses, 1.0)), method="shortcut")
     dense = np.asarray(phi, dtype=np.complex128)
     if dense.ndim != 2:
@@ -386,6 +385,21 @@ def coherence(phi) -> CoherenceSample:
     gram = np.abs(dense.conj().T @ dense) / np.outer(norms, norms)
     np.fill_diagonal(gram, 0.0)
     return CoherenceSample(mu=float(min(gram.max(), 1.0)), method="gram")
+
+
+def _dft_coherence(hop_responses: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """APPROXIMATE-mode mu of each hop response R in a (T, N, M) stack, shape (T,).
+
+    The largest magnitude of the FFT over the pulses of R's columns 1..M-1,
+    divided by N and capped at 1 (see ``coherence``).  numpy's FFT
+    transforms each column on its own, so each mu is bit for bit that of
+    its R scored alone.  With ``overwrite`` the FFT runs in place in the
+    stack, which then holds the spectra in its columns 1..M-1.
+    """
+    columns = hop_responses[:, :, 1:]
+    spectra = np.fft.fft(columns, axis=1, out=columns if overwrite else None)
+    peak = np.abs(spectra).max(axis=(1, 2), initial=0.0)
+    return np.minimum(peak / hop_responses.shape[1], 1.0)
 
 
 class TailBound(NamedTuple):

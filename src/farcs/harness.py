@@ -11,10 +11,12 @@ function that runs each task, and a function that collects the outcomes into
 rows and aggregates.  Each task carries the frozen config, and in ``mip``,
 ``phase`` and ``noisy`` its sweep point's ``RadarParams``, which the task
 list builds once per point before any task runs; the tasks run in order in
-this process, or through one process pool with ``threads > 1``.
+this process, or through one process pool with ``threads > 1``.  A
+``mip`` task is a chunk of at most ``_MIP_CHUNK`` trials of one arm, a
+``noisy`` task a whole noise point, and any other task one trial.
 Trial t of sweep point s always runs on the seed
-``master_seed + s * n_trials + t``, so results are reproducible record for
-record regardless of worker count.
+``master_seed + s * n_trials + t``, whatever task it falls in, so results
+are reproducible record for record regardless of worker count or chunk size.
 
 ``spark`` censuses each discrete code class once per process, on its
 canonical member, and keeps the outcome (one table per pool worker, at most
@@ -26,6 +28,7 @@ whatever ran before.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -37,6 +40,7 @@ import numpy as np
 
 from .analysis import (
     SIGMA_HIST_EDGES,
+    _dft_coherence,
     coherence,
     l0_limit,
     max_recoverable_K,
@@ -44,8 +48,9 @@ from .analysis import (
     union_bound,
 )
 from .errors import ConfigurationError, check_integer, check_positive
-from .sensing import build_phi
-from .signal_model import FrequencyCodes, RadarParams, add_noise, sample_codes
+from .sensing import _hop_responses, build_phi
+from .signal_model import (BandwidthMode, FrequencyCodes, RadarParams, _draw_codes, add_noise,
+                           sample_codes)
 # noisy runs lasso_block; lasso stays imported because perfbench's tracer
 # wraps the solver names this module imports
 from .solvers import (
@@ -280,12 +285,21 @@ def _convergence(runs) -> dict:
     }
 
 
-def _union_curves(grid, n_pulses, n_hrr_bins) -> dict:
-    """The union bound over ``grid``, raw (off-diagonal count at 0) and clamped."""
+@functools.lru_cache(maxsize=16)
+def _union_curves(epsilon_max, epsilon_count, n_pulses, n_hrr_bins):
+    """The exceedance grid and the union bound over it, raw (off-diagonal count at 0) and clamped.
+
+    Built once per process for each argument tuple; the three arrays are
+    read-only, so no run can change what a later run writes.
+    """
+    grid = np.linspace(0.0, epsilon_max, epsilon_count)
     n_off = n_pulses * n_hrr_bins - n_pulses
     raw = np.array([union_bound(e, n_pulses, n_hrr_bins) if e > 0 else float(n_off)
                     for e in grid])
-    return {"union_bound_raw": raw, "union_bound_clamped": np.minimum(raw, 1.0)}
+    curves = grid, raw, np.minimum(raw, 1.0)
+    for arr in curves:
+        arr.setflags(write=False)
+    return curves
 
 
 # --- spark -------------------------------------------------------------------
@@ -450,6 +464,11 @@ def _spark_collect(config, keys, draws, censuses):
 
 # --- mip ---------------------------------------------------------------------
 
+# trials per mip task, at most: at N=64, M=16 a chunk's hop-response stack and
+# spectrum magnitudes take 0.4 MiB.  The outputs do not depend on it
+_MIP_CHUNK = 16
+
+
 def _mip_key(config, arm) -> str:
     if arm == "continuous":
         return arm
@@ -461,31 +480,49 @@ def _mip_key(config, arm) -> str:
 
 
 def _mip_tasks(config):
-    """One task per trial; each arm's ``RadarParams`` is built once."""
+    """One task per chunk of at most ``_MIP_CHUNK`` trials of one arm, in sweep and trial order.
+
+    Each arm's ``RadarParams`` is built once.
+    """
     params = [RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes,
                                    relative_bandwidth=0.0 if arm == "continuous" else float(arm))
               for arm in config.sweep]
-    return _trial_tasks(config, params)
+    return ((config, s, start, min(start + _MIP_CHUNK, config.n_trials), params[s])
+            for s in range(len(config.sweep)) for start in range(0, config.n_trials, _MIP_CHUNK))
 
 
-def _mip_work(task) -> float:
-    config, s, t, params = task
-    continuous = config.sweep[s] == "continuous"
-    codes = sample_codes(_trial_seed(config, s, t), config.n_pulses,
-                         None if continuous else config.n_codes or config.n_hrr_bins)
-    return coherence(build_phi(params, codes)).mu
+def _mip_work(task) -> list[float]:
+    """mu of trials start, ..., stop - 1 of one arm, each bit for bit its own operator's.
+
+    An EXACT-mode arm builds each trial's operator and takes its
+    ``coherence``.  An APPROXIMATE-mode arm draws the trials' raw codes as
+    ``sample_codes`` does, forms their hop responses as one (T, N, M) stack
+    and scores it with the FFT shortcut ``coherence`` runs on one operator.
+    """
+    config, s, start, stop, params = task
+    n_codes = None if config.sweep[s] == "continuous" else params.n_codes
+    seeds = [_trial_seed(config, s, t) for t in range(start, stop)]
+    if params.mode is BandwidthMode.EXACT:
+        return [coherence(build_phi(params, sample_codes(seed, config.n_pulses, n_codes))).mu
+                for seed in seeds]
+    draws = np.array([_draw_codes(seed, config.n_pulses, n_codes) for seed in seeds])
+    responses = _hop_responses(draws, n_codes, config.n_hrr_bins)
+    return _dft_coherence(responses, overwrite=True).tolist()
 
 
-def _mip_collect(config, keys, tasks, mus):
+def _mip_collect(config, keys, tasks, chunks):
     """Coherence draws per arm, with the union-bound exceedance curve."""
     n = config.n_trials
+    mus = [mu for chunk in chunks for mu in chunk]
     per_arm = {key: np.array(mus[s * n:(s + 1) * n]) for s, key in enumerate(keys)}
     rows = [(key, t, float(mu)) for key, arm_mus in per_arm.items()
             for t, mu in enumerate(arm_mus)]
-    grid = np.linspace(0.0, config.epsilon_max, config.epsilon_count)
+    grid, raw, clamped = _union_curves(config.epsilon_max, config.epsilon_count,
+                                       config.n_pulses, config.n_hrr_bins)
     aggregates = {
         "epsilon_grid": grid,
-        **_union_curves(grid, config.n_pulses, config.n_hrr_bins),
+        "union_bound_raw": raw,
+        "union_bound_clamped": clamped,
         "empirical_exceedance": {
             key: (arm_mus[:, None] > grid).mean(axis=0) for key, arm_mus in per_arm.items()
         },
@@ -668,11 +705,13 @@ def _bounds_collect(config, cases, tasks, outcomes):
     """
     rows = []
     curves = {}
-    grid = np.linspace(0.0, config.epsilon_max, config.epsilon_count)
     for n_pulses, n_hrr_bins, delta in cases:
         rows.append((n_pulses, n_hrr_bins, delta, max_recoverable_K(n_pulses, n_hrr_bins, delta),
                      l0_limit(n_pulses)))
-        curves[f"N={n_pulses},M={n_hrr_bins}"] = _union_curves(grid, n_pulses, n_hrr_bins)
+        grid, raw, clamped = _union_curves(config.epsilon_max, config.epsilon_count,
+                                           n_pulses, n_hrr_bins)
+        curves[f"N={n_pulses},M={n_hrr_bins}"] = {"union_bound_raw": raw,
+                                                  "union_bound_clamped": clamped}
     return rows, {"epsilon_grid": grid, "curves": curves}
 
 

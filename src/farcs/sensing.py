@@ -40,7 +40,9 @@ _PHASE_TABLE_BUDGET = 1 << 18
 
 
 def _hop_matrix(codes: np.ndarray, n_hrr_bins: int) -> np.ndarray:
-    return np.exp(1j * 2.0 * np.pi * np.outer(codes, np.arange(n_hrr_bins)))
+    """exp(1j 2 pi m d) for every code d of an array of any shape, over a new last axis m."""
+    phases = 1j * 2.0 * np.pi * (codes[..., None] * np.arange(n_hrr_bins))
+    return np.exp(phases, out=phases)
 
 
 @functools.lru_cache(maxsize=16)
@@ -60,9 +62,24 @@ def build_R(codes: FrequencyCodes, n_hrr_bins: int) -> np.ndarray:
     """
     if n_hrr_bins < 1:
         raise ConfigurationError(f"n_hrr_bins must be >= 1, got {n_hrr_bins}")
-    if codes.hops is None or codes.n_codes * n_hrr_bins > _PHASE_TABLE_BUDGET:
-        return _hop_matrix(codes.codes, n_hrr_bins)
-    return _hop_table(codes.n_codes, n_hrr_bins)[codes.hops]
+    draw = codes.codes if codes.hops is None else codes.hops
+    return _hop_responses(draw, codes.n_codes, n_hrr_bins)
+
+
+def _hop_responses(draws: np.ndarray, n_codes: int | None, n_hrr_bins: int) -> np.ndarray:
+    """R of every code vector in ``draws``, shape ``draws.shape + (M,)``, unchecked.
+
+    ``draws`` holds hop indices k_n in [0, M*) for ``n_codes`` = M*, or
+    continuous codes for None; a (T, N) array of T draws gives their (T, N, M)
+    stack, each R bit for bit ``build_R``'s.  Hop indices gather from the
+    table cached per (M*, M), or above its entry budget take the formula at
+    k_n / M*.
+    """
+    if n_codes is None:
+        return _hop_matrix(draws, n_hrr_bins)
+    if n_codes * n_hrr_bins > _PHASE_TABLE_BUDGET:
+        return _hop_matrix(draws / n_codes, n_hrr_bins)
+    return _hop_table(n_codes, n_hrr_bins)[draws]
 
 
 def _doppler_matrix(n_scaled: np.ndarray) -> np.ndarray:

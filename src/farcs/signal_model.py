@@ -14,6 +14,7 @@ frozen to 1 (``BandwidthMode.APPROXIMATE``).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import numbers
@@ -204,10 +205,21 @@ def sample_codes(seed, n_pulses, n_codes=None) -> FrequencyCodes:
     n_pulses = check_integer("n_pulses", n_pulses, 1)
     if n_codes is not None:
         n_codes = check_integer("n_codes", n_codes, 1)
+    draw = _draw_codes(seed, n_pulses, n_codes)
+    if n_codes is None:
+        return FrequencyCodes(codes=draw)
+    return FrequencyCodes._from_hops(draw, n_codes)
+
+
+def _draw_codes(seed, n_pulses: int, n_codes: int | None) -> np.ndarray:
+    """The raw draw behind ``sample_codes``, unchecked: hop indices k_n in [0, M*), or codes.
+
+    With ``n_codes`` None the N codes are uniform on [0, 1).
+    """
     rng = np.random.default_rng(seed)
     if n_codes is None:
-        return FrequencyCodes(codes=rng.random(n_pulses))
-    return FrequencyCodes._from_hops(rng.integers(0, n_codes, size=n_pulses), n_codes)
+        return rng.random(n_pulses)
+    return rng.integers(0, n_codes, size=n_pulses)
 
 
 def zeta(code, bandwidth_hz, carrier_hz):
@@ -243,13 +255,24 @@ def _grid_index(name, value) -> int:
     return int(value)
 
 
+def _amplitude(value) -> complex:
+    """``value`` as a complex if it is a finite, non-bool number, else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        raise DomainError(f"amplitude must be a number, got {value!r}")
+    amplitude = complex(value)
+    if not cmath.isfinite(amplitude):
+        raise DomainError(f"amplitude must be finite, got {value!r}")
+    return amplitude
+
+
 @dataclass(frozen=True)
 class Scatterer:
     """One point scatterer in phase coordinates.
 
-    ``p`` and ``q`` are the range and Doppler phases in [0, 2*pi); ``grid``
-    optionally records the integer grid cell (m, n) with p = 2*pi*m/M and
-    q = 2*pi*n/N.
+    ``amplitude`` is a finite number; ``p`` and ``q`` are the range and
+    Doppler phases in [0, 2*pi); ``grid`` optionally records the integer
+    grid cell (m, n) with p = 2*pi*m/M and q = 2*pi*n/N.  Anything else is
+    a DomainError.
     """
 
     amplitude: complex
@@ -258,11 +281,15 @@ class Scatterer:
     grid: tuple[int, int] | None = None
 
     def __post_init__(self):
+        _amplitude(self.amplitude)
         for name, val in (("p", self.p), ("q", self.q)):
             if not 0.0 <= val < TWO_PI:
                 raise DomainError(f"{name}={val} outside [0, 2*pi)")
         if self.grid is not None:
-            m, n = self.grid
+            try:
+                m, n = self.grid
+            except (TypeError, ValueError):
+                raise DomainError(f"grid must be an (m, n) pair, got {self.grid!r}") from None
             if _grid_index("m", m) < 0 or _grid_index("n", n) < 0:
                 raise DomainError(f"grid indices must be non-negative, got {self.grid}")
 
@@ -275,7 +302,7 @@ class Scatterer:
         if not 0 <= n < params.n_pulses:
             raise DomainError(f"n={n} outside [0, {params.n_pulses})")
         return cls(
-            amplitude=complex(amplitude),
+            amplitude=_amplitude(amplitude),
             p=TWO_PI * m / params.n_hrr_bins,
             q=TWO_PI * n / params.n_pulses,
             grid=(m, n),

@@ -31,7 +31,9 @@ from farcs import (
     union_bound,
 )
 from farcs import analysis
-from farcs.analysis import _orbit_table
+from farcs.analysis import _dft_coherence, _orbit_table
+from farcs.sensing import _hop_responses
+from farcs.signal_model import _draw_codes
 
 TWO_PI = 2.0 * np.pi
 
@@ -623,6 +625,29 @@ def test_coherence_fft_route_matches_dense_gram(n_pulses, n_hrr_bins):
             assert sample.mu == pytest.approx(_gram_mu(phi.to_dense()), abs=1e-12)
             if n_hrr_bins == 1:
                 assert sample.mu == 0.0
+
+
+@pytest.mark.parametrize("n_pulses, n_hrr_bins, n_codes", [
+    (64, 16, 16),  # discrete, M* = M
+    (64, 16, 40),  # discrete, M* > M
+    (64, 16, None),  # continuous
+    (16, 4, 7), (6, 1, 1), (1, 3, None),
+])
+def test_stacked_dft_coherence_is_coherence_bit_for_bit(n_pulses, n_hrr_bins, n_codes):
+    # a chunk of raw draws scored as one stack gives each trial's own mu exactly
+    params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes)
+    seeds = range(100, 137)
+    draws = np.array([_draw_codes(seed, n_pulses, n_codes) for seed in seeds])
+    stack = _hop_responses(draws, n_codes, n_hrr_bins)
+    kept = stack.copy()
+    mus = _dft_coherence(stack)
+    assert np.array_equal(stack, kept)  # without overwrite the stack is left as it was
+    assert np.array_equal(_dft_coherence(stack, overwrite=True), mus)
+    assert mus.shape == (len(seeds),)
+    for seed, mu in zip(seeds, mus):
+        phi = build_phi(params, sample_codes(seed, n_pulses, n_codes))
+        assert mu == coherence(phi).mu  # bit for bit
+        assert mu == pytest.approx(coherence(phi.to_dense()).mu, abs=1e-12)
 
 
 def _extended_mu(codes, n_pulses, n_hrr_bins):

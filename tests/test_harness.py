@@ -20,10 +20,13 @@ from farcs import (
     ExperimentConfig,
     ExperimentResult,
     FrequencyCodes,
+    RadarParams,
     SensingMatrix,
     SolverConfig,
     SolverSettings,
     TrialRecord,
+    build_phi,
+    coherence,
     default_config,
     load_config,
     max_recoverable_K,
@@ -402,6 +405,60 @@ def test_run_mip_exceedance_equals_per_epsilon_mean():
     for key, curve in result.aggregates["empirical_exceedance"].items():
         arm_mus = np.array([rec.values[2] for rec in result.rows if rec.values[0] == key])
         assert np.array_equal(curve, [np.mean(arm_mus > e) for e in grid])
+
+
+def _mip_reference_csv(config) -> str:
+    """The mip CSV from each trial's own operator and its ``coherence``."""
+    lines = ["arm,trial,mu"]
+    for s, arm in enumerate(config.sweep):
+        continuous = arm == "continuous"
+        params = RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes,
+                                      relative_bandwidth=0.0 if continuous else float(arm))
+        for t in range(config.n_trials):
+            codes = sample_codes(config.master_seed + s * config.n_trials + t, config.n_pulses,
+                                 None if continuous else params.n_codes)
+            mu = coherence(build_phi(params, codes)).mu
+            lines.append(f"{'continuous' if continuous else repr(float(arm))},{t},{mu!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_codes", [None, 7])  # M* = M, M* > M
+@pytest.mark.parametrize("n_trials", [1, 21])
+def test_mip_outputs_do_not_depend_on_chunk_size(monkeypatch, n_trials, n_codes):
+    assert n_trials == 1 or n_trials % harness._MIP_CHUNK  # the last chunk is a partial one
+    config = ExperimentConfig(experiment="mip", n_pulses=16, n_hrr_bins=4, n_codes=n_codes,
+                              n_trials=n_trials, master_seed=31,
+                              sweep=(0.0, 0.5, "continuous"), epsilon_count=40)
+    reference = _mip_reference_csv(config)
+    sidecars = set()
+    for cap in (harness._MIP_CHUNK, 1, 7):
+        monkeypatch.setattr(harness, "_MIP_CHUNK", cap)
+        result = run_experiment(config)
+        assert result.to_csv() == reference
+        sidecars.add(_written(result.aggregates))
+    assert len(sidecars) == 1
+
+
+def test_union_curves_are_built_once_and_no_run_can_change_them(tmp_path):
+    config = dataclasses.replace(MIP_TINY, epsilon_max=0.55, epsilon_count=37)
+    bounds = dataclasses.replace(default_config("bounds"), epsilon_max=0.55, epsilon_count=37,
+                                 sweep=((8, 2, 0.1), (8, 2, 0.2)))
+    first = run_experiment(config)
+    _, sidecar = first.write(tmp_path / "first.csv")
+    misses = harness._union_curves.cache_info().misses
+    ag = first.aggregates
+    for name in ("epsilon_grid", "union_bound_raw", "union_bound_clamped"):
+        with pytest.raises(ValueError):
+            ag[name][0] = 0.5
+        ag[name] = np.zeros(37)  # replaces this run's entry only
+    table = run_experiment(bounds).aggregates
+    for curve in table["curves"]["N=8,M=2"].values():
+        with pytest.raises(ValueError):
+            curve[:] = 0.0
+    _, again = run_experiment(config).write(tmp_path / "again.csv")
+    assert again.read_text() == sidecar.read_text()
+    assert harness._union_curves.cache_info().misses == misses  # mip and bounds reuse it
+    assert table["curves"]["N=8,M=2"]["union_bound_raw"][0] == 8.0  # the N(M - 1) offsets
 
 
 def test_run_mip_rejects_bad_arm():
@@ -849,7 +906,8 @@ def test_tracer_names_resolve(monkeypatch):
 
 @pytest.mark.parametrize("config, solver", [
     (dataclasses.replace(SPARK_TINY, n_trials=40), "spark_enumeration"),
-    (MIP_TINY, "coherence"),
+    # EXACT-mode arms: an APPROXIMATE-mode chunk draws no FrequencyCodes
+    (dataclasses.replace(MIP_TINY, sweep=(0.1, 0.5)), "coherence"),
     (PHASE_TINY, "basis_pursuit"),
     (dataclasses.replace(NOISY_TINY, sweep=(0.0, 15.0)), "subspace_pursuit"),
 ], ids=lambda v: getattr(v, "experiment", v))
@@ -883,6 +941,7 @@ def test_serial_runs_work_on_each_trial_after_its_own_draw(monkeypatch, empty_ce
         return wrapper
 
     monkeypatch.setattr(harness, "sample_codes", draw)
+    monkeypatch.setattr(harness, "_MIP_CHUNK", 3)  # mip's 4 trials run as chunks of 3 and 1
     monkeypatch.setitem(harness._EXPERIMENTS, config.experiment, experiment._replace(work=work))
     for name in (solver, "lasso_block"):
         monkeypatch.setattr(harness, name, spy(name))
@@ -898,6 +957,9 @@ def test_serial_runs_work_on_each_trial_after_its_own_draw(monkeypatch, empty_ce
         assert len(classes) < n
     elif config.experiment == "noisy":  # one task per point, lasso once at its end
         expected = (["work"] + ["draw", solver] * n + ["lasso_block", "done"]) * n_points
+    elif config.experiment == "mip":  # one task per chunk of an arm's trials
+        expected = (["work"] + ["draw", solver] * 3 + ["done", "work", "draw", solver, "done"]
+                    ) * n_points
     else:
         expected = ["work", "draw", solver, "done"] * (n_points * n)
     assert events == expected

@@ -15,6 +15,7 @@ from farcs.errors import (
 from farcs.sensing import (
     SensingMatrix,
     _exact_doppler_table,
+    _hop_responses,
     _hop_table,
     build_D,
     build_R,
@@ -112,6 +113,17 @@ def test_grid_code_factors_equal_direct_formula(n_pulses, n_hrr_bins, n_codes,
         assert codes.hops is not None
         assert np.array_equal(build_R(codes, n_hrr_bins), _direct_R(codes, n_hrr_bins))
         assert np.array_equal(build_D(params, codes), _direct_D(params, codes))
+
+
+@pytest.mark.parametrize("n_codes", [5, 16, 20_000, None])  # 20,000 x 16 is over the budget
+def test_hop_response_stack_rows_are_build_R(n_codes):
+    draws = [sample_codes(seed, 24, n_codes) for seed in range(9)]
+    raw = np.array([c.codes if n_codes is None else c.hops for c in draws])
+    stack = _hop_responses(raw, n_codes, 16)
+    assert stack.shape == (9, 24, 16)
+    for codes, R in zip(draws, stack):
+        assert R.tobytes() == build_R(codes, 16).tobytes()
+        assert np.array_equal(R, _direct_R(codes, 16))
 
 
 def test_discrete_codes_carry_their_hop_indices():

@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 
@@ -15,6 +16,7 @@ from farcs.signal_model import (
     RadarParams,
     Scatterer,
     Scene,
+    _draw_codes,
     add_noise,
     flat_grid_index,
     from_physical,
@@ -188,6 +190,18 @@ def test_sample_codes_from_hops_match_the_checked_constructor():
     assert codes.n_codes == 32 and codes.is_discrete
 
 
+@pytest.mark.parametrize("n_codes", [None, 1, 16, 40])
+def test_draw_codes_is_the_draw_of_sample_codes(n_codes):
+    for seed in (0, 5, 2**40, np.random.default_rng(3)):
+        twin = copy.deepcopy(seed)  # a Generator in the same state
+        draw = _draw_codes(seed, 64, n_codes)
+        codes = sample_codes(twin, 64, n_codes)
+        if n_codes is None:
+            assert draw.tobytes() == codes.codes.tobytes()
+        else:
+            assert draw.tobytes() == codes.hops.tobytes()
+
+
 def test_sample_codes_from_hops_survive_pickling():
     codes = sample_codes(17, 64, 16)
     copy = pickle.loads(pickle.dumps(codes))
@@ -290,6 +304,35 @@ def test_grid_indices_must_be_integers():
     assert s.grid == (3, 5) and all(type(i) is int for i in s.grid)
     assert flat_grid_index(np.int32(2), np.int64(3), 8) == 3 + 2 * 8
     assert Scatterer(1.0, 0.0, 0.0, grid=(np.int64(0), np.int64(0))).grid == (0, 0)
+
+
+@pytest.mark.parametrize("grid", [(1,), (1, 2, 3), 5, (), "1"])
+def test_scatterer_grid_must_be_a_pair(grid):
+    with pytest.raises(DomainError, match=r"grid must be an \(m, n\) pair"):
+        Scatterer(1.0, 0.0, 0.0, grid=grid)
+
+
+@pytest.mark.parametrize("amplitude", [complex(math.nan), math.nan, complex(0.0, math.inf),
+                                       -math.inf, np.complex128(complex(1.0, math.nan)),
+                                       "x", "1", None, True, [1.0]])
+def test_scatterer_amplitude_must_be_a_finite_number(amplitude):
+    params = RadarParams.abstract(8, 4)
+    with pytest.raises(DomainError, match="amplitude must be"):
+        Scatterer(amplitude, 0.0, 0.0)
+    with pytest.raises(DomainError, match="amplitude must be"):
+        Scatterer.on_grid(1, 2, params, amplitude=amplitude)
+
+
+def test_scene_to_vector_sees_only_finite_amplitudes():
+    # a NaN cannot reach a scene: every amplitude is checked when its scatterer is built
+    params = RadarParams.abstract(8, 4)
+    scene = Scene((Scatterer(np.float32(1.5), 0.0, 0.0),
+                   Scatterer.on_grid(1, 2, params, amplitude=np.complex64(2 - 1j)),
+                   Scatterer.on_grid(3, 7, params, amplitude=-1e300)))
+    x = scene_to_vector(scene, params)
+    assert np.all(np.isfinite(x))
+    assert x[flat_grid_index(1, 2, 8)] == 2 - 1j and x[0] == 1.5
+    assert type(Scatterer.on_grid(0, 0, params, amplitude=3).amplitude) is complex
 
 
 def test_scene_rejects_duplicates():
