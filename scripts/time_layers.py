@@ -1,8 +1,9 @@
-"""Time farcs's solver and coherence layers one by one.
+"""Time farcs's solver, coherence and output layers one by one.
 
 The solver layers run at the default ``noisy`` size (N=64, M=8), the
-coherence layers at the default ``mip`` size (N=64, M=M*=16).  Prints one
-JSON line of times in microseconds:
+coherence layers at the default ``mip`` size (N=64, M=M*=16), the output
+layer on a default ``spark`` and a default ``mip`` result.  Prints one JSON
+line of times in microseconds:
 
 - ``matvec``/``rmatvec``: one lone product of a ``SensingMatrix``, and one
   ``SensingStack`` product over 15 rows (the rows of a benchmark noise point);
@@ -19,7 +20,11 @@ JSON line of times in microseconds:
 - ``coherence_chunk_30_per_trial``: 30 trials' discrete draws (one arm of
   the benchmark's ``coherence`` config) scored the way a ``mip`` chunk
   scores its trials, the gather of their (30, N, M) hop-response stack and
-  one batched FFT shortcut, divided by 30.
+  one batched FFT shortcut, divided by 30;
+- ``csv_text_spark``/``sidecar_text_spark`` and ``csv_text_mip``/
+  ``sidecar_text_mip``: the CSV text (``to_csv``) and the sidecar text
+  (``to_json``) that ``ExperimentResult.write`` puts on disk, without the
+  disk, for a default ``spark`` (2,000 rows) and ``mip`` (40,000 rows) run.
 
 An iteration's cost is the difference between two solves capped at
 ``SHORT`` and ``LONG`` iterations, divided by ``LONG - SHORT``, so set-up
@@ -49,7 +54,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from farcs import (RadarParams, SolverConfig, add_noise, basis_pursuit, build_phi,  # noqa: E402
-                   coherence, lasso_block, sample_codes)
+                   coherence, default_config, lasso_block, run_experiment, sample_codes)
 from farcs.analysis import _dft_coherence  # noqa: E402
 from farcs.sensing import SensingStack, _hop_responses  # noqa: E402
 
@@ -121,6 +126,17 @@ def _coherence_us() -> dict:
     }
 
 
+def _output_us() -> dict:
+    """The text of a default ``spark`` and a default ``mip`` run's CSV and sidecar."""
+    us = {}
+    for experiment in ("spark", "mip"):
+        result = run_experiment(default_config(experiment))
+        us[f"csv_text_{experiment}"] = _best_us(result.to_csv)
+        us[f"sidecar_text_{experiment}"] = _per_call_us(lambda _: result.to_json(), None,
+                                                        calls=20)
+    return us
+
+
 def main() -> int:
     phis, scenes, ys, lam = _problems(max(LASSO_ROWS))
     rng = np.random.default_rng(1)
@@ -150,6 +166,7 @@ def main() -> int:
     us["bp_solve_3"] = _per_call_us(functools.partial(basis_pursuit, phis[0]), scenes[0], calls=20)
     us["bp_solve_3_fixed"] = us["bp_solve_3"] - solve.iterations * us["admm_iteration"]
     us.update(_coherence_us())
+    us.update(_output_us())
     print(json.dumps({"us": {name: round(value, 2) for name, value in us.items()},
                       "bp_solve_3_iterations": solve.iterations,
                       "n_pulses": N_PULSES, "n_hrr_bins": N_HRR_BINS,

@@ -12,8 +12,9 @@ rows and aggregates.  Each task carries the frozen config, and in ``mip``,
 ``phase`` and ``noisy`` its sweep point's ``RadarParams``, which the task
 list builds once per point before any task runs; the tasks run in order in
 this process, or through one process pool with ``threads > 1``.  A
-``mip`` task is a chunk of at most ``_MIP_CHUNK`` trials of one arm, a
-``noisy`` task a whole noise point, and any other task one trial.
+``spark`` task is one code class (``_SparkDraws``), a ``mip`` task a
+chunk of at most ``_MIP_CHUNK`` trials of one arm, a ``phase`` task one
+trial and a ``noisy`` task a whole noise point; ``bounds`` has no tasks.
 Trial t of sweep point s always runs on the seed
 ``master_seed + s * n_trials + t``, whatever task it falls in, so results
 are reproducible record for record regardless of worker count or chunk size.
@@ -33,6 +34,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -78,7 +80,7 @@ class SolverSettings:
     lasso_objective_tol: float = 1e-6
     sp_max_iter: int = 100
 
-    def __post_init__(self):  # attributes, not fields: asdict and the sidecar leave them out
+    def __post_init__(self):  # attributes, not fields: the sidecar's config leaves them out
         # checked here so that an error names the settings key, not the SolverConfig field
         for name in ("bp_max_iter", "lasso_max_iter", "sp_max_iter"):
             check_integer(name, getattr(self, name), 1)
@@ -207,30 +209,42 @@ class ExperimentResult:
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
-        for rec in self.rows:
-            lines.append(",".join(_fmt(v) for v in rec.values))
+        lines += [",".join(map(_fmt, rec.values)) for rec in self.rows]
         return "\n".join(lines) + "\n"
 
-    def write(self, out_path) -> tuple[Path, Path]:
-        """Write the CSV and its JSON sidecar; returns both paths."""
-        path = Path(out_path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_csv())
-        sidecar = path.with_suffix(".json") if path.suffix == ".csv" \
-            else Path(str(path) + ".json")
+    def to_json(self) -> str:
+        """The sidecar text of ``write``."""
         payload = {
             "experiment": self.experiment,
             "columns": list(self.columns),
             "config": self.config,
             "aggregates": self.aggregates,
         }
-        sidecar.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                                      default=_json_default) + "\n")
+        return _json_text(payload) + "\n"
+
+    def write(self, out_path) -> tuple[Path, Path]:
+        """Write the CSV and its JSON sidecar; returns both paths.
+
+        The CSV holds ``to_csv()``.  The sidecar holds ``to_json()``: exactly
+        the text ``json.dumps(payload, sort_keys=True, indent=2)`` writes,
+        numpy values taken as their ``.tolist()``, and a newline.
+        """
+        path = Path(out_path)
+        if path.parent != Path(""):
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(self.to_csv())
+        sidecar = path.with_suffix(".json") if path.suffix == ".csv" \
+            else Path(str(path) + ".json")
+        sidecar.write_text(self.to_json())
         return path, sidecar
 
 
 def _fmt(v) -> str:
+    kind = type(v)  # the cells are mostly floats, ints and strings: tested first, exactly
+    if kind is float:
+        return repr(v)
+    if kind is int or kind is str:
+        return str(v)
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -240,11 +254,64 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _json_default(obj):
-    """json's hook for what it cannot write itself: numpy arrays and scalars as Python values."""
+def _json_float(v: float) -> str:
+    """A float as json writes it."""
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, numpy values taken as their ``.tolist()``.
+
+    ``pad`` is a newline and the indent of ``obj``'s own level.  A finite
+    1-D int or float array is written in one join of its elements' reprs,
+    which is the text json writes for them; anything json cannot write is a
+    ``TypeError``.  It stands in for the pure-Python encoder that json
+    falls back to whenever it indents (CPython 3.10 to 3.12).
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            f"{_json_key(key)}: {_json_text(value, inner)}" for key, value in sorted(obj.items()))
+            + pad + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + pad + "]"
+    if (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size and obj.dtype.kind in "iuf"
+            and (obj.dtype.kind != "f" or np.isfinite(obj).all())):
+        return "[" + inner + ("," + inner).join(map(repr, obj.tolist())) + pad + "]"
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        return _json_text(obj.tolist(), pad)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a string, or a bool, None or number as its quoted text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_json_text(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _run_tasks(worker, tasks, threads):
@@ -380,9 +447,10 @@ def _census_key(codes) -> tuple | bytes:
     """
     if not codes.is_discrete:
         return codes.codes.tobytes()
-    q, hops = codes.n_codes, codes.hops
-    images = (np.stack([hops, -hops])[:, None, :] + np.arange(q)[:, None]) % q
-    return tuple(min(images.reshape(-1, hops.size).tolist()))
+    q, hops = codes.n_codes, codes.hops.tolist()
+    # of the 2 M* images the smallest starts at 0, so it is one of the two, one
+    # per sign, whose shift takes the first hop to 0
+    return min(tuple(sign * (k - hops[0]) % q for k in hops) for sign in (1, -1))
 
 
 class _SparkDraws:
@@ -767,4 +835,15 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
                                           _run_tasks(experiment.work, tasks, threads))
     return ExperimentResult(config.experiment, experiment.columns,
                             [TrialRecord(values) for values in rows],
-                            aggregates, dataclasses.asdict(config))
+                            aggregates, _config_record(config))
+
+
+def _config_record(config: ExperimentConfig) -> dict:
+    """``dataclasses.asdict(config)`` without its deep copy.
+
+    Every field value but ``solver`` is immutable and kept as is; the solver
+    settings are recorded the same way, as a dict of their fields.
+    """
+    record = {f.name: getattr(config, f.name) for f in fields(config)}
+    record["solver"] = {f.name: getattr(config.solver, f.name) for f in fields(SolverSettings)}
+    return record

@@ -1,6 +1,7 @@
 """Tests for the experiment drivers, their file outputs, and the CLI."""
 
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import itertools
@@ -13,6 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from farcs import (
     ConfigurationError,
@@ -37,7 +41,9 @@ from farcs import (
 from farcs import harness
 from farcs.analysis import SIGMA_HIST_EDGES
 from farcs.cli import main
-from farcs.harness import _census_key, _fmt, _json_default, _spark_work
+from farcs.harness import _census_key, _config_record, _fmt, _json_text, _spark_work
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # small, fast configurations used throughout
 SPARK_TINY = dataclasses.replace(default_config("spark"), n_trials=3)
@@ -60,7 +66,7 @@ def empty_census_table(monkeypatch):
 
 def _written(obj) -> str:
     """``obj`` as the sidecar writer turns it into JSON text."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+    return _json_text(obj)
 
 
 # --- config ---------------------------------------------------------------------
@@ -157,6 +163,22 @@ def test_load_config_converts_sweep_lists(tmp_path):
     assert load_config(path).sweep == ((16, 4, 0.1),)
 
 
+@pytest.mark.parametrize("config", [
+    *(pytest.param(default_config(name), id=f"default-{name}") for name in harness.EXPERIMENTS),
+    *(pytest.param(load_config(path), id=f"perfbench-{path.stem}")
+      for path in sorted((ROOT / "perfbench" / "configs").glob("*.json"))),
+    pytest.param(dataclasses.replace(default_config("bounds"),
+                                     sweep=[[16, 4, 0.1], (64, 8, 0.25)],
+                                     solver=SolverSettings(sp_max_iter=5)),
+                 id="bounds-nested-sweep"),
+])
+def test_config_record_is_asdict(config):
+    # the sidecar's config record, without asdict's deep copy
+    record = _config_record(config)
+    assert record == dataclasses.asdict(config)
+    assert _written(record) == _written(dataclasses.asdict(config))
+
+
 @pytest.mark.parametrize("payload", [
     {"experiment": "spark", "banana": 1},
     {"experiment": "spark", "solver": {"bogus": 1}},
@@ -214,6 +236,13 @@ def test_run_spark_continuous_codes_full_rank():
     assert "det_singular_max" not in ag and "det_nonsingular_min" not in ag
 
 
+def _smallest_image(codes) -> tuple:
+    """The smallest image (+-hops + c) mod M* of a discrete vector, all 2 M* of them stacked."""
+    q, hops = codes.n_codes, codes.hops
+    images = (np.stack([hops, -hops])[:, None, :] + np.arange(q)[:, None]) % q
+    return tuple(min(images.reshape(-1, hops.size).tolist()))
+
+
 def test_census_class_members_share_outcome():
     # the images d -> +-d + c of a discrete vector share one census key and
     # give the same census outcome
@@ -231,11 +260,17 @@ def test_census_class_members_share_outcome():
         assert o.above_min == pytest.approx(first.above_min, rel=0, abs=1e-14)
         assert o.det_nonsingular_min == pytest.approx(first.det_nonsingular_min,
                                                       rel=0, abs=1e-12)
-    # the 729 discrete vectors at N=6, M*=3 form 122 classes; continuous
-    # vectors keep their exact values as key
-    keys = {_census_key(FrequencyCodes(np.array(h) / 3, n_codes=3))
-            for h in itertools.product(range(3), repeat=6)}
-    assert len(keys) == 122
+    # the 729 discrete vectors at N=6, M*=3 form 122 classes, and each key
+    # is the smallest of the 2 M* images, as every one of them is formed
+    # (likewise at N=5, M*=4); continuous vectors keep their exact values as key
+    for n_pulses, q, n_classes in ((6, 3, 122), (5, 4, 136)):
+        keys = set()
+        for h in itertools.product(range(q), repeat=n_pulses):
+            codes = FrequencyCodes(np.array(h) / q, n_codes=q)
+            key = _census_key(codes)
+            assert key == _smallest_image(codes) and all(type(k) is int for k in key)
+            keys.add(key)
+        assert len(keys) == n_classes
     continuous = sample_codes(0, 6)
     assert _census_key(continuous) == continuous.codes.tobytes()
 
@@ -681,26 +716,62 @@ def test_master_seed_changes_draws():
 # --- serialization -------------------------------------------------------------------
 
 
-def test_fmt_and_json_default():
-    assert _fmt(True) == "1" and _fmt(np.bool_(False)) == "0"
-    assert _fmt(np.int64(7)) == "7"
-    assert _fmt(2.5) == "2.5" and _fmt(np.float64(0.1)) == "0.1"
-    assert _fmt("continuous") == "continuous"
-    # numpy values are written as the Python values they hold, byte for byte
-    text = _written({"a": np.arange(3), "b": (np.float64(1.5), np.bool_(True))})
-    assert text == _written({"a": [0, 1, 2], "b": [1.5, True]})
-    assert json.loads(text) == {"a": [0, 1, 2], "b": [1.5, True]}
-    grid = np.array([[0.1, 2.0], [np.inf, -0.0]])
-    flags = np.array([[True, False], [False, True]])
-    assert _written(grid) == _written([[0.1, 2.0], [math.inf, -0.0]])
-    assert _written(flags) == _written([[True, False], [False, True]])
-    assert "Infinity" in _written(grid) and "-0.0" in _written(grid)
-    assert all(type(v) is float for row in json.loads(_written(grid)) for v in row)
-    assert all(type(v) is bool for row in json.loads(_written(flags)) for v in row)
-    nested = np.array([np.int64(3), {"k": np.float64(0.5)}], dtype=object)
-    assert _written(nested) == _written([3, {"k": 0.5}])
-    with pytest.raises(TypeError):
-        _written({"a": object()})
+def _json_hook(obj):
+    """The reference's hook for what json cannot write: numpy values as their ``.tolist()``."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _json_or_type_error(write, obj):
+    try:
+        return write(obj)
+    except TypeError:
+        return TypeError
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-2**80, max_value=2**80),
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.text(), st.text(alphabet="\"\\\n\t\x00\x7f\u00e9\u4e2d\U0001f600"),
+    st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_ARRAY_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)
+_JSON_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, _ARRAY_SHAPES,
+               elements=st.floats(allow_nan=False, allow_infinity=False)),
+    *(hnp.arrays(dtype, _ARRAY_SHAPES)
+      for dtype in (np.float64, np.float32, np.int64, np.int8, np.uint64, np.bool_)),
+    hnp.arrays(object, _ARRAY_SHAPES, elements=_JSON_SCALARS),
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS | _JSON_ARRAYS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_JSON_PAYLOADS)
+@example({"a": np.arange(3), "b": (np.float64(1.5), np.bool_(True))})
+@example(np.array([[0.1, 2.0], [np.inf, -0.0]]))
+@example(np.array([[True, False], [False, True]]))
+@example(np.array([np.int64(3), {"k": np.float64(0.5)}], dtype=object))
+@example(np.array([0.5, np.nan, 2.0]))
+@example({"": [], "e": {}, "t": (), "z": np.zeros(0)})
+@example({1: "one", 2.5: None, -3: 0, math.inf: [], math.nan: 1})
+@example({True: 1, False: None})
+@example({None: 1.5})
+@example({1: "one", "k": 0})
+@example({"a": object()})
+@example([1, 2j])
+@example(np.array([1j]))
+@example({(1, 2): 0})
+def test_sidecar_text_is_json_dumps(obj):
+    # the sidecar writer gives json.dumps's text, or fails where it fails
+    reference = functools.partial(json.dumps, sort_keys=True, indent=2, default=_json_hook)
+    assert _json_or_type_error(_json_text, obj) == _json_or_type_error(reference, obj)
 
 
 def test_to_csv_layout():
@@ -709,6 +780,11 @@ def test_to_csv_layout():
         rows=[TrialRecord((1, 2.5, True, "x"))], aggregates={}, config={},
     )
     assert result.to_csv() == "a,b,c,d\n1,2.5,1,x\n"
+    # numpy cells are written as the Python values they hold
+    assert _fmt(True) == "1" and _fmt(np.bool_(False)) == "0"
+    assert _fmt(np.int64(7)) == "7"
+    assert _fmt(2.5) == "2.5" and _fmt(np.float64(0.1)) == "0.1"
+    assert _fmt("continuous") == "continuous"
 
 
 def test_write_creates_csv_and_sidecar(tmp_path):
@@ -846,9 +922,6 @@ def test_cli_requires_subcommand(capsys):
 
 
 # --- scripts/output_hashes.py ---------------------------------------------------
-
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def _load_script(name, folder="scripts"):
