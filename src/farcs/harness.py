@@ -8,22 +8,21 @@ under noise), and ``bounds`` (tabulated sparsity guarantees).
 ``run_experiment`` is the one driver.  It looks the experiment up in a
 table that gives its CSV columns, a sweep check, a task list with the work
 function that runs each task, and a function that collects the outcomes into
-rows and aggregates.  Each task carries the frozen config, and in ``mip``,
-``phase`` and ``noisy`` its sweep point's ``RadarParams``, which the task
-list builds once per point before any task runs; the tasks run in order in
-this process, or through one process pool with ``threads > 1``.  A
-``spark`` task is one code class (``_SparkDraws``), a ``mip`` task a
-chunk of at most ``_MIP_CHUNK`` trials of one arm, a ``phase`` task one
-trial and a ``noisy`` task a whole noise point; ``bounds`` has no tasks.
-Trial t of sweep point s always runs on the seed
-``master_seed + s * n_trials + t``, whatever task it falls in, so results
-are reproducible record for record regardless of worker count or chunk size.
+rows and aggregates.  Every Monte-Carlo task is ``(config, s, trials,
+params)``: a chunk of at most ``_CHUNK`` trials of sweep point s (``spark``
+is one point), with the point's ``RadarParams``, which the task list builds
+once per point before any task runs.  The work function returns one outcome
+per trial of its chunk, and the driver flattens them in sweep and trial
+order; the tasks run in order in this process, or through one process pool
+with ``threads > 1``.  ``bounds`` has no tasks.  Trial t of sweep point s
+always runs on the seed ``master_seed + s * n_trials + t``, whatever task
+it falls in, so results are reproducible record for record regardless of
+worker count or chunk size.
 
 ``spark`` censuses each discrete code class once per process, on its
 canonical member, and keeps the outcome (one table per pool worker, at most
-one outcome per class and 4,096 in all), so a later draw of any member of
-the class reads the outcome instead of censusing; outputs are the same
-whatever ran before.
+4,096 outcomes), so a later draw of any member of the class reads the
+outcome instead of censusing; outputs are the same whatever ran before.
 """
 
 from __future__ import annotations
@@ -315,20 +314,13 @@ def _json_key(key) -> str:
 
 
 def _run_tasks(worker, tasks, threads):
-    """``worker(task)`` for every task, in order.
-
-    A serial run takes each task as the iterable yields it, so a lazy task
-    list keeps its draws interleaved with the work; a pooled run lists the
-    tasks first.
-    """
-    if threads > 1:
-        tasks = list(tasks)
-        if len(tasks) > 1:
-            # imported here so that a serial run never loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            chunk = max(1, len(tasks) // (threads * 8))
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(worker, tasks, chunksize=chunk))
+    """``worker(task)`` for every task, in order; ``threads > 1`` runs them in one process pool."""
+    if threads > 1 and len(tasks) > 1:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        chunk = max(1, len(tasks) // (threads * 8))
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(worker, tasks, chunksize=chunk))
     return [worker(t) for t in tasks]
 
 
@@ -336,10 +328,19 @@ def _trial_seed(config: ExperimentConfig, sweep_idx: int, trial_idx: int) -> int
     return config.master_seed + sweep_idx * config.n_trials + trial_idx
 
 
-def _trial_tasks(config: ExperimentConfig, params: list):
-    """One task ``(config, s, t, params[s])`` per trial t of sweep point s, in sweep order."""
-    return ((config, s, t, params[s])
-            for s in range(len(config.sweep)) for t in range(config.n_trials))
+# trials per task, at most: a noisy chunk is then one lasso_block chunk
+# (solvers._LASSO_CHUNK_ROWS).  The outputs do not depend on it
+_CHUNK = 32
+
+
+def _chunk_tasks(config: ExperimentConfig, params: list) -> list:
+    """One task ``(config, s, trials, params[s])`` per chunk of point s, in sweep and trial order.
+
+    ``trials`` is a range of at most ``_CHUNK`` trial indices.
+    """
+    n = config.n_trials
+    return [(config, s, range(start, min(start + _CHUNK, n)), point)
+            for s, point in enumerate(params) for start in range(0, n, _CHUNK)]
 
 
 def _convergence(runs) -> dict:
@@ -389,49 +390,67 @@ def _no_sweep(config, point):
     raise ConfigurationError(f"{config.experiment} takes no sweep, got {point!r}")
 
 
-# Census outcomes of discrete code vectors, oldest first, kept for the life of
+# Census outcomes of discrete code classes, oldest first, kept for the life of
 # the process; each pool worker keeps its own table
 _CENSUS_TABLE_CAP = 4096  # about 1.2 KB an outcome
 _census_table: dict[tuple, _CensusOutcome] = {}
 
 
-def _spark_work(task) -> _CensusOutcome:
-    """The census outcome of one code vector.
+def _spark_tasks(config):
+    """The chunks of spark's one point, on the APPROXIMATE-mode ``RadarParams`` of every census.
 
-    A discrete vector's outcome is a pure function of (N, M, M*, its hops,
-    ``eps_svd``, ``max_submatrices``), so it is kept under that key in one
-    table per process, its ``hist`` read-only, and a later task on the
-    same vector reads it back instead of censusing again.  ``_SparkDraws``
-    passes only the canonical member of each class, so the table holds at
-    most one outcome per class (122 at N=6, M*=3).  It keeps at most
-    ``_CENSUS_TABLE_CAP`` outcomes and drops the oldest first.  Continuous
-    vectors are censused every time.  A miss runs ``spark_enumeration`` on
-    the vector it is given, so outputs are the same whatever ran earlier in
-    the process.
+    Continuous codes take M* = M there, whatever ``n_codes`` says.
     """
-    config, codes = task
-    key = None
-    if codes.is_discrete:
-        key = (codes.codes.size, config.n_hrr_bins, codes.n_codes, codes.hops.tobytes(),
+    discrete = config.code_distribution == "discrete"
+    return _chunk_tasks(config, [RadarParams.abstract(
+        config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes if discrete else None)])
+
+
+def _spark_work(task) -> list[_CensusOutcome]:
+    """The census outcome of each trial of one chunk.
+
+    A discrete vector's outcome is the outcome of its class
+    (``_census_key``), a pure function of (N, M, M*, the class, ``eps_svd``,
+    ``max_submatrices``).  It is kept under that key in one table per
+    process, its ``hist`` read-only, so a later draw of any member of the
+    class reads it back instead of censusing again; only a miss builds the
+    class's canonical member, its smallest image, and censuses it, so the
+    outcome does not depend on which member was drawn first.  The table
+    keeps at most ``_CENSUS_TABLE_CAP`` outcomes and drops the oldest
+    first.  A continuous vector is censused as drawn, every time.
+    """
+    config, s, trials, params = task
+    n_codes = params.n_codes if config.code_distribution == "discrete" else None
+    outcomes = []
+    for t in trials:
+        codes = sample_codes(_trial_seed(config, s, t), config.n_pulses, n_codes)
+        if n_codes is None:
+            outcomes.append(_census(config, params, codes))
+            continue
+        key = (config.n_pulses, config.n_hrr_bins, n_codes, _census_key(codes),
                config.eps_svd, config.max_submatrices)
-        if key in _census_table:
-            return _census_table[key]
-    params = RadarParams.abstract(codes.codes.size, config.n_hrr_bins, n_codes=codes.n_codes)
+        outcome = _census_table.get(key)
+        if outcome is None:
+            outcome = _census(config, params, FrequencyCodes._from_hops(np.array(key[3]), n_codes))
+            if len(_census_table) >= _CENSUS_TABLE_CAP:
+                del _census_table[next(iter(_census_table))]
+            outcome.hist.setflags(write=False)
+            _census_table[key] = outcome
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _census(config, params, codes) -> _CensusOutcome:
+    """What the spark experiment keeps of the census of ``codes``."""
     report = spark_enumeration(build_phi(params, codes), config.eps_svd,
                                config.max_submatrices)
     sigmas = report.sigma_values
     below = sigmas < config.eps_svd
     below_max = float(sigmas[below].max()) if below.any() else None
     above_min = float(sigmas[~below].min()) if not below.all() else None
-    outcome = _CensusOutcome(report.sigma_omega, report.n_below_eps, report.sigma_hist_counts,
-                             report.n_submatrices, below_max, above_min, report.route,
-                             report.det_singular_max, report.det_nonsingular_min)
-    if key is not None:
-        if len(_census_table) >= _CENSUS_TABLE_CAP:
-            del _census_table[next(iter(_census_table))]
-        outcome.hist.setflags(write=False)
-        _census_table[key] = outcome
-    return outcome
+    return _CensusOutcome(report.sigma_omega, report.n_below_eps, report.sigma_hist_counts,
+                          report.n_submatrices, below_max, above_min, report.route,
+                          report.det_singular_max, report.det_nonsingular_min)
 
 
 def _census_key(codes) -> tuple | bytes:
@@ -453,47 +472,12 @@ def _census_key(codes) -> tuple | bytes:
     return min(tuple(sign * (k - hops[0]) % q for k in hops) for sign in (1, -1))
 
 
-class _SparkDraws:
-    """The spark task list: one census per code class (``_census_key``).
-
-    Iterating draws the trials in order and yields one task per class,
-    right after the first draw of that class, so a serial run takes each
-    census right after its draw (the 2000 default discrete trials hold 122
-    classes).  A discrete class is censused on its canonical member, the
-    smallest image that ``_census_key`` returns as hop indices, so its
-    outcome does not depend on which member was drawn first, and
-    ``_spark_work`` may read it from its process's table; a continuous
-    vector is its own class and is censused as drawn.  ``classes`` holds
-    each trial's class as the position of its task.
-    """
-
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
-        self.classes = []
-
-    def __iter__(self):
-        config = self.config
-        n_codes = (config.n_codes or config.n_hrr_bins
-                   if config.code_distribution == "discrete" else None)
-        positions = {}  # census key -> position of its task
-        for t in range(config.n_trials):
-            codes = sample_codes(_trial_seed(config, 0, t), config.n_pulses, n_codes)
-            key = _census_key(codes)
-            if key not in positions:
-                positions[key] = len(positions)
-                if codes.is_discrete:
-                    codes = FrequencyCodes._from_hops(np.array(key), n_codes)
-                yield config, codes
-            self.classes.append(positions[key])
-
-
-def _spark_collect(config, keys, draws, censuses):
-    """One row per trial, from its class's census.
+def _spark_collect(config, keys, outcomes):
+    """One row per trial, from its census outcome.
 
     The sidecar records which route classified the census (``census_route``)
     and, on the determinant-gap route, its margins.
     """
-    outcomes = [censuses[c] for c in draws.classes]
     rows = [(t, o.sigma_omega, o.n_below_eps) for t, o in enumerate(outcomes)]
     sigma_omegas = np.array([o.sigma_omega for o in outcomes])
     n_below = np.array([o.n_below_eps for o in outcomes])
@@ -532,11 +516,6 @@ def _spark_collect(config, keys, draws, censuses):
 
 # --- mip ---------------------------------------------------------------------
 
-# trials per mip task, at most: at N=64, M=16 a chunk's hop-response stack and
-# spectrum magnitudes take 0.4 MiB.  The outputs do not depend on it
-_MIP_CHUNK = 16
-
-
 def _mip_key(config, arm) -> str:
     if arm == "continuous":
         return arm
@@ -548,28 +527,25 @@ def _mip_key(config, arm) -> str:
 
 
 def _mip_tasks(config):
-    """One task per chunk of at most ``_MIP_CHUNK`` trials of one arm, in sweep and trial order.
-
-    Each arm's ``RadarParams`` is built once.
-    """
-    params = [RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes,
-                                   relative_bandwidth=0.0 if arm == "continuous" else float(arm))
-              for arm in config.sweep]
-    return ((config, s, start, min(start + _MIP_CHUNK, config.n_trials), params[s])
-            for s in range(len(config.sweep)) for start in range(0, config.n_trials, _MIP_CHUNK))
+    """The chunks of every arm, each arm's ``RadarParams`` built once."""
+    return _chunk_tasks(config, [
+        RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes,
+                             relative_bandwidth=0.0 if arm == "continuous" else float(arm))
+        for arm in config.sweep])
 
 
 def _mip_work(task) -> list[float]:
-    """mu of trials start, ..., stop - 1 of one arm, each bit for bit its own operator's.
+    """mu of each trial of one chunk of an arm, bit for bit its own operator's.
 
     An EXACT-mode arm builds each trial's operator and takes its
     ``coherence``.  An APPROXIMATE-mode arm draws the trials' raw codes as
     ``sample_codes`` does, forms their hop responses as one (T, N, M) stack
-    and scores it with the FFT shortcut ``coherence`` runs on one operator.
+    and scores it with the FFT shortcut ``coherence`` runs on one operator
+    (at N=64, M=16 a 32-trial chunk peaks at 0.9 MiB under tracemalloc).
     """
-    config, s, start, stop, params = task
+    config, s, trials, params = task
     n_codes = None if config.sweep[s] == "continuous" else params.n_codes
-    seeds = [_trial_seed(config, s, t) for t in range(start, stop)]
+    seeds = [_trial_seed(config, s, t) for t in trials]
     if params.mode is BandwidthMode.EXACT:
         return [coherence(build_phi(params, sample_codes(seed, config.n_pulses, n_codes))).mu
                 for seed in seeds]
@@ -578,10 +554,9 @@ def _mip_work(task) -> list[float]:
     return _dft_coherence(responses, overwrite=True).tolist()
 
 
-def _mip_collect(config, keys, tasks, chunks):
+def _mip_collect(config, keys, mus):
     """Coherence draws per arm, with the union-bound exceedance curve."""
     n = config.n_trials
-    mus = [mu for chunk in chunks for mu in chunk]
     per_arm = {key: np.array(mus[s * n:(s + 1) * n]) for s, key in enumerate(keys)}
     rows = [(key, t, float(mu)) for key, arm_mus in per_arm.items()
             for t, mu in enumerate(arm_mus)]
@@ -627,9 +602,10 @@ def _recovery_collect(config, keys, outcomes, solvers, values):
     return rows, rates, convergence, extras
 
 
-def _recovery_params(config) -> RadarParams:
-    """The APPROXIMATE-mode ``RadarParams`` every recovery trial runs on."""
-    return RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes)
+def _recovery_tasks(config):
+    """The chunks of every point; all of them run on one APPROXIMATE-mode ``RadarParams``."""
+    params = RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes)
+    return _chunk_tasks(config, [params] * len(config.sweep))
 
 
 def _recovery_trial(config, s, t, params, sparsity):
@@ -649,24 +625,23 @@ def _phase_key(config, k) -> str:
     return str(k)
 
 
-def _phase_tasks(config):
-    """One task per trial; every trial runs on the same ``RadarParams``."""
-    return _trial_tasks(config, [_recovery_params(config)] * len(config.sweep))
-
-
 def _phase_work(task):
-    config, s, t, params = task
+    """Outcomes of one chunk's trials, each solved right after its draw."""
+    config, s, trials, params = task
     sparsity, settings = config.sweep[s], config.solver
-    _, phi, y, truth = _recovery_trial(config, s, t, params, sparsity)
-    mf_est = extract_support(matched_filter(phi, y) / config.n_pulses, K=sparsity,
-                             eps=settings.support_threshold)
-    bp = basis_pursuit(phi, y, settings.bp_config)
-    bp_est = extract_support(bp.x_hat, K=sparsity, eps=settings.support_threshold)
-    return ((mf_est == truth, bp_est == truth), {"bp": (bp.converged, bp.iterations)},
-            bp.certified)
+    outcomes = []
+    for t in trials:
+        _, phi, y, truth = _recovery_trial(config, s, t, params, sparsity)
+        mf_est = extract_support(matched_filter(phi, y) / config.n_pulses, K=sparsity,
+                                 eps=settings.support_threshold)
+        bp = basis_pursuit(phi, y, settings.bp_config)
+        bp_est = extract_support(bp.x_hat, K=sparsity, eps=settings.support_threshold)
+        outcomes.append(((mf_est == truth, bp_est == truth),
+                         {"bp": (bp.converged, bp.iterations)}, bp.certified))
+    return outcomes
 
 
-def _phase_collect(config, keys, tasks, outcomes):
+def _phase_collect(config, keys, outcomes):
     """Noiseless exact-support rates for matched filtering and basis pursuit.
 
     The sidecar also records, per sparsity, how many basis-pursuit solves
@@ -686,34 +661,40 @@ def _noisy_db(db) -> float:
     return float(db) + 0.0  # -0.0 + 0.0 is 0.0: -0.0 dB is the point 0.0
 
 
+def _noisy_sigma2(db) -> float:
+    """The noise power 10^(dB/10) of a point, inf where it overflows."""
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _noisy_key(config, db) -> str:
     if isinstance(db, bool) or not isinstance(db, (int, float)) or not math.isfinite(db):
         raise ConfigurationError(f"noisy sweep entries must be finite dB floats, got {db!r}")
+    sigma2 = _noisy_sigma2(db)
+    if not 0.0 < sigma2 < math.inf:
+        raise ConfigurationError(f"noisy sweep entry {db!r} dB gives the noise power "
+                                 f"{sigma2!r}, not a finite float > 0")
     return _fmt(_noisy_db(db))
 
 
-def _noisy_tasks(config):
-    """One task per noise point; every point runs on the same ``RadarParams``."""
-    params = _recovery_params(config)
-    return [(config, s, params) for s in range(len(config.sweep))]
-
-
 def _noisy_work(task):
-    """Outcomes of one noise point's trials, in trial order.
+    """Outcomes of one chunk's trials, in trial order.
 
     The trials are drawn in order and subspace pursuit runs on each as it is
     drawn; lasso then solves all of them as one block (``lasso_block``).
     """
-    config, s, params = task
+    config, s, trials, params = task
     settings = config.solver
-    sigma2 = 10.0 ** (float(config.sweep[s]) / 10.0)
-    trials = []
-    for t in range(config.n_trials):
+    sigma2 = _noisy_sigma2(config.sweep[s])
+    draws = []
+    for t in trials:
         rng, phi, y, truth = _recovery_trial(config, s, t, params, config.n_scatterers)
         y = add_noise(y, sigma2, rng)
         sp = subspace_pursuit(phi, y, config.n_scatterers, settings.sp_config)
-        trials.append((phi, y, truth, sp))
-    phis, ys, truths, sp_results = zip(*trials)
+        draws.append((phi, y, truth, sp))
+    phis, ys, truths, sp_results = zip(*draws)
     lam = settings.lasso_lambda_factor * sigma2
     la_results = lasso_block(phis, ys, [lam] * len(phis), settings.lasso_config)
     return [((sp.support == truth, la.support == truth),
@@ -722,7 +703,7 @@ def _noisy_work(task):
             for truth, sp, la in zip(truths, sp_results, la_results)]
 
 
-def _noisy_collect(config, keys, tasks, points):
+def _noisy_collect(config, keys, outcomes):
     """Exact-support rates vs. noise power for subspace pursuit and lasso.
 
     The sidecar also records, per noise power and solver, how many solves
@@ -732,7 +713,7 @@ def _noisy_collect(config, keys, tasks, points):
     """
     sigma2_db = [_noisy_db(db) for db in config.sweep]
     rows, rates, convergence, exits = _recovery_collect(
-        config, keys, [trial for point in points for trial in point], ("sp", "lasso"), sigma2_db)
+        config, keys, outcomes, ("sp", "lasso"), sigma2_db)
     lasso_exit = {}
     for key, point_exits in exits.items():
         gaps, nonzeros = np.array(point_exits).T
@@ -766,7 +747,7 @@ def _bounds_key(config, case) -> tuple[int, int, float]:
     return n_pulses, n_hrr_bins, float(delta)
 
 
-def _bounds_collect(config, cases, tasks, outcomes):
+def _bounds_collect(config, cases, outcomes):
     """Tabulate the coherence-based and l0 sparsity guarantees per setup.
 
     A table, not a Monte-Carlo study: it has no tasks.
@@ -790,25 +771,25 @@ class _Experiment(NamedTuple):
 
     columns: tuple[str, ...]
     sweep_key: Callable  # (config, sweep point) -> its key; raises on a bad point
-    tasks: Callable  # config -> the units of work, in order
-    work: Callable | None  # task -> outcome; runs in a pool worker when threads > 1
-    collect: Callable  # (config, sweep keys, tasks, outcomes) -> (rows, aggregates)
+    tasks: Callable  # config -> its chunks of trials (_chunk_tasks), in order
+    work: Callable | None  # task -> one outcome per trial; runs in a pool worker when threads > 1
+    collect: Callable  # (config, sweep keys, outcomes of all trials) -> (rows, aggregates)
     defaults: dict  # the fields ``default_config`` sets
 
 
 _EXPERIMENTS = {
     "spark": _Experiment(("trial", "sigma_omega", "n_below_eps"),
-                         _no_sweep, _SparkDraws, _spark_work, _spark_collect,
+                         _no_sweep, _spark_tasks, _spark_work, _spark_collect,
                          dict(n_pulses=6, n_hrr_bins=3, n_codes=3, n_trials=2000)),
     "mip": _Experiment(("arm", "trial", "mu"),
                        _mip_key, _mip_tasks, _mip_work, _mip_collect,
                        dict(n_pulses=64, n_hrr_bins=16, n_trials=10_000,
                             sweep=(0.0, 0.1, 0.5, "continuous"))),
     "phase": _Experiment(("solver", "K", "trial", "success"),
-                         _phase_key, _phase_tasks, _phase_work, _phase_collect,
+                         _phase_key, _recovery_tasks, _phase_work, _phase_collect,
                          dict(n_pulses=64, n_hrr_bins=8, n_trials=200, sweep=tuple(range(1, 11)))),
     "noisy": _Experiment(("solver", "sigma2_db", "trial", "success"),
-                         _noisy_key, _noisy_tasks, _noisy_work, _noisy_collect,
+                         _noisy_key, _recovery_tasks, _noisy_work, _noisy_collect,
                          dict(n_pulses=64, n_hrr_bins=8, n_trials=200, n_scatterers=3,
                               sweep=(-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0))),
     "bounds": _Experiment(("n_pulses", "n_hrr_bins", "delta", "k_mip", "k_l0"),
@@ -830,9 +811,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     keys = [experiment.sweep_key(config, point) for point in config.sweep]
     if len(set(keys)) < len(keys):
         raise ConfigurationError(f"{config.experiment} sweep repeats a point: {config.sweep!r}")
-    tasks = experiment.tasks(config)
-    rows, aggregates = experiment.collect(config, keys, tasks,
-                                          _run_tasks(experiment.work, tasks, threads))
+    chunks = _run_tasks(experiment.work, experiment.tasks(config), threads)
+    rows, aggregates = experiment.collect(config, keys,
+                                          [outcome for chunk in chunks for outcome in chunk])
     return ExperimentResult(config.experiment, experiment.columns,
                             [TrialRecord(values) for values in rows],
                             aggregates, _config_record(config))

@@ -41,7 +41,7 @@ from farcs import (
 from farcs import harness
 from farcs.analysis import SIGMA_HIST_EDGES
 from farcs.cli import main
-from farcs.harness import _census_key, _config_record, _fmt, _json_text, _spark_work
+from farcs.harness import _census_key, _config_record, _fmt, _json_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -250,9 +250,10 @@ def test_census_class_members_share_outcome():
     images = [(sign * hops + c) % 3 for sign in (1, -1) for c in range(3)]
     codes = [FrequencyCodes(image / 3, n_codes=3) for image in images]
     assert len({_census_key(c) for c in codes}) == 1
-    config = ExperimentConfig(experiment="spark", n_hrr_bins=3, eps_svd=1e-15,
+    config = ExperimentConfig(experiment="spark", n_pulses=6, n_hrr_bins=3, eps_svd=1e-15,
                               max_submatrices=10**6)
-    outcomes = [_spark_work((config, c)) for c in codes]
+    params = RadarParams.abstract(6, 3, n_codes=3)
+    outcomes = [harness._census(config, params, c) for c in codes]
     first = outcomes[0]
     for o in outcomes:
         assert (o.sigma_omega, o.n_below_eps, o.below_max) == (0.0, 10635, 0.0)
@@ -322,14 +323,13 @@ def test_census_outcome_depends_only_on_the_class(monkeypatch, tmp_path, empty_c
     assert a_files == b_files
     # all 729 vectors at N=6, M*=3, drawn in reverse order so that no class
     # is first drawn on its smallest member, leave one outcome per class
-    # (122), each keyed on its canonical hops
+    # (122), each keyed on the class, its canonical hops as a tuple
     empty_census_table.clear()
     vectors = list(itertools.product(range(3), repeat=6))[::-1]
     cfg = dataclasses.replace(SPARK_TINY, n_trials=len(vectors))
     _spark_drawing(monkeypatch, cfg, vectors)
     run_experiment(cfg)
-    canonical = {np.array(_census_key(FrequencyCodes(np.array(v) / 3, n_codes=3)),
-                          dtype=np.intp).tobytes() for v in vectors}
+    canonical = {_census_key(FrequencyCodes(np.array(v) / 3, n_codes=3)) for v in vectors}
     assert len(canonical) == len(empty_census_table) == 122
     assert {key[3] for key in empty_census_table} == canonical
 
@@ -348,7 +348,7 @@ def test_census_table_serves_repeat_discrete_runs(monkeypatch, tmp_path, empty_c
 
     def spy(phi, *args):
         hops = phi.codes.hops
-        calls.append((len(empty_census_table), None if hops is None else hops.tobytes()))
+        calls.append((len(empty_census_table), None if hops is None else tuple(hops.tolist())))
         return spark_enumeration(phi, *args)
 
     monkeypatch.setattr(harness, "spark_enumeration", spy)
@@ -369,14 +369,23 @@ def test_census_table_serves_repeat_discrete_runs(monkeypatch, tmp_path, empty_c
     run_experiment(dataclasses.replace(cfg, n_trials=3, code_distribution="continuous"))
     assert len(calls) == 2 * n_censused + 3
     assert len(empty_census_table) == size
-    # at its cap the table drops its oldest outcome for each new one
+    # at its cap the table drops its oldest outcome for each new one, so a
+    # class drawn again after it was dropped is censused again, with the
+    # same outcome
     monkeypatch.setattr(harness, "_CENSUS_TABLE_CAP", 4)
     empty_census_table.clear()
     calls.clear()
-    run_experiment(cfg)
-    assert len(calls) == n_censused
+    fifo, n_fifo = [], 0  # a FIFO table of 4 on this draw order
+    for t in range(cfg.n_trials):
+        key = _census_key(sample_codes(t, 6, 3))
+        if key not in fifo:
+            n_fifo += 1
+            fifo = (fifo + [key])[-4:]
+    capped = [p.read_bytes() for p in run_experiment(cfg).write(tmp_path / "capped.csv")]
+    assert len(calls) == n_fifo > n_censused
     assert max(size for size, _ in calls) == 4
-    assert [key[3] for key in empty_census_table] == [hops for _, hops in calls[-4:]]
+    assert [key[3] for key in empty_census_table] == fifo == [hops for _, hops in calls[-4:]]
+    assert capped == first
 
 
 def test_run_spark_continuous_census_min_sigma():
@@ -457,21 +466,34 @@ def _mip_reference_csv(config) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("n_codes", [None, 7])  # M* = M, M* > M
-@pytest.mark.parametrize("n_trials", [1, 21])
-def test_mip_outputs_do_not_depend_on_chunk_size(monkeypatch, n_trials, n_codes):
-    assert n_trials == 1 or n_trials % harness._MIP_CHUNK  # the last chunk is a partial one
-    config = ExperimentConfig(experiment="mip", n_pulses=16, n_hrr_bins=4, n_codes=n_codes,
-                              n_trials=n_trials, master_seed=31,
-                              sweep=(0.0, 0.5, "continuous"), epsilon_count=40)
-    reference = _mip_reference_csv(config)
-    sidecars = set()
-    for cap in (harness._MIP_CHUNK, 1, 7):
-        monkeypatch.setattr(harness, "_MIP_CHUNK", cap)
+_CHUNKED = {  # one config per task shape; n_trials = 37 is a multiple of no cap but 1
+    "spark": dataclasses.replace(SPARK_TINY, n_trials=37),
+    "spark-continuous": dataclasses.replace(SPARK_TINY, n_trials=37,
+                                            code_distribution="continuous"),
+    "mip": ExperimentConfig(experiment="mip", n_pulses=16, n_hrr_bins=4, n_trials=37,
+                            master_seed=31, sweep=(0.0, 0.5, "continuous"), epsilon_count=40),
+    "mip-wide-hops": ExperimentConfig(experiment="mip", n_pulses=16, n_hrr_bins=4, n_codes=7,
+                                      n_trials=37, master_seed=31,
+                                      sweep=(0.0, 0.5, "continuous"), epsilon_count=40),
+    "phase": dataclasses.replace(PHASE_TINY, n_trials=37),
+    "noisy": dataclasses.replace(NOISY_TINY, n_trials=37, sweep=(5.0, 15.0)),
+}
+
+
+@pytest.mark.parametrize("n_trials", [1, 37])
+@pytest.mark.parametrize("name", list(_CHUNKED))
+def test_outputs_do_not_depend_on_chunk_size(monkeypatch, empty_census_table, name, n_trials):
+    config = dataclasses.replace(_CHUNKED[name], n_trials=n_trials)
+    assert 37 % harness._CHUNK and 37 % 7  # the last chunk of a cap > 1 is a partial one
+    outputs = set()
+    for cap in (harness._CHUNK, 1, 7):
+        monkeypatch.setattr(harness, "_CHUNK", cap)
+        empty_census_table.clear()  # every cap censuses its classes anew
         result = run_experiment(config)
-        assert result.to_csv() == reference
-        sidecars.add(_written(result.aggregates))
-    assert len(sidecars) == 1
+        if config.experiment == "mip":
+            assert result.to_csv() == _mip_reference_csv(config)
+        outputs.add((result.to_csv(), _written(result.aggregates)))
+    assert len(outputs) == 1
 
 
 def test_union_curves_are_built_once_and_no_run_can_change_them(tmp_path):
@@ -638,6 +660,9 @@ def test_bad_or_repeated_sweep_points_are_configuration_errors(config):
     dataclasses.replace(MIP_TINY, sweep=(-0.0, 0.1, 0)),
     dataclasses.replace(NOISY_TINY, sweep=(0.0, -0.0)),  # both "0.0" dB
     dataclasses.replace(NOISY_TINY, sweep=(-0.0, 15.0, 0.0)),
+    # sigma2 = 10^(dB/10) overflows, or underflows to 0
+    dataclasses.replace(NOISY_TINY, sweep=(15.0, 4000.0)),
+    dataclasses.replace(NOISY_TINY, sweep=(15.0, -4000.0)),
     # fewer hops than range bins: RadarParams refuses it, before the tasks run
     dataclasses.replace(MIP_TINY, n_codes=1),
     dataclasses.replace(PHASE_TINY, n_codes=1),
@@ -698,10 +723,11 @@ def test_repeat_runs_are_byte_identical():
 
 
 def test_worker_count_does_not_change_results():
-    # a noisy pool task is a whole noise point, so it needs two of them
+    spark = dataclasses.replace(SPARK_TINY, n_trials=harness._CHUNK + 8)  # two chunks
+    spark_continuous = dataclasses.replace(spark, code_distribution="continuous")
     noisy = dataclasses.replace(NOISY_TINY, sweep=(0.0, 15.0))
     mip = dataclasses.replace(MIP_TINY, sweep=(0.0, 0.1, 0.5, "continuous"))  # both modes
-    for config in (mip, PHASE_TINY, noisy):
+    for config in (spark, spark_continuous, mip, PHASE_TINY, noisy):
         serial = run_experiment(config, threads=1)
         pooled = run_experiment(config, threads=2)
         assert serial.to_csv() == pooled.to_csv()
@@ -934,10 +960,11 @@ def _load_script(name, folder="scripts"):
 
 def test_time_defaults_script(capsys):
     script = _load_script("time_defaults")
-    assert script.main(["bounds"]) == 0
+    assert script.main(["bounds", "spark"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert set(report) == {"wall_s", "blas_threads"}
-    assert set(report["wall_s"]) == {"bounds"} and report["wall_s"]["bounds"] > 0
+    assert set(report) == {"wall_s", "pooled_wall_s", "blas_threads"}
+    assert set(report["wall_s"]) == {"bounds", "spark"} and min(report["wall_s"].values()) > 0
+    assert set(report["pooled_wall_s"]) == {"spark"} and report["pooled_wall_s"]["spark"] > 0
     assert report["blas_threads"] == 1
     assert script.main(["bounds", "nope"]) == 2  # rejected before anything runs
 
@@ -981,8 +1008,8 @@ def test_tracer_names_resolve(monkeypatch):
     (dataclasses.replace(SPARK_TINY, n_trials=40), "spark_enumeration"),
     # EXACT-mode arms: an APPROXIMATE-mode chunk draws no FrequencyCodes
     (dataclasses.replace(MIP_TINY, sweep=(0.1, 0.5)), "coherence"),
-    (PHASE_TINY, "basis_pursuit"),
-    (dataclasses.replace(NOISY_TINY, sweep=(0.0, 15.0)), "subspace_pursuit"),
+    (dataclasses.replace(PHASE_TINY, n_trials=4), "basis_pursuit"),
+    (dataclasses.replace(NOISY_TINY, n_trials=4, sweep=(0.0, 15.0)), "subspace_pursuit"),
 ], ids=lambda v: getattr(v, "experiment", v))
 def test_serial_runs_work_on_each_trial_after_its_own_draw(monkeypatch, empty_census_table,
                                                            config, solver):
@@ -1014,28 +1041,29 @@ def test_serial_runs_work_on_each_trial_after_its_own_draw(monkeypatch, empty_ce
         return wrapper
 
     monkeypatch.setattr(harness, "sample_codes", draw)
-    monkeypatch.setattr(harness, "_MIP_CHUNK", 3)  # mip's 4 trials run as chunks of 3 and 1
+    monkeypatch.setattr(harness, "_CHUNK", 3)  # 4 trials run as chunks of 3 and 1
     monkeypatch.setitem(harness._EXPERIMENTS, config.experiment, experiment._replace(work=work))
     for name in (solver, "lasso_block"):
         monkeypatch.setattr(harness, name, spy(name))
     run_experiment(config)
+    # one work span per chunk; each trial's solve, or its class's census
+    # if the class is new, right after its own draw; lasso once per noisy chunk
     n_points, n = max(len(config.sweep), 1), config.n_trials
-    if config.experiment == "spark":  # a census right after the first draw of each class
-        expected, classes = [], set()
-        for codes in draws:
-            expected.append("draw")
-            if _census_key(codes) not in classes:
-                classes.add(_census_key(codes))
-                expected += ["work", solver, "done"]
-        assert len(classes) < n
-    elif config.experiment == "noisy":  # one task per point, lasso once at its end
-        expected = (["work"] + ["draw", solver] * n + ["lasso_block", "done"]) * n_points
-    elif config.experiment == "mip":  # one task per chunk of an arm's trials
-        expected = (["work"] + ["draw", solver] * 3 + ["done", "work", "draw", solver, "done"]
-                    ) * n_points
-    else:
-        expected = ["work", "draw", solver, "done"] * (n_points * n)
+    assert len(draws) == n_points * n
+    expected, classes = [], set()
+    for s in range(n_points):
+        for start in range(0, n, 3):
+            expected.append("work")
+            for t in range(start, min(start + 3, n)):
+                key = _census_key(draws[s * n + t])
+                expected.append("draw")
+                if config.experiment != "spark" or key not in classes:
+                    expected.append(solver)
+                classes.add(key)
+            expected += ["lasso_block", "done"] if config.experiment == "noisy" else ["done"]
     assert events == expected
+    if config.experiment == "spark":
+        assert len(classes) < n
 
 
 # --- BLAS threads ---------------------------------------------------------------------
