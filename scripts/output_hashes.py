@@ -18,8 +18,8 @@ codes (300 trials), every perfbench config file at a fixed master seed
 one ``mip``, ``phase`` and ``spark`` run each with a hop set larger than
 the range-bin count (M* > M), so the phase tables are checked off the
 M* = M diagonal as well, and default ``spark`` once more at the end
-(``spark-again``), whose censuses come from the table the first run filled,
-so its line shows that a table read hashes like a fresh census. OpenBLAS,
+(``spark-again``), whose censuses are cache reads of the first run's, so
+its line shows that a cache read hashes like a fresh census. OpenBLAS,
 OpenMP and MKL are pinned to one thread, and the source tree next to this
 script is imported, so the outputs are this checkout's.
 """
@@ -63,7 +63,7 @@ def fixed_runs() -> dict:
     runs["phase-wide-hops"] = dataclasses.replace(default_config("phase"), n_codes=16,
                                                   n_trials=10, sweep=(1, 4, 8))
     runs["spark-wide-hops"] = dataclasses.replace(spark, n_codes=6, n_trials=100)
-    runs["spark-again"] = spark  # reads the census table that "spark" filled
+    runs["spark-again"] = spark  # reads the censuses that "spark" cached
     return runs
 
 

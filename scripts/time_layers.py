@@ -21,6 +21,11 @@ line of times in microseconds:
   the benchmark's ``coherence`` config) scored the way a ``mip`` chunk
   scores its trials, the gather of their (30, N, M) hop-response stack and
   one batched FFT shortcut, divided by 30;
+- ``census_hit_per_trial``: one warm ``harness._spark_work`` call on the
+  first 32-trial chunk of a default ``spark`` run (every class's census
+  already kept), divided by 32: the draw, the class key and the cache read;
+- ``census_miss``: one census of a class at N=6, M=M*=3,
+  ``spark_enumeration(build_phi(...))``, which a trial of a new class runs;
 - ``csv_text_spark``/``sidecar_text_spark`` and ``csv_text_mip``/
   ``sidecar_text_mip``: the CSV text (``to_csv``) and the sidecar text
   (``to_json``) that ``ExperimentResult.write`` puts on disk, without the
@@ -54,7 +59,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from farcs import (RadarParams, SolverConfig, add_noise, basis_pursuit, build_phi,  # noqa: E402
-                   coherence, default_config, lasso_block, run_experiment, sample_codes)
+                   coherence, default_config, harness, lasso_block, run_experiment,
+                   sample_codes, spark_enumeration)
 from farcs.analysis import _dft_coherence  # noqa: E402
 from farcs.sensing import SensingStack, _hop_responses  # noqa: E402
 
@@ -126,6 +132,19 @@ def _coherence_us() -> dict:
     }
 
 
+def _census_us() -> dict:
+    """A warm spark chunk per trial, and one census of a new class."""
+    chunk = harness._spark_tasks(default_config("spark"))[0]
+    config, _, trials, params = chunk
+    harness._spark_work(chunk)  # every class of the chunk is censused once here
+    codes = sample_codes(0, config.n_pulses, params.n_codes)
+    return {
+        "census_hit_per_trial": _per_call_us(harness._spark_work, chunk, calls=100) / len(trials),
+        "census_miss": _per_call_us(lambda _: spark_enumeration(build_phi(params, codes)),
+                                    None, calls=5),
+    }
+
+
 def _output_us() -> dict:
     """The text of a default ``spark`` and a default ``mip`` run's CSV and sidecar."""
     us = {}
@@ -166,6 +185,7 @@ def main() -> int:
     us["bp_solve_3"] = _per_call_us(functools.partial(basis_pursuit, phis[0]), scenes[0], calls=20)
     us["bp_solve_3_fixed"] = us["bp_solve_3"] - solve.iterations * us["admm_iteration"]
     us.update(_coherence_us())
+    us.update(_census_us())
     us.update(_output_us())
     print(json.dumps({"us": {name: round(value, 2) for name, value in us.items()},
                       "bp_solve_3_iterations": solve.iterations,

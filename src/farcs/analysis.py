@@ -412,10 +412,13 @@ class TailBound(NamedTuple):
 def rayleigh_tail_bound(eps: float, n_pulses: int) -> TailBound:
     """Asymptotic bound P(|chi| > eps) <= exp(-N eps^2 / 2) for one offset.
 
-    The bound comes from the Rayleigh limit of |chi| and is only a bound
-    where N * eps^2 > 2/pi; outside that region the flag is False and the
-    value is merely the evaluated expression.  N must be an integer >= 1
-    (ConfigurationError).
+    exp(-N eps^2 / 2) is the exponent of the paper's union bound.  For a
+    complex offset it is the looser of two: the Rayleigh limit of |chi|,
+    with E|chi|^2 = 1/N, gives exp(-N eps^2).  Where chi is a real-valued
+    walk of N independent +-1/N steps, Hoeffding's inequality gives it, as
+    2 exp(-N eps^2 / 2).  The flag is True only where N * eps^2 > 2/pi;
+    elsewhere the value is merely the evaluated expression.  N must be an
+    integer >= 1 (ConfigurationError).
     """
     if not eps > 0:
         raise DomainError(f"eps must be > 0, got {eps}")
@@ -427,6 +430,7 @@ def rayleigh_tail_bound(eps: float, n_pulses: int) -> TailBound:
 def union_bound(eps: float, n_pulses: int, n_hrr_bins: int) -> float:
     """Union bound P(mu > eps) <= (MN - N) exp(-N eps^2 / 2), returned raw.
 
+    Each offset counts at the paper's exponent (``rayleigh_tail_bound``).
     The value can exceed 1 for small eps; callers clip to [0, 1] when using
     it as a probability.  NaN ``eps`` is a DomainError; N and M must be
     integers >= 1 (ConfigurationError).

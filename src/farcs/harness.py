@@ -20,9 +20,10 @@ it falls in, so results are reproducible record for record regardless of
 worker count or chunk size.
 
 ``spark`` censuses each discrete code class once per process, on its
-canonical member, and keeps the outcome (one table per pool worker, at most
-4,096 outcomes), so a later draw of any member of the class reads the
-outcome instead of censusing; outputs are the same whatever ran before.
+canonical member, through the ``lru_cache`` of ``_class_census`` (one per
+pool worker, at most 4,096 outcomes, the least recently used dropped
+first), so a later draw of any member of the class reads the outcome
+instead of censusing; outputs are the same whatever ran before.
 """
 
 from __future__ import annotations
@@ -390,12 +391,6 @@ def _no_sweep(config, point):
     raise ConfigurationError(f"{config.experiment} takes no sweep, got {point!r}")
 
 
-# Census outcomes of discrete code classes, oldest first, kept for the life of
-# the process; each pool worker keeps its own table
-_CENSUS_TABLE_CAP = 4096  # about 1.2 KB an outcome
-_census_table: dict[tuple, _CensusOutcome] = {}
-
-
 def _spark_tasks(config):
     """The chunks of spark's one point, on the APPROXIMATE-mode ``RadarParams`` of every census.
 
@@ -407,45 +402,36 @@ def _spark_tasks(config):
 
 
 def _spark_work(task) -> list[_CensusOutcome]:
-    """The census outcome of each trial of one chunk.
+    """The census outcome of each trial of one chunk, read or censused right after its draw.
 
-    A discrete vector's outcome is the outcome of its class
-    (``_census_key``), a pure function of (N, M, M*, the class, ``eps_svd``,
-    ``max_submatrices``).  It is kept under that key in one table per
-    process, its ``hist`` read-only, so a later draw of any member of the
-    class reads it back instead of censusing again; only a miss builds the
-    class's canonical member, its smallest image, and censuses it, so the
-    outcome does not depend on which member was drawn first.  The table
-    keeps at most ``_CENSUS_TABLE_CAP`` outcomes and drops the oldest
-    first.  A continuous vector is censused as drawn, every time.
+    A discrete draw reads ``_class_census`` of its ``_census_key``; a continuous one is censused.
     """
     config, s, trials, params = task
     n_codes = params.n_codes if config.code_distribution == "discrete" else None
-    outcomes = []
-    for t in trials:
-        codes = sample_codes(_trial_seed(config, s, t), config.n_pulses, n_codes)
-        if n_codes is None:
-            outcomes.append(_census(config, params, codes))
-            continue
-        key = (config.n_pulses, config.n_hrr_bins, n_codes, _census_key(codes),
-               config.eps_svd, config.max_submatrices)
-        outcome = _census_table.get(key)
-        if outcome is None:
-            outcome = _census(config, params, FrequencyCodes._from_hops(np.array(key[3]), n_codes))
-            if len(_census_table) >= _CENSUS_TABLE_CAP:
-                del _census_table[next(iter(_census_table))]
-            outcome.hist.setflags(write=False)
-            _census_table[key] = outcome
-        outcomes.append(outcome)
-    return outcomes
+    draws = (sample_codes(_trial_seed(config, s, t), config.n_pulses, n_codes) for t in trials)
+    if n_codes is None:
+        return [_census(params, codes, config.eps_svd, config.max_submatrices) for codes in draws]
+    return [_class_census(params, _census_key(codes), config.eps_svd, config.max_submatrices)
+            for codes in draws]
 
 
-def _census(config, params, codes) -> _CensusOutcome:
+@functools.lru_cache(maxsize=4096)  # about 1.2 KB an outcome; one cache per pool worker
+def _class_census(params, hops, eps_svd, max_submatrices) -> _CensusOutcome:
+    """The census outcome, ``hist`` read-only, of the class whose canonical hops are ``hops``.
+
+    The census runs on that canonical member, whichever member was drawn.
+    """
+    codes = FrequencyCodes._from_hops(np.array(hops), params.n_codes)
+    outcome = _census(params, codes, eps_svd, max_submatrices)
+    outcome.hist.setflags(write=False)
+    return outcome
+
+
+def _census(params, codes, eps_svd, max_submatrices) -> _CensusOutcome:
     """What the spark experiment keeps of the census of ``codes``."""
-    report = spark_enumeration(build_phi(params, codes), config.eps_svd,
-                               config.max_submatrices)
+    report = spark_enumeration(build_phi(params, codes), eps_svd, max_submatrices)
     sigmas = report.sigma_values
-    below = sigmas < config.eps_svd
+    below = sigmas < eps_svd
     below_max = float(sigmas[below].max()) if below.any() else None
     above_min = float(sigmas[~below].min()) if not below.all() else None
     return _CensusOutcome(report.sigma_omega, report.n_below_eps, report.sigma_hist_counts,
@@ -453,23 +439,20 @@ def _census(config, params, codes) -> _CensusOutcome:
                           report.det_singular_max, report.det_nonsingular_min)
 
 
-def _census_key(codes) -> tuple | bytes:
-    """Key under which the spark experiment reuses a census outcome.
+def _census_key(codes) -> tuple:
+    """Canonical hops of a discrete code vector's class, the key of ``_class_census``.
 
     The spark experiment runs in APPROXIMATE mode, where the images
     d -> +-d + c (mod 1) of a discrete code vector, c a multiple of 1/M*,
     have the same multiset of subset singular values: a shift multiplies
     column (m, l) by exp(2j pi m c), and negation conjugates Phi and maps
-    the Doppler bin l to -l.  A discrete vector is keyed on its smallest
-    image as hop indices (the 729 vectors at N=6, M*=3 form 122 classes); a
-    continuous one on its exact values.
+    the Doppler bin l to -l.  The key is the smallest image as hop indices
+    (the 729 vectors at N=6, M*=3 form 122 classes).
     """
-    if not codes.is_discrete:
-        return codes.codes.tobytes()
     q, hops = codes.n_codes, codes.hops.tolist()
     # of the 2 M* images the smallest starts at 0, so it is one of the two, one
     # per sign, whose shift takes the first hop to 0
-    return min(tuple(sign * (k - hops[0]) % q for k in hops) for sign in (1, -1))
+    return min(tuple([(k - hops[0]) % q for k in hops]), tuple([(hops[0] - k) % q for k in hops]))
 
 
 def _spark_collect(config, keys, outcomes):
@@ -669,13 +652,25 @@ def _noisy_sigma2(db) -> float:
         return math.inf
 
 
+_NOISE_HEADROOM = 1024.0  # times N sigma^2, the expected ||noise||^2; see _noisy_key
+
+
 def _noisy_key(config, db) -> str:
+    """A noise point's key; a point at which no trial can run is a ConfigurationError.
+
+    sigma^2 = 10^(dB/10) must be > 0, and 1,024 N sigma^2 and lam = ``lasso_lambda_factor``
+    sigma^2 finite: the solvers form sums of squares up to about twice ||y||^2 (the lasso
+    objective, its duality gap), and ||y||^2 exceeds 100 N sigma^2 with probability below
+    1e-43 at any N.
+    """
     if isinstance(db, bool) or not isinstance(db, (int, float)) or not math.isfinite(db):
         raise ConfigurationError(f"noisy sweep entries must be finite dB floats, got {db!r}")
     sigma2 = _noisy_sigma2(db)
-    if not 0.0 < sigma2 < math.inf:
-        raise ConfigurationError(f"noisy sweep entry {db!r} dB gives the noise power "
-                                 f"{sigma2!r}, not a finite float > 0")
+    headroom = _NOISE_HEADROOM * config.n_pulses * sigma2
+    lam = config.solver.lasso_lambda_factor * sigma2
+    if not (sigma2 > 0.0 and math.isfinite(headroom) and math.isfinite(lam)):
+        raise ConfigurationError(f"noisy sweep entry {db!r} dB: sigma2 = {sigma2!r} must be > 0, "
+                                 f"1024 N sigma2 = {headroom!r} and lam = {lam!r} finite")
     return _fmt(_noisy_db(db))
 
 

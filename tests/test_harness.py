@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,11 +58,10 @@ NOISY_TINY = ExperimentConfig(experiment="noisy", n_pulses=16, n_hrr_bins=2,
 
 
 @pytest.fixture
-def empty_census_table(monkeypatch):
-    """An empty census table for the test, so that every class is censused anew."""
-    table = {}
-    monkeypatch.setattr(harness, "_census_table", table)
-    return table
+def fresh_class_census():
+    """``_class_census`` with an empty cache, so that every class is censused anew."""
+    harness._class_census.cache_clear()
+    return harness._class_census
 
 
 def _written(obj) -> str:
@@ -250,10 +250,8 @@ def test_census_class_members_share_outcome():
     images = [(sign * hops + c) % 3 for sign in (1, -1) for c in range(3)]
     codes = [FrequencyCodes(image / 3, n_codes=3) for image in images]
     assert len({_census_key(c) for c in codes}) == 1
-    config = ExperimentConfig(experiment="spark", n_pulses=6, n_hrr_bins=3, eps_svd=1e-15,
-                              max_submatrices=10**6)
     params = RadarParams.abstract(6, 3, n_codes=3)
-    outcomes = [harness._census(config, params, c) for c in codes]
+    outcomes = [harness._census(params, c, 1e-15, 10**6) for c in codes]
     first = outcomes[0]
     for o in outcomes:
         assert (o.sigma_omega, o.n_below_eps, o.below_max) == (0.0, 10635, 0.0)
@@ -263,7 +261,7 @@ def test_census_class_members_share_outcome():
                                                       rel=0, abs=1e-12)
     # the 729 discrete vectors at N=6, M*=3 form 122 classes, and each key
     # is the smallest of the 2 M* images, as every one of them is formed
-    # (likewise at N=5, M*=4); continuous vectors keep their exact values as key
+    # (likewise at N=5, M*=4)
     for n_pulses, q, n_classes in ((6, 3, 122), (5, 4, 136)):
         keys = set()
         for h in itertools.product(range(q), repeat=n_pulses):
@@ -272,11 +270,9 @@ def test_census_class_members_share_outcome():
             assert key == _smallest_image(codes) and all(type(k) is int for k in key)
             keys.add(key)
         assert len(keys) == n_classes
-    continuous = sample_codes(0, 6)
-    assert _census_key(continuous) == continuous.codes.tobytes()
 
 
-def test_run_spark_censuses_each_class_once(monkeypatch, empty_census_table):
+def test_run_spark_censuses_each_class_once(monkeypatch, fresh_class_census):
     cfg = dataclasses.replace(SPARK_TINY, n_trials=40)
     classes = {_census_key(sample_codes(t, 6, 3)) for t in range(40)}
     calls = []
@@ -302,62 +298,73 @@ def _spark_drawing(monkeypatch, config, hops):
     monkeypatch.setattr(harness, "sample_codes", draw)
 
 
-def test_census_outcome_depends_only_on_the_class(monkeypatch, tmp_path, empty_census_table):
-    # two runs with empty tables that first draw different members of one
+def test_census_outcome_depends_only_on_the_class(monkeypatch, tmp_path, fresh_class_census):
+    # two runs with empty caches that first draw different members of one
     # class give that class the same outcome, bit for bit
     hops = np.array([2, 1, 0, 2, 1, 2])
     first, other = hops.tolist(), ((2 - hops) % 3).tolist()
-    assert _census_key(FrequencyCodes(hops / 3, n_codes=3)) == _census_key(
-        FrequencyCodes(np.array(other) / 3, n_codes=3))
+    key = _census_key(FrequencyCodes(hops / 3, n_codes=3))
+    assert key == _census_key(FrequencyCodes(np.array(other) / 3, n_codes=3))
     cfg = dataclasses.replace(SPARK_TINY, n_trials=2)
+    params = harness._spark_tasks(cfg)[0][3]
     runs = []
     for order in ([first, other], [other, first]):
-        empty_census_table.clear()
+        fresh_class_census.cache_clear()
         _spark_drawing(monkeypatch, cfg, order)
         files = run_experiment(cfg).write(tmp_path / f"{len(runs)}.csv")
-        (outcome,) = empty_census_table.values()
+        assert fresh_class_census.cache_info()[1:] == (1, 4096, 1)  # misses, maxsize, size
+        outcome = fresh_class_census(params, key, cfg.eps_svd, cfg.max_submatrices)
         runs.append((outcome, [p.read_bytes() for p in files]))
     (a, a_files), (b, b_files) = runs
     assert a._replace(hist=None) == b._replace(hist=None)
     np.testing.assert_array_equal(a.hist, b.hist)
     assert a_files == b_files
     # all 729 vectors at N=6, M*=3, drawn in reverse order so that no class
-    # is first drawn on its smallest member, leave one outcome per class
-    # (122), each keyed on the class, its canonical hops as a tuple
-    empty_census_table.clear()
+    # is first drawn on its smallest member, census each class (122) once,
+    # on its canonical hops
+    fresh_class_census.cache_clear()
+    censused = []
+
+    def spy(phi, *args):
+        censused.append(tuple(phi.codes.hops.tolist()))
+        return spark_enumeration(phi, *args)
+
+    monkeypatch.setattr(harness, "spark_enumeration", spy)
     vectors = list(itertools.product(range(3), repeat=6))[::-1]
     cfg = dataclasses.replace(SPARK_TINY, n_trials=len(vectors))
     _spark_drawing(monkeypatch, cfg, vectors)
     run_experiment(cfg)
     canonical = {_census_key(FrequencyCodes(np.array(v) / 3, n_codes=3)) for v in vectors}
-    assert len(canonical) == len(empty_census_table) == 122
-    assert {key[3] for key in empty_census_table} == canonical
+    assert len(canonical) == len(censused) == fresh_class_census.cache_info().currsize == 122
+    assert set(censused) == canonical
 
 
-def test_spark_after_another_seed_matches_a_fresh_table(tmp_path, empty_census_table):
+def test_spark_after_another_seed_matches_a_fresh_table(tmp_path, fresh_class_census):
     cfg = default_config("spark")
     fresh = [p.read_bytes() for p in run_experiment(cfg).write(tmp_path / "fresh.csv")]
-    empty_census_table.clear()
+    fresh_class_census.cache_clear()
     run_experiment(dataclasses.replace(cfg, master_seed=10_000))
     after = [p.read_bytes() for p in run_experiment(cfg).write(tmp_path / "after.csv")]
     assert after == fresh
 
 
-def test_census_table_serves_repeat_discrete_runs(monkeypatch, tmp_path, empty_census_table):
-    calls = []  # (table size, hops) at each census that runs
+def test_class_census_serves_repeat_discrete_runs(monkeypatch, tmp_path, fresh_class_census):
+    calls = []  # cache size at each census that runs
 
     def spy(phi, *args):
-        hops = phi.codes.hops
-        calls.append((len(empty_census_table), None if hops is None else tuple(hops.tolist())))
+        calls.append(harness._class_census.cache_info().currsize)
         return spark_enumeration(phi, *args)
 
     monkeypatch.setattr(harness, "spark_enumeration", spy)
     cfg = dataclasses.replace(SPARK_TINY, n_trials=40)
     first = [p.read_bytes() for p in run_experiment(cfg).write(tmp_path / "first.csv")]
     n_censused = len(calls)
-    assert n_censused == len(empty_census_table) > 4
-    assert all(not o.hist.flags.writeable for o in empty_census_table.values())
-    # a repeat run reads every census from the table and writes the same bytes
+    assert n_censused == fresh_class_census.cache_info().currsize > 4
+    params = harness._spark_tasks(cfg)[0][3]
+    assert all(not fresh_class_census(params, _census_key(sample_codes(t, 6, 3)), cfg.eps_svd,
+                                      cfg.max_submatrices).hist.flags.writeable
+               for t in range(cfg.n_trials))
+    # a repeat run reads every census from the cache and writes the same bytes
     again = [p.read_bytes() for p in run_experiment(cfg).write(tmp_path / "again.csv")]
     assert len(calls) == n_censused
     assert again == first
@@ -365,36 +372,38 @@ def test_census_table_serves_repeat_discrete_runs(monkeypatch, tmp_path, empty_c
     run_experiment(dataclasses.replace(cfg, eps_svd=1e-14))
     assert len(calls) == 2 * n_censused
     # continuous codes are censused every time and never stored
-    size = len(empty_census_table)
+    size = fresh_class_census.cache_info().currsize
     run_experiment(dataclasses.replace(cfg, n_trials=3, code_distribution="continuous"))
     assert len(calls) == 2 * n_censused + 3
-    assert len(empty_census_table) == size
-    # at its cap the table drops its oldest outcome for each new one, so a
-    # class drawn again after it was dropped is censused again, with the
-    # same outcome
-    monkeypatch.setattr(harness, "_CENSUS_TABLE_CAP", 4)
-    empty_census_table.clear()
+    assert fresh_class_census.cache_info().currsize == size
+    # a full cache drops its least recently used outcome for each new one,
+    # so a class drawn again after it was dropped is censused again, with
+    # the same outcome
+    monkeypatch.setattr(harness, "_class_census",
+                        functools.lru_cache(maxsize=4)(harness._class_census.__wrapped__))
     calls.clear()
-    fifo, n_fifo = [], 0  # a FIFO table of 4 on this draw order
+    lru, n_lru = [], 0  # an LRU cache of 4 on this draw order
     for t in range(cfg.n_trials):
         key = _census_key(sample_codes(t, 6, 3))
-        if key not in fifo:
-            n_fifo += 1
-            fifo = (fifo + [key])[-4:]
+        if key in lru:
+            lru.remove(key)
+        else:
+            n_lru += 1
+        lru = (lru + [key])[-4:]
     capped = [p.read_bytes() for p in run_experiment(cfg).write(tmp_path / "capped.csv")]
-    assert len(calls) == n_fifo > n_censused
-    assert max(size for size, _ in calls) == 4
-    assert [key[3] for key in empty_census_table] == fifo == [hops for _, hops in calls[-4:]]
+    assert len(calls) == n_lru > n_censused
+    assert max(calls) == 4
     assert capped == first
 
 
 def test_run_spark_continuous_census_min_sigma():
-    # full 2000-trial continuous-code census (about 20 s with BLAS at one
-    # thread, the slowest test of the suite).
+    # full 2000-trial continuous-code census, the slowest test of the suite,
+    # run on two workers (about 16 s serial, 7 to 10 s pooled on 2 cores);
+    # pooled outputs equal serial ones (test_worker_count_does_not_change_results).
     # No subset ever loses rank, but the worst submatrix sits many decades
     # below the discrete-code full-rank floor.
     cfg = dataclasses.replace(default_config("spark"), code_distribution="continuous")
-    ag = run_experiment(cfg).aggregates
+    ag = run_experiment(cfg, threads=2).aggregates
     assert ag["n_trials"] == 2000
     assert ag["fraction_trials_deficient"] == 0.0
     assert ag["fraction_submatrices_deficient"] == 0.0
@@ -482,13 +491,13 @@ _CHUNKED = {  # one config per task shape; n_trials = 37 is a multiple of no cap
 
 @pytest.mark.parametrize("n_trials", [1, 37])
 @pytest.mark.parametrize("name", list(_CHUNKED))
-def test_outputs_do_not_depend_on_chunk_size(monkeypatch, empty_census_table, name, n_trials):
+def test_outputs_do_not_depend_on_chunk_size(monkeypatch, fresh_class_census, name, n_trials):
     config = dataclasses.replace(_CHUNKED[name], n_trials=n_trials)
     assert 37 % harness._CHUNK and 37 % 7  # the last chunk of a cap > 1 is a partial one
     outputs = set()
     for cap in (harness._CHUNK, 1, 7):
         monkeypatch.setattr(harness, "_CHUNK", cap)
-        empty_census_table.clear()  # every cap censuses its classes anew
+        fresh_class_census.cache_clear()  # every cap censuses its classes anew
         result = run_experiment(config)
         if config.experiment == "mip":
             assert result.to_csv() == _mip_reference_csv(config)
@@ -663,6 +672,13 @@ def test_bad_or_repeated_sweep_points_are_configuration_errors(config):
     # sigma2 = 10^(dB/10) overflows, or underflows to 0
     dataclasses.replace(NOISY_TINY, sweep=(15.0, 4000.0)),
     dataclasses.replace(NOISY_TINY, sweep=(15.0, -4000.0)),
+    # the solvers' sums of squares, of the order of N sigma2, would overflow
+    # (sigma2 = 1e307 at 3070 dB, 1e308 at 3080 dB)
+    dataclasses.replace(NOISY_TINY, n_pulses=64, sweep=(15.0, 3070.0)),
+    dataclasses.replace(NOISY_TINY, n_pulses=64, sweep=(15.0, 3080.0)),
+    # lam = lasso_lambda_factor * sigma2 overflows though N sigma2 does not
+    dataclasses.replace(NOISY_TINY, sweep=(3000.0,),
+                        solver=SolverSettings(lasso_lambda_factor=1e10)),
     # fewer hops than range bins: RadarParams refuses it, before the tasks run
     dataclasses.replace(MIP_TINY, n_codes=1),
     dataclasses.replace(PHASE_TINY, n_codes=1),
@@ -676,6 +692,32 @@ def test_bad_points_fail_before_any_task_runs(monkeypatch, config):
     with pytest.raises(ConfigurationError):
         run_experiment(config)
     assert calls == []
+
+
+def test_loudest_admitted_noise_point_runs_without_warnings():
+    # the largest dB that the headroom check admits at N=64; every warning
+    # is an error while it runs
+    config = dataclasses.replace(default_config("noisy"), n_trials=3)
+
+    def admitted(db):
+        try:
+            harness._noisy_key(config, db)
+        except ConfigurationError:
+            return False
+        return True
+
+    db = 10.0 * math.log10(sys.float_info.max / (harness._NOISE_HEADROOM * config.n_pulses))
+    while not admitted(db):
+        db = math.nextafter(db, -math.inf)
+    while admitted(math.nextafter(db, math.inf)):
+        db = math.nextafter(db, math.inf)
+    assert 3034.0 < db < 3035.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_experiment(dataclasses.replace(config, sweep=(db,)))
+    assert len(result.rows) == 2 * 3
+    exits = result.aggregates["lasso_exit"][_fmt(db)]
+    assert all(math.isfinite(value) for value in exits.values())
 
 
 @pytest.mark.parametrize("config, zero", [
@@ -1011,7 +1053,7 @@ def test_tracer_names_resolve(monkeypatch):
     (dataclasses.replace(PHASE_TINY, n_trials=4), "basis_pursuit"),
     (dataclasses.replace(NOISY_TINY, n_trials=4, sweep=(0.0, 15.0)), "subspace_pursuit"),
 ], ids=lambda v: getattr(v, "experiment", v))
-def test_serial_runs_work_on_each_trial_after_its_own_draw(monkeypatch, empty_census_table,
+def test_serial_runs_work_on_each_trial_after_its_own_draw(monkeypatch, fresh_class_census,
                                                            config, solver):
     events, draws = [], []
     experiment = harness._EXPERIMENTS[config.experiment]
