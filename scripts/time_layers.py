@@ -5,10 +5,15 @@ coherence layers at the default ``mip`` size (N=64, M=M*=16), the output
 layer on a default ``spark`` and a default ``mip`` result.  Prints one JSON
 line of times in microseconds:
 
-- ``matvec``/``rmatvec``: one lone product of a ``SensingMatrix``, and one
-  ``SensingStack`` product over 15 rows (the rows of a benchmark noise point);
+- ``matvec``/``rmatvec``: one lone product of a ``SensingMatrix``, and
+  ``stack_matvec_15``/``stack_rmatvec_15``: one ``sensing._fft_matvec``/
+  ``_fft_rmatvec`` over the stacked hop factors of 15 rows (the rows of a
+  benchmark noise point), the products a ``lasso_block`` iteration makes;
 - ``lasso_iteration``: one FISTA iteration of a ``lasso_block`` call at 1, 15
   and 200 rows (200 is a default ``noisy`` noise point), per call and per row;
+- ``lasso_solve_15``: one 15-row ``lasso_block`` at -5 dB (the size of the
+  benchmark's ``recovery-noisy`` point), each row solved to its own stop at
+  the default settings;
 - ``admm_iteration``: one basis pursuit (ADMM) iteration;
 - ``bp_solve_3``: one whole basis pursuit solve of a noiseless 3-scatterer
   scene, as the benchmark's ``recovery-phase`` config draws at K = 3; it must
@@ -62,7 +67,7 @@ from farcs import (RadarParams, SolverConfig, add_noise, basis_pursuit, build_ph
                    coherence, default_config, harness, lasso_block, run_experiment,
                    sample_codes, spark_enumeration)
 from farcs.analysis import _dft_coherence  # noqa: E402
-from farcs.sensing import SensingStack, _hop_responses  # noqa: E402
+from farcs.sensing import _fft_matvec, _fft_rmatvec, _hop_responses  # noqa: E402
 
 N_PULSES, N_HRR_BINS, N_SCATTERERS = 64, 8, 3
 MIP_HRR_BINS, CHUNK_TRIALS, EXACT_BANDWIDTH = 16, 30, 0.5
@@ -160,14 +165,17 @@ def main() -> int:
     phis, scenes, ys, lam = _problems(max(LASSO_ROWS))
     rng = np.random.default_rng(1)
     x = rng.standard_normal(phis[0].n_columns) + 1j * rng.standard_normal(phis[0].n_columns)
-    stack = SensingStack.of(phis[:STACK_ROWS])
-    X = np.tile(x, (STACK_ROWS, 1))
-    V = np.array(ys[:STACK_ROWS])
+    hop_t = np.array([phi.hop_response.T for phi in phis[:STACK_ROWS]])
+    hop_h = np.conj(hop_t)
+    X = np.tile(x, (STACK_ROWS, 1)).reshape(hop_t.shape)
+    V = np.array(ys[:STACK_ROWS])[:, None, :]
     us = {
         "matvec": _per_call_us(phis[0].matvec, x),
         "rmatvec": _per_call_us(phis[0].rmatvec, ys[0]),
-        f"stack_matvec_{STACK_ROWS}": _per_call_us(stack.matvec, X),
-        f"stack_rmatvec_{STACK_ROWS}": _per_call_us(stack.rmatvec, V),
+        f"stack_matvec_{STACK_ROWS}": _per_call_us(functools.partial(_fft_matvec, hop_t), X),
+        f"stack_rmatvec_{STACK_ROWS}": _per_call_us(functools.partial(_fft_rmatvec, hop_h), V),
+        f"lasso_solve_{STACK_ROWS}": _best_us(
+            lambda: lasso_block(phis[:STACK_ROWS], ys[:STACK_ROWS], [lam] * STACK_ROWS)),
     }
     for rows in LASSO_ROWS:
         per_iteration = _per_iteration_us(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -402,6 +403,11 @@ def _dft_coherence(hop_responses: np.ndarray, overwrite: bool = False) -> np.nda
     return np.minimum(peak / hop_responses.shape[1], 1.0)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool; NaN is one, so callers test range."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 class TailBound(NamedTuple):
     """Tail probability bound with its validity flag."""
 
@@ -417,11 +423,12 @@ def rayleigh_tail_bound(eps: float, n_pulses: int) -> TailBound:
     with E|chi|^2 = 1/N, gives exp(-N eps^2).  Where chi is a real-valued
     walk of N independent +-1/N steps, Hoeffding's inequality gives it, as
     2 exp(-N eps^2 / 2).  The flag is True only where N * eps^2 > 2/pi;
-    elsewhere the value is merely the evaluated expression.  N must be an
-    integer >= 1 (ConfigurationError).
+    elsewhere the value is merely the evaluated expression.  ``eps`` must be
+    a real number > 0 (DomainError) and N an integer >= 1
+    (ConfigurationError).
     """
-    if not eps > 0:
-        raise DomainError(f"eps must be > 0, got {eps}")
+    if not (_is_real(eps) and eps > 0):
+        raise DomainError(f"eps must be a real number > 0, got {eps!r}")
     n_pulses = check_integer("n_pulses", n_pulses, 1)
     n_eps2 = n_pulses * eps * eps
     return TailBound(value=math.exp(-0.5 * n_eps2), asymptotic_valid=n_eps2 > 2.0 / math.pi)
@@ -432,11 +439,12 @@ def union_bound(eps: float, n_pulses: int, n_hrr_bins: int) -> float:
 
     Each offset counts at the paper's exponent (``rayleigh_tail_bound``).
     The value can exceed 1 for small eps; callers clip to [0, 1] when using
-    it as a probability.  NaN ``eps`` is a DomainError; N and M must be
-    integers >= 1 (ConfigurationError).
+    it as a probability.  An ``eps`` that is not a real number > 0 (NaN, a
+    bool, a string) is a DomainError; N and M must be integers >= 1
+    (ConfigurationError).
     """
-    if not eps > 0:
-        raise DomainError(f"eps must be > 0, got {eps}")
+    if not (_is_real(eps) and eps > 0):
+        raise DomainError(f"eps must be a real number > 0, got {eps!r}")
     n_pulses = check_integer("n_pulses", n_pulses, 1)
     n_hrr_bins = check_integer("n_hrr_bins", n_hrr_bins, 1)
     n_offsets = n_pulses * n_hrr_bins - n_pulses
@@ -447,11 +455,12 @@ def max_recoverable_K(n_pulses: int, n_hrr_bins: int, delta: float) -> float:
     """Sparsity supporting coherence-based recovery with probability 1 - delta.
 
     K = (1 / (2 sqrt(2))) * sqrt(N / (ln(MN - N) - ln(delta))) + 1/2.
-    Requires 0 < delta < 1 and N(M - 1) >= 2 so the logarithm is positive
-    (DomainError); N and M must be integers >= 1 (ConfigurationError).
+    Requires a real number 0 < delta < 1 and N(M - 1) >= 2 so the logarithm
+    is positive (DomainError); N and M must be integers >= 1
+    (ConfigurationError).
     """
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
+    if not (_is_real(delta) and 0.0 < delta < 1.0):
+        raise DomainError(f"delta must be a real number in (0, 1), got {delta!r}")
     n_pulses = check_integer("n_pulses", n_pulses, 1)
     n_hrr_bins = check_integer("n_hrr_bins", n_hrr_bins, 1)
     if n_pulses * (n_hrr_bins - 1) < 2:

@@ -209,11 +209,15 @@ class SensingMatrix:
     # The products are defined in APPROXIMATE mode only, where D is the
     # unnormalized inverse DFT: X D^T is an inverse FFT of each row of X and
     # (R^H * v) conj(D) a forward FFT of each row (``_fft_matvec``/
-    # ``_fft_rmatvec``, shared with ``SensingStack``).  They work in the
-    # layout x[l + m*N] = X[m, l] (rows of X are range bins), so
-    # x.reshape(M, N) is X with no copy, and read contiguous copies of R^T
-    # and R^H, built on first use.  In EXACT mode they raise
-    # UnsupportedModeError; ``to_dense() @ x`` is the product there.
+    # ``_fft_rmatvec``).  They work in the layout x[l + m*N] = X[m, l] (rows
+    # of X are range bins), so x.reshape(M, N) is X with no copy, and read
+    # contiguous copies of R^T and R^H, built on first use.  In EXACT mode
+    # they raise UnsupportedModeError; ``to_dense() @ x`` is the product
+    # there.  ``lasso_block`` runs the same two helpers on the hop factors of
+    # many matrices stacked (rows, M, N); row i of a stacked product is bit
+    # for bit matrix i's own, since numpy's FFT transforms each row on its
+    # own and the elementwise steps and the sum over range bins run in the
+    # same order (the tests check this).
 
     @functools.cached_property
     def _hop_t(self) -> np.ndarray:
@@ -273,48 +277,6 @@ def _fft_rmatvec(hop_h, v, out=None):
     """(R^H * v) conj(D), shape (..., M, N): the forward FFT of each row, in place in ``out``."""
     scaled = np.multiply(hop_h, v, out=out)
     return np.fft.fft(scaled, out=scaled)
-
-
-class SensingStack:
-    """Row-wise products of APPROXIMATE-mode sensing matrices of one shape.
-
-    Their Doppler factor is the same inverse DFT, so only the hop factors
-    are stacked, shape (rows, M, N), and each product runs one batched FFT
-    over the (rows * M) length-N rows.  Row i of ``matvec``/``rmatvec`` is
-    bit for bit matrix i's own product: both go through the same
-    ``_fft_matvec``/``_fft_rmatvec``, numpy's FFT transforms each row on
-    its own, and the elementwise steps and the sum over range bins run in
-    the same order (the tests check this).
-    """
-
-    def __init__(self, hop_t: np.ndarray, hop_h: np.ndarray):
-        self._R_t, self._R_h = hop_t, hop_h
-
-    @classmethod
-    def of(cls, operators) -> SensingStack:
-        """The stack of ``operators``, APPROXIMATE-mode ``SensingMatrix`` operators of one shape."""
-        return cls(np.stack([op._hop_t for op in operators]),
-                   np.stack([op._hop_h for op in operators]))
-
-    def take(self, rows) -> SensingStack:
-        """The stack of the matrices at the given positions, in that order."""
-        return SensingStack(self._R_t[rows], self._R_h[rows])
-
-    def matvec(self, X: np.ndarray, out=None, work=None) -> np.ndarray:
-        """Phi_i @ X[i] for every row i of a (rows, NM) block; shape (rows, N).
-
-        The result goes into ``out`` (rows, N) and the inverse FFTs into
-        ``work`` (rows, M, N) when they are given; the numbers are the same.
-        """
-        return _fft_matvec(self._R_t, X.reshape(self._R_t.shape), out, work)
-
-    def rmatvec(self, V: np.ndarray, out=None) -> np.ndarray:
-        """Phi_i^H @ V[i] for every row i of a (rows, N) block; shape (rows, NM).
-
-        With ``out`` (rows, M, N) given, the products are computed in it and
-        the result is a view of it; the numbers are the same.
-        """
-        return _fft_rmatvec(self._R_h, V[:, None, :], out).reshape(len(V), -1)
 
 
 def build_phi(params: RadarParams, codes: FrequencyCodes) -> SensingMatrix:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DomainError, ResourceError, ShapeError, SolverError,
                      check_integer, check_positive)
-from .sensing import SensingMatrix, SensingStack
+from .sensing import SensingMatrix, _fft_matvec, _fft_rmatvec
 
 
 @dataclass(frozen=True)
@@ -362,7 +362,7 @@ def lasso(phi, y, lam: float, config: SolverConfig | None = None) -> RecoveryRes
     lam >= ||Phi^H y||_inf the zero vector is already optimal and is
     returned from the zero initialization immediately.  The result reports
     the relative duality gap of the returned x (``_lasso_duality_gap``),
-    which costs one more Phi^H product per solve; it does not enter the
+    which costs one more Phi^H product at exit; it does not enter the
     stopping rule.  This is ``lasso_block`` on a block of one.
     """
     return lasso_block([phi], [y], [lam], config)[0]
@@ -372,17 +372,20 @@ def lasso_block(phis, ys, lams, config: SolverConfig | None = None) -> list[Reco
     """``lasso(phis[i], ys[i], lams[i], config)`` for every i, in one FISTA loop per chunk.
 
     The problems (operators of one shape) advance in lockstep as the rows of
-    a block, whose products are each one batched FFT (``SensingStack``): the
-    step 1/NM and the momentum are the same for every row, and each row
-    stops on its own objective change (or at ``max_iter``) and leaves the
-    block.  A block of more than ``_LASSO_CHUNK_ROWS`` rows is solved as
-    chunks of at most that many rows, one after another, so that its working
-    set stays in cache.  Each chunk iterates in buffers allocated once: an
-    iteration writes every product, shrinkage and momentum step into them,
-    and when rows stop, the rest move up into the leading rows.  Each result,
-    its iteration count and duality gap included, is bit for bit the one a
-    lone ``lasso`` call returns; the block only changes how many products
-    run at once.
+    a block: the step 1/NM and the momentum are the same for every row, and
+    each row stops on its own objective change (or at ``max_iter``) and
+    leaves the block.  The block stacks its operators' hop factors R^T and
+    R^H once, and every product, at the start, in each iteration and for
+    the exit duality gaps of the rows that stop at one iteration, is one
+    batched FFT over that stack, through the ``_fft_matvec``/
+    ``_fft_rmatvec`` that a lone ``matvec``/``rmatvec`` calls.  A block of
+    more than ``_LASSO_CHUNK_ROWS`` rows is solved as chunks of at most that
+    many rows, one after another, so that its working set stays in cache.
+    Each chunk iterates in buffers allocated once: an iteration writes every
+    product, shrinkage and momentum step into them, and when rows stop, the
+    rest move up into the leading rows.  Each result, its iteration count
+    and duality gap included, is bit for bit the one a lone ``lasso`` call
+    returns; the block only changes how many products run at once.
     """
     cfg = config or _LASSO_DEFAULTS
     if not phis or not len(phis) == len(ys) == len(lams):
@@ -417,22 +420,30 @@ def _fista_chunk(ops, y, lam, cfg):
     floor = _shrink_floor(kappa)
     rows = np.arange(n_rows)  # the problem each row of the chunk solves
     results = [None] * n_rows
-    block = SensingStack.of(ops)  # row i goes through ops[i]
+    # R^T and R^H of each row's operator, shape (rows, M, N): every product
+    # of row i below is ops[i]'s own (``_fft_matvec``/``_fft_rmatvec``).
+    # np.array lays them out row-major; np.stack would keep each R^T's
+    # transposed strides, and the FFTs over them would run about 10% slower.
+    hop_t = np.array([op.hop_response.T for op in ops])
+    hop_h = np.conj(hop_t)
     # the iterates x and x_new and the extrapolated point w; the products of
     # both FFTs; |v|, then the shrink factor
     x, x_new, w = (np.zeros((n_rows, n_cols), dtype=np.complex128) for _ in range(3))
-    products = np.empty((n_rows, ops[0].params.n_hrr_bins, ops[0].n_pulses), dtype=np.complex128)
+    products = np.empty(hop_t.shape, dtype=np.complex128)
     magnitude = np.empty((n_rows, n_cols))
     residual, residual_new, residual_w = (np.empty_like(y) for _ in range(3))
     momentum = 1.0
-    np.subtract(block.matvec(x, out=residual, work=products), y, out=residual)  # Phi x - y
+    _fft_matvec(hop_t, x.reshape(hop_t.shape), residual, products)
+    np.subtract(residual, y, out=residual)  # Phi x - y
     residual_w[...] = residual  # Phi w - y
     objective = _lasso_objectives(residual, x, lam, magnitude)
     for iterations in range(1, cfg.max_iter + 1):
-        v = block.rmatvec(residual_w, out=products)  # the gradient at w, then w - step grad
+        # the gradient at w, then w - step grad
+        v = _fft_rmatvec(hop_h, residual_w[:, None, :], products).reshape(x.shape)
         np.subtract(w, np.multiply(step, v, out=v), out=v)
         _shrink_into(v, kappa, floor, magnitude, out=x_new)
-        np.subtract(block.matvec(x_new, out=residual_new, work=products), y, out=residual_new)
+        _fft_matvec(hop_t, x_new.reshape(hop_t.shape), residual_new, products)
+        np.subtract(residual_new, y, out=residual_new)
         momentum_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
         beta = (momentum - 1.0) / momentum_new
         for point, new, old in ((w, x_new, x), (residual_w, residual_new, residual)):
@@ -445,24 +456,21 @@ def _fista_chunk(ops, y, lam, cfg):
         objective = new_objective
         if not done.any():
             continue
-        for i in np.flatnonzero(done):
-            results[rows[i]] = _lasso_result(ops[i], y[i], x[i], residual[i], lam[i],
-                                             iterations, True, cfg)
+        stop = np.flatnonzero(done)
+        _place_results(results, rows[stop], hop_h[stop], y[stop], x[stop], residual[stop],
+                       lam[stop], iterations, True, cfg)
         keep = np.flatnonzero(~done)
         if not keep.size:
             break
-        ops, block = [ops[i] for i in keep], block.take(keep)
-        rows, y, kappa, floor, lam, objective = (
-            a[keep] for a in (rows, y, kappa, floor, lam, objective))
+        rows, hop_t, hop_h, y, kappa, floor, lam, objective = (
+            a[keep] for a in (rows, hop_t, hop_h, y, kappa, floor, lam, objective))
         for a in (x, w, residual, residual_w):  # carried state moves to the leading rows
             a[:keep.size] = a[keep]
         x, x_new, w, products, magnitude, residual, residual_new, residual_w = (
             a[:keep.size] for a in (x, x_new, w, products, magnitude,
                                     residual, residual_new, residual_w))
     else:  # max_iter reached: the rows still in the chunk did not converge
-        for i, row in enumerate(rows):
-            results[row] = _lasso_result(ops[i], y[i], x[i], residual[i], lam[i],
-                                         iterations, False, cfg)
+        _place_results(results, rows, hop_h, y, x, residual, lam, iterations, False, cfg)
     return results
 
 
@@ -476,24 +484,30 @@ def _lasso_objectives(residual, x, lam, magnitude):
             + lam * np.abs(x, out=magnitude).sum(axis=1))
 
 
-def _lasso_result(phi, y, x, residual, lam, iterations, converged, cfg):
-    x = x.copy()  # not a view of a buffer that the block goes on to overwrite
-    return RecoveryResult(
-        x, extract_support(x, eps=cfg.magnitude_threshold), float(np.linalg.norm(residual)),
-        iterations, converged, duality_gap=_lasso_duality_gap(phi, y, x, residual, float(lam)),
-    )
+def _place_results(results, rows, hop_h, y, x, residual, lam, iterations, converged, cfg):
+    """Put the result of each given chunk row i at ``results[rows[i]]``.
+
+    The arguments are the rows' own: R^H, y, x, Phi x - y and lam.  One
+    batched Phi^H of their residuals gives each duality gap's peak.
+    """
+    peaks = np.abs(_fft_rmatvec(hop_h, residual[:, None, :])).max(axis=(1, 2), initial=0.0)
+    for row, y_i, x_i, residual_i, lam_i, peak in zip(rows, y, x, residual, lam, peaks):
+        x_i = x_i.copy()  # not a view of a buffer that the block goes on to overwrite
+        results[row] = RecoveryResult(
+            x_i, extract_support(x_i, eps=cfg.magnitude_threshold),
+            float(np.linalg.norm(residual_i)), iterations, converged,
+            duality_gap=_lasso_duality_gap(float(peak), y_i, x_i, residual_i, float(lam_i)))
 
 
-def _lasso_duality_gap(phi, y, x, residual, lam: float) -> float:
+def _lasso_duality_gap(peak: float, y, x, residual, lam: float) -> float:
     """Relative duality gap (P(x) - D(nu)) / P(x) of a lasso point x.
 
     P(x) = 0.5 ||Phi x - y||^2 + lam ||x||_1 and, for ||Phi^H nu||_inf <= lam,
     D(nu) = Re<nu, y> - 0.5 ||nu||^2 <= P(x*).  The dual point is the
-    scaled residual nu = -s (Phi x - y), s = min(1, lam / ||Phi^H (Phi x - y)||_inf),
-    so the gap bounds how far P(x) is from the minimum; it is 0 at the
-    minimizer.  ``residual`` is Phi x - y.
+    scaled residual nu = -s (Phi x - y), s = min(1, lam / ``peak``) with
+    ``peak`` = ||Phi^H (Phi x - y)||_inf, so the gap bounds how far P(x) is
+    from the minimum; it is 0 at the minimizer.  ``residual`` is Phi x - y.
     """
-    peak = float(np.abs(phi.rmatvec(residual)).max(initial=0.0))
     nu = residual * -(min(1.0, lam / peak) if peak > 0.0 else 1.0)
     primal = 0.5 * np.vdot(residual, residual).real + lam * np.sum(np.abs(x))
     dual = np.vdot(nu, y).real - 0.5 * np.vdot(nu, nu).real
@@ -545,13 +559,16 @@ def l0_oracle(phi, y, k_max: int) -> RecoveryResult:
 # --- support extraction -------------------------------------------------------------
 
 def extract_support(x_hat, K: int | None = None, eps: float = 1e-2) -> tuple[int, ...]:
-    """Indices of the K largest magnitudes above eps, ascending.
+    """Indices of the K largest magnitudes above eps in a 1-D ``x_hat``, ascending.
 
     With ``K=None`` every entry above eps is kept.  Ties between equal
-    magnitudes keep the lowest index.
+    magnitudes keep the lowest index.  An ``x_hat`` of another dimension is
+    a ``ShapeError``.
     """
     check_positive("eps", eps)
     mag = np.abs(np.asarray(x_hat))
+    if mag.ndim != 1:
+        raise ShapeError(f"x_hat must be 1-D, got shape {mag.shape}")
     if K is None:
         return tuple(np.flatnonzero(mag > eps).tolist())
     order = np.argsort(-mag, kind="stable")[:check_integer("K", K, 0)]

@@ -799,6 +799,18 @@ def test_tail_bounds_reject_nan_eps():
         rayleigh_tail_bound(math.nan, 64)
 
 
+@pytest.mark.parametrize("value", ["a", "0.1", True, None, 0.1 + 0j], ids=repr)
+@pytest.mark.parametrize("bound", [
+    lambda value: rayleigh_tail_bound(value, 4),
+    lambda value: union_bound(value, 4, 2),
+    lambda value: max_recoverable_K(4, 2, value),
+], ids=["rayleigh_eps", "union_eps", "max_K_delta"])
+def test_tail_bounds_take_only_real_eps_and_delta(bound, value):
+    # before the check, "a" raised a bare TypeError and True was taken as 1
+    with pytest.raises(DomainError, match="must be a real number"):
+        bound(value)
+
+
 @pytest.mark.parametrize("count", [64.7, 64.5, True, "64"], ids=repr)
 @pytest.mark.parametrize("bound", [
     lambda count: rayleigh_tail_bound(0.3, count),

@@ -332,6 +332,12 @@ def test_fft_products_match_dense(n_pulses, n_hrr_bins, discrete):
         assert_allclose(phi.rmatvec(v), dense.conj().T @ v, rtol=0, atol=atol)
 
 
+def _stacked_hops(phis):
+    """R^T and R^H of each matrix, stacked (rows, M, N) as ``lasso_block`` stacks them."""
+    hop_t = np.array([phi.hop_response.T for phi in phis])
+    return hop_t, np.conj(hop_t)
+
+
 @pytest.mark.parametrize("n_hrr_bins", [1, 3, 5, 8])
 @pytest.mark.parametrize("n_pulses", [63, 64])
 def test_stack_rows_are_each_matrix_own_products(n_pulses, n_hrr_bins):
@@ -344,10 +350,15 @@ def test_stack_rows_are_each_matrix_own_products(n_pulses, n_hrr_bins):
     X = _random_complex(rng, 17, n_pulses * n_hrr_bins)
     V = _random_complex(rng, 17, n_pulses)
     for rows in (1, 2, 7, 16, 17):
-        stack = sensing.SensingStack.of(phis[:rows])
-        reversed_stack = stack.take(np.arange(rows)[::-1])
-        for block, order in ((stack, range(rows)), (reversed_stack, range(rows)[::-1])):
-            products, adjoints = block.matvec(X[:rows]), block.rmatvec(V[:rows])
+        hop_t, hop_h = _stacked_hops(phis[:rows])
+        # the stacks hold the very factors of each matrix's own products
+        assert hop_t.tobytes() == np.stack([phi._hop_t for phi in phis[:rows]]).tobytes()
+        assert hop_h.tobytes() == np.stack([phi._hop_h for phi in phis[:rows]]).tobytes()
+        backwards = np.arange(rows)[::-1]
+        for (t, h), order in (((hop_t, hop_h), range(rows)),
+                              ((hop_t[backwards], hop_h[backwards]), range(rows)[::-1])):
+            products = sensing._fft_matvec(t, X[:rows].reshape(t.shape))
+            adjoints = sensing._fft_rmatvec(h, V[:rows, None, :]).reshape(rows, -1)
             for row, i in enumerate(order):
                 assert products[row].tobytes() == phis[i].matvec(X[row]).tobytes()
                 assert adjoints[row].tobytes() == phis[i].rmatvec(V[row]).tobytes()
@@ -357,17 +368,17 @@ def test_stack_rows_are_each_matrix_own_products(n_pulses, n_hrr_bins):
 def test_stack_products_into_buffers_match_allocating_ones(n_pulses, n_hrr_bins):
     params = RadarParams.abstract(n_pulses, n_hrr_bins)
     rng = np.random.default_rng(n_pulses)
-    stack = sensing.SensingStack.of(
+    hop_t, hop_h = _stacked_hops(
         [build_phi(params, sample_codes(rng, n_pulses, n_hrr_bins)) for _ in range(5)])
-    X = _random_complex(rng, 5, n_pulses * n_hrr_bins)
-    V = _random_complex(rng, 5, n_pulses)
+    X = _random_complex(rng, 5, n_hrr_bins, n_pulses)
+    V = _random_complex(rng, 5, 1, n_pulses)
     # buffers full of garbage, which the products must overwrite
     out = _random_complex(rng, 5, n_pulses)
     work, into = (_random_complex(rng, 5, n_hrr_bins, n_pulses) for _ in range(2))
-    product = stack.matvec(X, out=out, work=work)
-    assert product is out and product.tobytes() == stack.matvec(X).tobytes()
-    adjoint = stack.rmatvec(V, out=into)
-    assert np.shares_memory(adjoint, into) and adjoint.tobytes() == stack.rmatvec(V).tobytes()
+    product = sensing._fft_matvec(hop_t, X, out=out, work=work)
+    assert product is out and product.tobytes() == sensing._fft_matvec(hop_t, X).tobytes()
+    adjoint = sensing._fft_rmatvec(hop_h, V, out=into)
+    assert adjoint is into and adjoint.tobytes() == sensing._fft_rmatvec(hop_h, V).tobytes()
 
 
 def test_matvec_shape_checks():

@@ -30,7 +30,6 @@ from farcs import (
     subspace_pursuit,
 )
 from farcs import solvers
-from farcs.sensing import SensingStack
 from farcs.solvers import _CERTIFICATE_MARGIN, _certified_fit, _shrink_floor, _shrink_into
 
 
@@ -538,22 +537,28 @@ def test_lasso_matches_reference_fista(sigma2_db):
 def test_lasso_makes_one_product_each_way_per_iteration(monkeypatch):
     problems = [_reference_instance(9300 + i, k=3, sigma2=0.1) for i in range(3)]
     phis = [phi for phi, _ in problems]
-    calls = {"matvec": 0, "rmatvec": 0}
-    # the iterations make block products; the exit duality gap one Phi^H on each phi
-    for owner in (SensingStack, *phis):
-        for name in calls:
-            def counted(*args, _name=name, _product=getattr(owner, name), **kwargs):
-                calls[_name] += 1
-                return _product(*args, **kwargs)
-            monkeypatch.setattr(owner, name, counted)
+    calls = {"_fft_matvec": 0, "_fft_rmatvec": 0}
+    # every product of the block runs on its stacked hop factors, through
+    # the two helpers that a lone matvec/rmatvec also calls
+    for name in calls:
+        def counted(*args, _name=name, _product=getattr(solvers, name), **kwargs):
+            calls[_name] += 1
+            return _product(*args, **kwargs)
+        monkeypatch.setattr(solvers, name, counted)
+    for phi in phis:
+        for name in ("matvec", "rmatvec"):
+            monkeypatch.setattr(phi, name, lambda *args, **kwargs: pytest.fail(
+                "the block called a row's own product"))
     for n_rows in (1, 3):
-        calls.update(matvec=0, rmatvec=0)
+        calls.update(_fft_matvec=0, _fft_rmatvec=0)
         results = lasso_block(phis[:n_rows], [y for _, y in problems[:n_rows]], [0.3] * n_rows)
         iterations = max(result.iterations for result in results)
-        assert iterations > 1
+        stops = {result.iterations for result in results}
+        assert iterations > 1 and len(stops) == n_rows
         # one Phi at the zero start and one product each way per iteration for
-        # the whole block, plus one Phi^H per row at exit
-        assert calls == {"matvec": iterations + 1, "rmatvec": iterations + n_rows}
+        # the whole block, plus one Phi^H per iteration at which rows stop,
+        # for their exit duality gaps
+        assert calls == {"_fft_matvec": iterations + 1, "_fft_rmatvec": iterations + len(stops)}
 
 
 def _lasso_problems(seed):
@@ -623,7 +628,7 @@ def test_lasso_block_over_the_chunk_cap_matches_lone_solves(monkeypatch, chunk_r
 def test_lasso_block_buffers_stay_private():
     problems = _lasso_problems(9400)
     phis, ys, lams = zip(*problems)
-    hops = [(phi._hop_t.copy(), phi._hop_h.copy()) for phi in phis]
+    hops = [phi.hop_response.copy() for phi in phis]
     ys_before = [y.copy() for y in ys]
     first = lasso_block(phis, ys, lams, _BLOCK_CONFIG)
     # no result is a view of a buffer that the block went on to overwrite
@@ -632,9 +637,8 @@ def test_lasso_block_buffers_stay_private():
             assert not np.shares_memory(a.x_hat, b.x_hat)
     for y, before in zip(ys, ys_before):
         assert y.tobytes() == before.tobytes()
-    for phi, (hop_t, hop_h) in zip(phis, hops):
-        assert phi._hop_t.tobytes() == hop_t.tobytes()
-        assert phi._hop_h.tobytes() == hop_h.tobytes()
+    for phi, hop in zip(phis, hops):  # the block stacks its factors from R
+        assert phi.hop_response.tobytes() == hop.tobytes()
     for a, b in zip(first, lasso_block(phis, ys, lams, _BLOCK_CONFIG)):
         assert a.x_hat.tobytes() == b.x_hat.tobytes()
         assert (a.iterations, a.converged, a.duality_gap, a.support, a.residual_norm) == (
@@ -866,6 +870,16 @@ def test_support_and_oracle_options_of_wrong_type_are_typed_errors(call):
     phi, x, y, _ = _problem(n_pulses=4, n_hrr_bins=2)
     with pytest.raises(ConfigurationError):
         call(x, phi, y)
+
+
+@pytest.mark.parametrize("K", [None, 1])
+@pytest.mark.parametrize("x_hat", [[[0.5, 0.0], [0.0, 2.0]], 2.0, np.ones((1, 3))],
+                         ids=["2x2", "0-D", "1x3"])
+def test_extract_support_refuses_a_non_vector(x_hat, K):
+    # before the check, a 2-D x_hat gave flat indices, and a 0-D one (0,) or,
+    # with K = 1, a bare IndexError
+    with pytest.raises(ShapeError, match="1-D"):
+        extract_support(x_hat, K=K)
 
 
 def test_extract_support_matches_the_sorted_scan():
