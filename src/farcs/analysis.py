@@ -15,13 +15,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ResourceError, ShapeError, check_integer
+from .errors import (ConfigurationError, DomainError, ResourceError, ShapeError, check_integer,
+                     check_positive, check_real)
 from .sensing import SensingMatrix
 from .signal_model import (TWO_PI, BandwidthMode, FrequencyCodes, RadarParams,
                            pulse_doppler_scalings)
@@ -261,8 +261,7 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
     ``_CENSUS_BATCH``, and the outcome does not depend on that size.
     Refuses to start when the subset count exceeds ``max_submatrices``.
     """
-    if not eps_svd > 0:
-        raise DomainError(f"eps_svd must be > 0, got {eps_svd}")
+    check_positive("eps_svd", eps_svd, error=DomainError)
     N, n_cols = phi.shape
     total = math.comb(n_cols, N)
     if total > max_submatrices:
@@ -403,11 +402,6 @@ def _dft_coherence(hop_responses: np.ndarray, overwrite: bool = False) -> np.nda
     return np.minimum(peak / hop_responses.shape[1], 1.0)
 
 
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number and not a bool; NaN is one, so callers test range."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real)
-
-
 class TailBound(NamedTuple):
     """Tail probability bound with its validity flag."""
 
@@ -427,7 +421,7 @@ def rayleigh_tail_bound(eps: float, n_pulses: int) -> TailBound:
     a real number > 0 (DomainError) and N an integer >= 1
     (ConfigurationError).
     """
-    if not (_is_real(eps) and eps > 0):
+    if not check_real("eps", eps, DomainError) > 0:
         raise DomainError(f"eps must be a real number > 0, got {eps!r}")
     n_pulses = check_integer("n_pulses", n_pulses, 1)
     n_eps2 = n_pulses * eps * eps
@@ -443,7 +437,7 @@ def union_bound(eps: float, n_pulses: int, n_hrr_bins: int) -> float:
     bool, a string) is a DomainError; N and M must be integers >= 1
     (ConfigurationError).
     """
-    if not (_is_real(eps) and eps > 0):
+    if not check_real("eps", eps, DomainError) > 0:
         raise DomainError(f"eps must be a real number > 0, got {eps!r}")
     n_pulses = check_integer("n_pulses", n_pulses, 1)
     n_hrr_bins = check_integer("n_hrr_bins", n_hrr_bins, 1)
@@ -459,7 +453,7 @@ def max_recoverable_K(n_pulses: int, n_hrr_bins: int, delta: float) -> float:
     is positive (DomainError); N and M must be integers >= 1
     (ConfigurationError).
     """
-    if not (_is_real(delta) and 0.0 < delta < 1.0):
+    if not 0.0 < check_real("delta", delta, DomainError) < 1.0:
         raise DomainError(f"delta must be a real number in (0, 1), got {delta!r}")
     n_pulses = check_integer("n_pulses", n_pulses, 1)
     n_hrr_bins = check_integer("n_hrr_bins", n_hrr_bins, 1)

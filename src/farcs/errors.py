@@ -1,4 +1,11 @@
-"""Exception types shared across the package, and the number checks that raise them."""
+"""Exception types shared across the package, and the number checks that raise them.
+
+The checks here are the package's one definition of a valid number: an
+integer is a non-bool ``numbers.Integral`` (numpy integers included), a
+real a non-bool ``numbers.Real``.  Each check returns the value it
+accepted and raises the error class it is given, ``ConfigurationError``
+unless the caller passes another (``DomainError`` for data values).
+"""
 
 import math
 import numbers
@@ -41,18 +48,25 @@ class SolverError(FarcsError, RuntimeError):
         self.partial_result = partial_result
 
 
-def check_integer(name, value, least) -> int:
-    """``value`` as an int if it is a non-bool integer >= ``least``, else ConfigurationError."""
+def check_integer(name, value, least, error=ConfigurationError) -> int:
+    """``value`` as an int if it is a non-bool integer >= ``least``, else ``error``."""
     if type(value) is int and value >= least:  # the common case, without the ABC check
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
-def check_positive(name, value, zero_ok=False):
-    """ConfigurationError unless ``value`` is a finite non-bool real > 0 (>= 0 with zero_ok)."""
+def check_real(name, value, error=ConfigurationError):
+    """``value`` if it is a non-bool real (NaN and inf too: callers test range), else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def check_positive(name, value, zero_ok=False, error=ConfigurationError):
+    """``value`` if it is a finite non-bool real > 0 (>= 0 with zero_ok), else ``error``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
             or not (value >= 0 if zero_ok else value > 0)):
-        raise ConfigurationError(f"{name} must be a finite number {'>=' if zero_ok else '>'} 0, "
-                                 f"got {value!r}")
+        raise error(f"{name} must be a finite number {'>=' if zero_ok else '>'} 0, got {value!r}")
+    return value

@@ -32,7 +32,6 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -49,7 +48,7 @@ from .analysis import (
     spark_enumeration,
     union_bound,
 )
-from .errors import ConfigurationError, check_integer, check_positive
+from .errors import ConfigurationError, check_integer, check_positive, check_real
 from .sensing import _hop_responses, build_phi
 from .signal_model import (BandwidthMode, FrequencyCodes, RadarParams, _draw_codes, add_noise,
                            sample_codes)
@@ -502,10 +501,7 @@ def _spark_collect(config, keys, outcomes):
 def _mip_key(config, arm) -> str:
     if arm == "continuous":
         return arm
-    if (isinstance(arm, bool) or not isinstance(arm, (int, float)) or not math.isfinite(arm)
-            or arm < 0):
-        raise ConfigurationError(f"mip sweep entries must be finite B/f_c floats >= 0 or "
-                                 f"'continuous', got {arm!r}")
+    arm = check_positive("mip sweep entries (B/f_c, or 'continuous')", arm, zero_ok=True)
     return repr(abs(float(arm)))  # -0.0 is the arm 0.0
 
 
@@ -602,8 +598,8 @@ def _recovery_trial(config, s, t, params, sparsity):
 
 
 def _phase_key(config, k) -> str:
-    n_columns = config.n_pulses * config.n_hrr_bins
-    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n_columns:
+    k = check_integer("phase sweep entries", k, 1)
+    if k > config.n_pulses * config.n_hrr_bins:
         raise ConfigurationError(f"phase sweep entries must be sparsities in [1, NM], got {k!r}")
     return str(k)
 
@@ -658,14 +654,13 @@ _NOISE_HEADROOM = 1024.0  # times N sigma^2, the expected ||noise||^2; see _nois
 def _noisy_key(config, db) -> str:
     """A noise point's key; a point at which no trial can run is a ConfigurationError.
 
-    sigma^2 = 10^(dB/10) must be > 0, and 1,024 N sigma^2 and lam = ``lasso_lambda_factor``
-    sigma^2 finite: the solvers form sums of squares up to about twice ||y||^2 (the lasso
-    objective, its duality gap), and ||y||^2 exceeds 100 N sigma^2 with probability below
-    1e-43 at any N.
+    The point must be a real number of dB (``errors.check_real``), and sigma^2 = 10^(dB/10)
+    must be > 0, and 1,024 N sigma^2 and lam = ``lasso_lambda_factor`` sigma^2 finite: the
+    solvers form sums of squares up to about twice ||y||^2 (the lasso objective, its duality
+    gap), and ||y||^2 exceeds 100 N sigma^2 with probability below 1e-43 at any N.  Those
+    tests refuse NaN and +-inf dB too, and a dB too large for a float takes sigma^2 = inf.
     """
-    if isinstance(db, bool) or not isinstance(db, (int, float)) or not math.isfinite(db):
-        raise ConfigurationError(f"noisy sweep entries must be finite dB floats, got {db!r}")
-    sigma2 = _noisy_sigma2(db)
+    sigma2 = _noisy_sigma2(check_real("noisy sweep entries (dB)", db))
     headroom = _NOISE_HEADROOM * config.n_pulses * sigma2
     lam = config.solver.lasso_lambda_factor * sigma2
     if not (sigma2 > 0.0 and math.isfinite(headroom) and math.isfinite(lam)):
@@ -726,8 +721,9 @@ def _noisy_collect(config, keys, outcomes):
 def _bounds_key(config, case) -> tuple[int, int, float]:
     """An (N, M, delta) sweep triple as int, int, float.
 
-    N and M must be integers >= 1 and delta a real number, or the entry is a
-    ConfigurationError; ``max_recoverable_K`` checks delta's range.
+    N and M must be integers >= 1 (``errors.check_integer``) and delta a real
+    number (``errors.check_real``), or the entry is a ConfigurationError;
+    ``max_recoverable_K`` checks delta's range.
     """
     try:
         n_pulses, n_hrr_bins, delta = case
@@ -736,10 +732,7 @@ def _bounds_key(config, case) -> tuple[int, int, float]:
                                  f"got {case!r}") from None
     n_pulses = check_integer(f"N of bounds sweep entry {case!r}", n_pulses, 1)
     n_hrr_bins = check_integer(f"M of bounds sweep entry {case!r}", n_hrr_bins, 1)
-    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
-        raise ConfigurationError(f"delta of bounds sweep entry {case!r} must be a real number, "
-                                 f"got {delta!r}")
-    return n_pulses, n_hrr_bins, float(delta)
+    return n_pulses, n_hrr_bins, float(check_real(f"delta of bounds sweep entry {case!r}", delta))
 
 
 def _bounds_collect(config, cases, outcomes):

@@ -23,6 +23,7 @@ from .errors import (
     ResourceError,
     ShapeError,
     UnsupportedModeError,
+    check_integer,
 )
 from .signal_model import (
     BandwidthMode,
@@ -60,8 +61,7 @@ def build_R(codes: FrequencyCodes, n_hrr_bins: int) -> np.ndarray:
     the same expression, so R is bit for bit the direct formula; continuous
     codes and tables over the entry budget use that formula.
     """
-    if n_hrr_bins < 1:
-        raise ConfigurationError(f"n_hrr_bins must be >= 1, got {n_hrr_bins}")
+    n_hrr_bins = check_integer("n_hrr_bins", n_hrr_bins, 1)
     draw = codes.codes if codes.hops is None else codes.hops
     return _hop_responses(draw, codes.n_codes, n_hrr_bins)
 

@@ -248,13 +248,6 @@ def pulse_doppler_scalings(params: RadarParams, codes: FrequencyCodes) -> np.nda
     return zeta(codes.codes, params.bandwidth_hz, params.carrier_hz)
 
 
-def _grid_index(name, value) -> int:
-    """``value`` as an int if it is a non-bool integer, else DomainError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer grid index, got {value!r}")
-    return int(value)
-
-
 def _amplitude(value) -> complex:
     """``value`` as a complex if it is a finite, non-bool number, else DomainError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Number):
@@ -290,16 +283,16 @@ class Scatterer:
                 m, n = self.grid
             except (TypeError, ValueError):
                 raise DomainError(f"grid must be an (m, n) pair, got {self.grid!r}") from None
-            if _grid_index("m", m) < 0 or _grid_index("n", n) < 0:
-                raise DomainError(f"grid indices must be non-negative, got {self.grid}")
+            check_integer("m", m, 0, DomainError)
+            check_integer("n", n, 0, DomainError)
 
     @classmethod
     def on_grid(cls, m, n, params: RadarParams, amplitude=1.0 + 0.0j) -> "Scatterer":
         """Scatterer sitting exactly on grid cell (m, n)."""
-        m, n = _grid_index("m", m), _grid_index("n", n)
-        if not 0 <= m < params.n_hrr_bins:
+        m, n = check_integer("m", m, 0, DomainError), check_integer("n", n, 0, DomainError)
+        if m >= params.n_hrr_bins:
             raise DomainError(f"m={m} outside [0, {params.n_hrr_bins})")
-        if not 0 <= n < params.n_pulses:
+        if n >= params.n_pulses:
             raise DomainError(f"n={n} outside [0, {params.n_pulses})")
         return cls(
             amplitude=_amplitude(amplitude),
@@ -331,11 +324,10 @@ class Scene:
 
 def flat_grid_index(hrr_idx, doppler_idx, n_pulses) -> int:
     """Column index of grid cell (m, n) in the vectorized scene: n + m * N."""
-    hrr_idx, doppler_idx = _grid_index("hrr_idx", hrr_idx), _grid_index("doppler_idx", doppler_idx)
-    if not 0 <= doppler_idx < n_pulses:
+    hrr_idx = check_integer("hrr_idx", hrr_idx, 0, DomainError)
+    doppler_idx = check_integer("doppler_idx", doppler_idx, 0, DomainError)
+    if doppler_idx >= n_pulses:
         raise DomainError(f"doppler_idx={doppler_idx} outside [0, {n_pulses})")
-    if hrr_idx < 0:
-        raise DomainError(f"hrr_idx must be >= 0, got {hrr_idx}")
     return doppler_idx + hrr_idx * int(n_pulses)
 
 

@@ -287,17 +287,17 @@ def test_scatterer_on_grid():
 def test_grid_indices_must_be_integers():
     params = RadarParams.abstract(8, 4)
     for bad in (0.5, 1.0, True, np.bool_(True), "1"):
-        with pytest.raises(DomainError, match="must be an integer grid index"):
+        with pytest.raises(DomainError, match="must be an integer >= 0"):
             Scatterer.on_grid(bad, 1, params)
-        with pytest.raises(DomainError, match="must be an integer grid index"):
+        with pytest.raises(DomainError, match="must be an integer >= 0"):
             Scatterer.on_grid(1, bad, params)
-        with pytest.raises(DomainError, match="must be an integer grid index"):
+        with pytest.raises(DomainError, match="must be an integer >= 0"):
             flat_grid_index(bad, 2, 8)
-        with pytest.raises(DomainError, match="must be an integer grid index"):
+        with pytest.raises(DomainError, match="must be an integer >= 0"):
             flat_grid_index(2, bad, 8)
-        with pytest.raises(DomainError, match="must be an integer grid index"):
+        with pytest.raises(DomainError, match="must be an integer >= 0"):
             Scatterer(1.0, 0.0, 0.0, grid=(bad, 1))
-        with pytest.raises(DomainError, match="must be an integer grid index"):
+        with pytest.raises(DomainError, match="must be an integer >= 0"):
             Scatterer(1.0, 0.0, 0.0, grid=(0, bad))
     # numpy integers are integers
     s = Scatterer.on_grid(np.int64(3), np.uint8(5), params)
