@@ -31,6 +31,11 @@ line of times in microseconds:
   already kept), divided by 32: the draw, the class key and the cache read;
 - ``census_miss``: one census of a class at N=6, M=M*=3,
   ``spark_enumeration(build_phi(...))``, which a trial of a new class runs;
+- ``sample_codes_6_3``: one ``sample_codes(seed, 6, 3)`` call on an int
+  seed, the draw of a default ``spark`` trial, and ``build_phi_exact``: one
+  ``build_phi`` at N=64, M=M*=16 in EXACT mode at B/f_c = 0.5, its Doppler
+  table already cached, as an EXACT ``mip`` arm builds each trial's operator.
+  These per-trial entry points check their arguments on every call;
 - ``csv_text_spark``/``sidecar_text_spark`` and ``csv_text_mip``/
   ``sidecar_text_mip``: the CSV text (``to_csv``) and the sidecar text
   (``to_json``) that ``ExperimentResult.write`` puts on disk, without the
@@ -110,6 +115,18 @@ def _per_call_us(product, operand, calls=200):
     return _best_us(lambda: [product(operand) for _ in range(calls)]) / calls
 
 
+def _each_call_us(call, calls=2000):
+    """Per-call time of ``call()``, each result dropped before the next call.
+
+    Keeping 2,000 operators alive, as ``_per_call_us`` keeps its results,
+    would time the allocation of 128 MiB of Doppler matrices instead.
+    """
+    def run():
+        for _ in range(calls):
+            call()
+    return _best_us(run) / calls
+
+
 def _per_iteration_us(solve):
     """Cost of one iteration of ``solve(max_iter)``, which must run to its cap."""
     def capped(max_iter):
@@ -148,6 +165,15 @@ def _census_us() -> dict:
         "census_miss": _per_call_us(lambda _: spark_enumeration(build_phi(params, codes)),
                                     None, calls=5),
     }
+
+
+def _entry_us() -> dict:
+    """One code draw of a spark trial, and one EXACT-mode operator of a mip trial."""
+    params = RadarParams.abstract(N_PULSES, MIP_HRR_BINS, relative_bandwidth=EXACT_BANDWIDTH)
+    codes = sample_codes(0, N_PULSES, MIP_HRR_BINS)
+    build_phi(params, codes)  # builds the cached Doppler table
+    return {"sample_codes_6_3": _each_call_us(lambda: sample_codes(7, 6, 3)),
+            "build_phi_exact": _each_call_us(lambda: build_phi(params, codes))}
 
 
 def _output_us() -> dict:
@@ -194,6 +220,7 @@ def main() -> int:
     us["bp_solve_3_fixed"] = us["bp_solve_3"] - solve.iterations * us["admm_iteration"]
     us.update(_coherence_us())
     us.update(_census_us())
+    us.update(_entry_us())
     us.update(_output_us())
     print(json.dumps({"us": {name: round(value, 2) for name, value in us.items()},
                       "bp_solve_3_iterations": solve.iterations,

@@ -20,10 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConfigurationError, DomainError, ResourceError, ShapeError, check_integer,
-                     check_positive, check_real)
+from .errors import (ConfigurationError, DomainError, ResourceError, ShapeError, check_array,
+                     check_integer, check_positive, check_real)
 from .sensing import SensingMatrix
-from .signal_model import (TWO_PI, BandwidthMode, FrequencyCodes, RadarParams,
+from .signal_model import (TWO_PI, BandwidthMode, FrequencyCodes, RadarParams, _default_rng,
                            pulse_doppler_scalings)
 
 
@@ -259,12 +259,14 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
     ``sigma_hist_counts`` and those extremes are exactly what an SVD of
     every representative gives.  The representatives run in batches of
     ``_CENSUS_BATCH``, and the outcome does not depend on that size.
-    Refuses to start when the subset count exceeds ``max_submatrices``.
+    Refuses to start when the subset count exceeds ``max_submatrices``, a
+    real number (ConfigurationError); ``eps_svd`` must be a finite number
+    > 0 (DomainError).
     """
     check_positive("eps_svd", eps_svd, error=DomainError)
     N, n_cols = phi.shape
     total = math.comb(n_cols, N)
-    if total > max_submatrices:
+    if total > check_real("max_submatrices", max_submatrices):
         raise ResourceError(
             f"C({n_cols}, {N}) = {total} submatrices exceeds the budget of "
             f"{max_submatrices}; raise max_submatrices to force the enumeration"
@@ -312,7 +314,7 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
 
 def _validate_on_grid(value, size, name):
     """The index k in [0, size) of an on-grid phase value = 2*pi*k/size."""
-    if not 0.0 <= value < TWO_PI:
+    if not 0.0 <= check_real(name, value, DomainError) < TWO_PI:
         raise DomainError(f"{name}={value} outside [0, 2*pi)")
     step = TWO_PI / size
     ratio = value / step
@@ -376,7 +378,7 @@ def coherence(phi) -> CoherenceSample:
         chi_pos[0, 0] = chi_neg[0, 0] = 0.0  # each column with itself
         peak = max(chi_pos.max(), chi_neg.max())
         return CoherenceSample(mu=float(min(peak / phi.n_pulses, 1.0)), method="shortcut")
-    dense = np.asarray(phi, dtype=np.complex128)
+    dense = check_array("phi", phi, np.complex128, DomainError)
     if dense.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {dense.shape}")
     norms = np.linalg.norm(dense, axis=0)
@@ -504,7 +506,7 @@ def chi_statistics(params: RadarParams, p: float, q: float, n_trials: int,
         raise DomainError("p = 0 makes chi deterministic; pick an off-bin offset")
     n_trials = check_integer("n_trials", n_trials, 2)
     N, M = params.n_pulses, params.n_hrr_bins
-    rng = np.random.default_rng(seed)
+    rng = _default_rng(seed)
     n_phase = q * np.arange(N)
     chi_vals = np.empty(n_trials, dtype=np.complex128)
     for start in range(0, n_trials, _CHI_BLOCK):

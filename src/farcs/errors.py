@@ -2,13 +2,16 @@
 
 The checks here are the package's one definition of a valid number: an
 integer is a non-bool ``numbers.Integral`` (numpy integers included), a
-real a non-bool ``numbers.Real``.  Each check returns the value it
-accepted and raises the error class it is given, ``ConfigurationError``
-unless the caller passes another (``DomainError`` for data values).
+real a non-bool ``numbers.Real``, and an array of numbers whatever numpy
+converts to the dtype asked for.  Each check returns the value it accepted
+and raises the error class it is given, ``ConfigurationError`` unless the
+caller passes another (``DomainError`` for data values).
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class FarcsError(Exception):
@@ -65,8 +68,23 @@ def check_real(name, value, error=ConfigurationError):
 
 
 def check_positive(name, value, zero_ok=False, error=ConfigurationError):
-    """``value`` if it is a finite non-bool real > 0 (>= 0 with zero_ok), else ``error``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
-            or not (value >= 0 if zero_ok else value > 0)):
+    """``value`` if it is a finite non-bool real > 0 (>= 0 with zero_ok), else ``error``.
+
+    An integer beyond the float range is not finite here: the package computes in floats.
+    """
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value) and (value >= 0 if zero_ok else value > 0))
+    except OverflowError:  # math.isfinite of an integer too large for a float
+        ok = False
+    if not ok:
         raise error(f"{name} must be a finite number {'>=' if zero_ok else '>'} 0, got {value!r}")
     return value
+
+
+def check_array(name, value, dtype, error=ConfigurationError) -> np.ndarray:
+    """``np.asarray(value, dtype)``, or ``error`` where numpy cannot convert ``value``."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be an array of numbers, got {value!r:.80}") from None

@@ -135,6 +135,9 @@ class ExperimentConfig:
         for name, least in _INTEGER_MINIMUMS.items():
             if not (name == "n_codes" and self.n_codes is None):
                 object.__setattr__(self, name, check_integer(name, getattr(self, name), least))
+        if not (self.output_path is None or isinstance(self.output_path, str)):
+            raise ConfigurationError(f"output_path must be a file name or None, "
+                                     f"got {self.output_path!r}")
         if self.code_distribution not in ("discrete", "continuous"):
             raise ConfigurationError(
                 f"code_distribution must be 'discrete' or 'continuous', "

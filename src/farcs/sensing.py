@@ -141,6 +141,9 @@ class SensingMatrix:
     """
 
     def __init__(self, params: RadarParams, codes: FrequencyCodes):
+        if not (isinstance(params, RadarParams) and isinstance(codes, FrequencyCodes)):
+            raise ConfigurationError(f"a SensingMatrix takes RadarParams and FrequencyCodes, got "
+                                     f"{type(params).__name__} and {type(codes).__name__}")
         if codes.n_pulses != params.n_pulses:
             raise ShapeError(
                 f"codes has {codes.n_pulses} pulses, params expects {params.n_pulses}"
@@ -307,6 +310,7 @@ def phi_row_sampling_check(phi: SensingMatrix, psi: np.ndarray) -> bool:
     integers, as every code's are when the hop set size M* equals M.
     """
     M, N = phi.params.n_hrr_bins, phi.params.n_pulses
+    psi = np.asarray(psi)
     if psi.shape != (M * N, M * N):
         raise ShapeError(f"psi must be ({M * N}, {M * N}), got {psi.shape}")
     codes = phi.codes

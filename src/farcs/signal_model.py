@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError, check_integer, check_positive
+from .errors import (ConfigurationError, DomainError, ShapeError, check_array, check_integer,
+                     check_positive, check_real)
 
 TWO_PI = 2.0 * math.pi
 # speed of light in vacuum, m/s: exact by the SI definition of the metre
@@ -83,6 +84,8 @@ class RadarParams:
         if self.pri_s is not None and self.pulse_width_s is not None:
             if not self.pri_s > self.pulse_width_s:
                 raise ConfigurationError("pri_s must exceed pulse_width_s")
+        if not isinstance(self.mode, BandwidthMode):
+            raise ConfigurationError(f"mode must be a BandwidthMode, got {self.mode!r}")
         if self.mode is BandwidthMode.EXACT:
             if self.carrier_hz is None or self.bandwidth_hz is None:
                 raise ConfigurationError(
@@ -164,7 +167,7 @@ class FrequencyCodes:
         return instance
 
     def __post_init__(self):
-        arr = np.asarray(self.codes, dtype=np.float64)
+        arr = check_array("codes", self.codes, np.float64, DomainError)
         if arr.ndim != 1 or arr.size < 1:
             raise ShapeError(f"codes must be a 1-D non-empty array, got shape {arr.shape}")
         if not np.all((arr >= 0.0) & (arr < 1.0)):
@@ -216,10 +219,19 @@ def _draw_codes(seed, n_pulses: int, n_codes: int | None) -> np.ndarray:
 
     With ``n_codes`` None the N codes are uniform on [0, 1).
     """
-    rng = np.random.default_rng(seed)
+    rng = _default_rng(seed)
     if n_codes is None:
         return rng.random(n_pulses)
     return rng.integers(0, n_codes, size=n_pulses)
+
+
+def _default_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, or ConfigurationError for a seed it refuses."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"seed {seed!r:.80} is not one numpy can seed a Generator "
+                                 f"with: {exc}") from None
 
 
 def zeta(code, bandwidth_hz, carrier_hz):
@@ -228,7 +240,7 @@ def zeta(code, bandwidth_hz, carrier_hz):
     Accepts a scalar code or an array of codes.  In APPROXIMATE mode the
     scaling is 1 (``pulse_doppler_scalings``).
     """
-    code = np.asarray(code, dtype=np.float64)
+    code = check_array("code", code, np.float64, DomainError)
     if not np.all((code >= 0.0) & (code < 1.0)):
         raise DomainError("codes must lie in [0, 1)")
     check_positive("carrier_hz", carrier_hz)
@@ -276,7 +288,7 @@ class Scatterer:
     def __post_init__(self):
         _amplitude(self.amplitude)
         for name, val in (("p", self.p), ("q", self.q)):
-            if not 0.0 <= val < TWO_PI:
+            if not 0.0 <= check_real(name, val, DomainError) < TWO_PI:
                 raise DomainError(f"{name}={val} outside [0, 2*pi)")
         if self.grid is not None:
             try:
@@ -304,14 +316,20 @@ class Scatterer:
 
 @dataclass(frozen=True)
 class Scene:
-    """A collection of scatterers with pairwise-distinct (p, q)."""
+    """A collection of scatterers with pairwise-distinct (p, q), else ConfigurationError."""
 
     scatterers: tuple[Scatterer, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "scatterers", tuple(self.scatterers))
+        try:
+            object.__setattr__(self, "scatterers", tuple(self.scatterers))
+        except TypeError:
+            raise ConfigurationError(
+                f"scatterers must be a sequence, got {self.scatterers!r}") from None
         seen = set()
         for s in self.scatterers:
+            if not isinstance(s, Scatterer):
+                raise ConfigurationError(f"a Scene holds Scatterers, got {s!r}")
             key = (s.p, s.q)
             if key in seen:
                 raise ConfigurationError(f"duplicate scatterer at (p, q)={key}")
@@ -323,12 +341,13 @@ class Scene:
 
 
 def flat_grid_index(hrr_idx, doppler_idx, n_pulses) -> int:
-    """Column index of grid cell (m, n) in the vectorized scene: n + m * N."""
+    """Column n + m * N of grid cell (m, n); integers m >= 0, 0 <= n < N, else DomainError."""
     hrr_idx = check_integer("hrr_idx", hrr_idx, 0, DomainError)
     doppler_idx = check_integer("doppler_idx", doppler_idx, 0, DomainError)
+    n_pulses = check_integer("n_pulses", n_pulses, 1, DomainError)
     if doppler_idx >= n_pulses:
         raise DomainError(f"doppler_idx={doppler_idx} outside [0, {n_pulses})")
-    return doppler_idx + hrr_idx * int(n_pulses)
+    return doppler_idx + hrr_idx * n_pulses
 
 
 def scene_to_vector(scene: Scene, params: RadarParams) -> np.ndarray:
@@ -381,10 +400,10 @@ def add_noise(y, sigma2, seed) -> np.ndarray:
     E|noise|^2 = sigma2.  ``seed`` may be an int or a Generator.
     """
     check_positive("sigma2", sigma2, zero_ok=True)
-    y = np.asarray(y, dtype=np.complex128)
+    y = check_array("y", y, np.complex128, DomainError)
     if sigma2 == 0:
         return y.copy()
-    rng = np.random.default_rng(seed)
+    rng = _default_rng(seed)
     scale = math.sqrt(sigma2 / 2.0)
     noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
     return y + scale * noise
@@ -404,12 +423,15 @@ def to_physical(p, q, amplitude, params: RadarParams):
 
     range = -M c p / (4 pi B), velocity = -c q / (4 pi f_c T_r),
     intensity = |amplitude|.  The phases are taken as-is (no wrapping), so
-    the map is the exact inverse of ``from_physical``.
+    the map is the exact inverse of ``from_physical``.  Non-real phases and
+    amplitudes that are not finite numbers are DomainErrors.
     """
     _require_physical(params, need_pri=True)
+    check_real("p", p, DomainError)
+    check_real("q", q, DomainError)
     rng_m = -params.n_hrr_bins * _SPEED_OF_LIGHT * p / (4.0 * math.pi * params.bandwidth_hz)
     vel = -_SPEED_OF_LIGHT * q / (4.0 * math.pi * params.carrier_hz * params.pri_s)
-    return rng_m, vel, abs(amplitude)
+    return rng_m, vel, abs(_amplitude(amplitude))
 
 
 def from_physical(range_m, velocity_mps, params: RadarParams):
@@ -417,9 +439,11 @@ def from_physical(range_m, velocity_mps, params: RadarParams):
 
     p = -4 pi B range / (M c), q = -4 pi f_c velocity T_r / c.  The result is
     not wrapped into [0, 2*pi); wrap with ``p % (2*pi)`` before building a
-    ``Scatterer`` if needed.
+    ``Scatterer`` if needed.  A non-real range or velocity is a DomainError.
     """
     _require_physical(params, need_pri=True)
+    check_real("range_m", range_m, DomainError)
+    check_real("velocity_mps", velocity_mps, DomainError)
     p = -4.0 * math.pi * params.bandwidth_hz * range_m / (params.n_hrr_bins * _SPEED_OF_LIGHT)
     q = -4.0 * math.pi * params.carrier_hz * velocity_mps * params.pri_s / _SPEED_OF_LIGHT
     return p, q

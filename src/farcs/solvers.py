@@ -3,7 +3,8 @@
 Every solver takes one kind of operator: an APPROXIMATE-mode
 ``SensingMatrix``, whose rows are orthogonal, Phi Phi^H = NM I.  Anything
 else (a plain ndarray, an EXACT-mode matrix) is a ``ConfigurationError``,
-and a measurement with a NaN or infinite entry a ``DomainError``, before
+as is a ``config`` that is not a ``SolverConfig``, and a measurement that
+is not numbers or has a NaN or infinite entry a ``DomainError``, before
 any product runs.  Results report the estimated coefficient vector, its
 support, the final residual norm, a convergence flag and whether a dual
 certificate proved the result optimal; ties in greedy selections and
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, ResourceError, ShapeError, SolverError,
-                     check_integer, check_positive)
+                     check_array, check_integer, check_positive)
 from .sensing import SensingMatrix, _fft_matvec, _fft_rmatvec
 
 
@@ -68,6 +69,15 @@ _L0_RESIDUAL_RTOL = 1e-9  # l0_oracle accepts a fit with residual <= this * ||y|
 _L0_MAX_FITS = 100_000  # l0_oracle refuses to scan more candidate supports
 
 
+def _config(config, default) -> SolverConfig:
+    """``config``, or ``default`` for None; anything but a SolverConfig is a ConfigurationError."""
+    if config is None:
+        return default
+    if not isinstance(config, SolverConfig):
+        raise ConfigurationError(f"config must be a SolverConfig, got {config!r}")
+    return config
+
+
 # --- operators ----------------------------------------------------------------
 
 def _operands(phi, y):
@@ -76,7 +86,7 @@ def _operands(phi, y):
         got = (f"one in {phi.params.mode.name} mode" if isinstance(phi, SensingMatrix)
                else type(phi).__name__)
         raise ConfigurationError(f"solvers take an APPROXIMATE-mode SensingMatrix, got {got}")
-    y = np.asarray(y, dtype=np.complex128)
+    y = check_array("y", y, np.complex128, DomainError)
     n_rows = phi.shape[0]
     if y.shape != (n_rows,):
         raise ShapeError(f"y must have shape ({n_rows},), got {y.shape}")
@@ -118,7 +128,7 @@ def omp(phi, y, K: int | None = None, config: SolverConfig | None = None) -> Rec
     residual drops under ``residual_tol * ||y||``.  A numerically rank-deficient
     support raises ``SolverError`` carrying the fit before that pick.
     """
-    cfg = config or _GREEDY_DEFAULTS
+    cfg = _config(config, _GREEDY_DEFAULTS)
     if K is not None:
         K = check_integer("K", K, 1)
     phi, y = _operands(phi, y)
@@ -176,7 +186,7 @@ def subspace_pursuit(phi, y, K: int, config: SolverConfig | None = None) -> Reco
     residual would increase (previous iterate is returned), when it drops
     under ``residual_tol * ||y||``, or at ``max_iter``.
     """
-    cfg = config or _GREEDY_DEFAULTS
+    cfg = _config(config, _GREEDY_DEFAULTS)
     phi, y = _operands(phi, y)
     n_rows, n_cols = phi.shape
     if check_integer("K", K, 1) > n_rows:
@@ -294,7 +304,7 @@ def basis_pursuit(phi, y, config: SolverConfig | None = None) -> RecoveryResult:
     ``max_iter``.  Either way the support is read off with the configured
     magnitude threshold.
     """
-    cfg = config or _BP_DEFAULTS
+    cfg = _config(config, _BP_DEFAULTS)
     phi, y = _operands(phi, y)
     n_rows, n_cols = phi.shape
     y_norm = np.linalg.norm(y)
@@ -387,7 +397,7 @@ def lasso_block(phis, ys, lams, config: SolverConfig | None = None) -> list[Reco
     and duality gap included, is bit for bit the one a lone ``lasso`` call
     returns; the block only changes how many products run at once.
     """
-    cfg = config or _LASSO_DEFAULTS
+    cfg = _config(config, _LASSO_DEFAULTS)
     if not phis or not len(phis) == len(ys) == len(lams):
         raise ShapeError(f"a lasso block needs as many operators ({len(phis)}) as "
                          f"measurements ({len(ys)}) and lambdas ({len(lams)}), at least one")
@@ -566,7 +576,7 @@ def extract_support(x_hat, K: int | None = None, eps: float = 1e-2) -> tuple[int
     a ``ShapeError``.
     """
     check_positive("eps", eps)
-    mag = np.abs(np.asarray(x_hat))
+    mag = np.abs(check_array("x_hat", x_hat, np.complex128, DomainError))
     if mag.ndim != 1:
         raise ShapeError(f"x_hat must be 1-D, got shape {mag.shape}")
     if K is None:

@@ -138,7 +138,7 @@ def test_spark_rejects_bad_eps():
     phi = _abstract_phi((0.0,) * 6, 3, n_codes=3)
     # NaN fails every comparison, so a `<= 0` test let it through to count
     # no deficient submatrix at all
-    for eps_svd in (0.0, math.nan):
+    for eps_svd in (0.0, math.nan, math.inf, True):
         with pytest.raises(DomainError):
             spark_enumeration(phi, eps_svd=eps_svd)
 

@@ -615,6 +615,24 @@ def test_noisy_sidecar_reports_lasso_exit():
     assert capped_exit["duality_gap_p50"] > exits["-15.0"]["duality_gap_p50"] > 0.0
 
 
+def test_numpy_scalar_sweep_entries_run_as_python_ones():
+    # numpy integers and floats are numbers: each run writes the bytes of its
+    # plain-Python twin
+    for config, numpy_sweep in [
+        (MIP_TINY, (np.float32(0.0), "continuous")),
+        (dataclasses.replace(MIP_TINY, sweep=(0.5,)), (np.float32(0.5),)),
+        (PHASE_TINY, (np.int64(1), np.uint8(2))),
+        (NOISY_TINY, (np.float32(15.0),)),
+        (dataclasses.replace(NOISY_TINY, sweep=(15,)), (np.int16(15),)),
+        (dataclasses.replace(default_config("bounds"), sweep=((64, 8, 0.25),)),
+         ((np.int64(64), np.int32(8), np.float32(0.25)),)),
+    ]:
+        twin = run_experiment(dataclasses.replace(config, sweep=numpy_sweep))
+        plain = run_experiment(config)
+        assert twin.to_csv() == plain.to_csv()
+        assert twin.to_json() == plain.to_json()
+
+
 def test_run_bounds_matches_direct_evaluation():
     result = run_experiment(default_config("bounds"))
     assert result.columns == ("n_pulses", "n_hrr_bins", "delta", "k_mip", "k_l0")
@@ -692,6 +710,15 @@ def test_bad_points_fail_before_any_task_runs(monkeypatch, config):
     with pytest.raises(ConfigurationError):
         run_experiment(config)
     assert calls == []
+
+
+@pytest.mark.parametrize("config", [MIP_TINY, NOISY_TINY], ids=["mip", "noisy"])
+def test_sweep_points_beyond_the_float_range_are_configuration_errors(config):
+    # math.isfinite(10**400) raised a bare OverflowError; such a noisy point
+    # now takes sigma2 = inf, which the headroom test refuses
+    for point in (10**400, -10**400):
+        with pytest.raises(ConfigurationError):
+            run_experiment(dataclasses.replace(config, sweep=(point,)))
 
 
 def test_loudest_admitted_noise_point_runs_without_warnings():
@@ -913,6 +940,20 @@ def test_cli_subcommand_config_mismatch(tmp_path, capsys):
     assert main(["mip", "--config", str(cfg)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FarcsError"
+
+
+@pytest.mark.parametrize("output_path", [5, ["b.csv"], True], ids=repr)
+def test_cli_output_path_must_be_a_string(tmp_path, capsys, output_path):
+    # a number here ended in a TypeError traceback, not the one-line error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "bounds", "output_path": output_path}))
+    assert main(["bounds", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ConfigurationError"
+    assert json.loads(err)["message"].startswith("output_path must be a file name or None")
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(experiment="bounds", output_path=Path("b.csv"))
 
 
 def test_cli_bad_config_key(tmp_path, capsys):

@@ -54,6 +54,15 @@ def test_build_R_entries():
     assert_allclose(R[:, 0], np.ones(3))
 
 
+@pytest.mark.parametrize("n_hrr_bins", [3.0, 0, True, "3"], ids=repr)
+def test_build_R_takes_an_integer_bin_count(n_hrr_bins):
+    # 3.0 was taken as a count; "3" raised a bare TypeError
+    codes = FrequencyCodes(np.array([0.0, 0.25, 0.5]), 4)
+    with pytest.raises(ConfigurationError, match="^n_hrr_bins must be an integer >= 1"):
+        build_R(codes, n_hrr_bins)
+    assert np.array_equal(build_R(codes, np.int64(3)), build_R(codes, 3))
+
+
 def test_build_R_rows_sample_the_hop_dft():
     # with M_star = M each row of R is row M*d_n of the M-point DFT matrix
     codes = sample_codes(9, 6, 4)

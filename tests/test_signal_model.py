@@ -116,6 +116,15 @@ def test_speed_of_light_is_exact():
     assert p.hrr_bin_size_m == 1.0
 
 
+@pytest.mark.parametrize("mode", ["approximate", "exact", None, 0], ids=repr)
+def test_params_mode_must_be_a_bandwidth_mode(mode):
+    # "approximate" built an operator that was not row-orthogonal, and "exact"
+    # skipped the check that exact mode has a carrier and a bandwidth
+    with pytest.raises(ConfigurationError, match="^mode must be a BandwidthMode"):
+        RadarParams(6, 3, mode=mode)
+    assert RadarParams(6, 3, mode=BandwidthMode.APPROXIMATE).mode is BandwidthMode.APPROXIMATE
+
+
 def test_abstract_mode_selection():
     p0 = RadarParams.abstract(16, 4)
     assert p0.mode is BandwidthMode.APPROXIMATE
