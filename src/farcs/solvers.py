@@ -573,7 +573,7 @@ def extract_support(x_hat, K: int | None = None, eps: float = 1e-2) -> tuple[int
 
     With ``K=None`` every entry above eps is kept.  Ties between equal
     magnitudes keep the lowest index.  An ``x_hat`` of another dimension is
-    a ``ShapeError``.
+    a ``ShapeError``, and one that is not numbers a ``DomainError``.
     """
     check_positive("eps", eps)
     mag = np.abs(check_array("x_hat", x_hat, np.complex128, DomainError))

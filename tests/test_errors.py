@@ -10,7 +10,6 @@ from farcs import (
     RadarParams,
     Scatterer,
     Scene,
-    SolverConfig,
     add_noise,
     basis_pursuit,
     build_phi,
@@ -143,11 +142,7 @@ def test_public_entry_points_raise_typed_errors(call, error):
 
 
 def test_typed_entry_points_still_accept_what_they_took():
-    # the valid neighbours of the cases above run as before
+    # numpy scalars are numbers, and a real x_hat is read through its complex form
     assert Scatterer(1.0, np.float32(0.5), 0).p == np.float32(0.5)
     assert flat_grid_index(1, 2, np.int64(8)) == 10
-    assert sample_codes(np.random.default_rng(3), 6, 3).n_pulses == 6
-    assert basis_pursuit(_PHI, _Y, SolverConfig(max_iter=500)).support == (3,)
-    assert Scene([Scatterer(1.0, 0.0, 0.0)]).sparsity == 1
-    assert coherence(_PHI.to_dense()).mu == pytest.approx(coherence(_PHI).mu)
-    assert extract_support([0.0, 2.0, 1.0], K=1) == (1,)
+    assert extract_support([0.0, -2.0, 1.0], K=1) == (1,)
