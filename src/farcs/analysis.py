@@ -378,7 +378,7 @@ def coherence(phi) -> CoherenceSample:
         chi_pos[0, 0] = chi_neg[0, 0] = 0.0  # each column with itself
         peak = max(chi_pos.max(), chi_neg.max())
         return CoherenceSample(mu=float(min(peak / phi.n_pulses, 1.0)), method="shortcut")
-    dense = check_array("phi", phi, np.complex128, DomainError)
+    dense = check_array("phi", phi, np.complex128)
     if dense.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {dense.shape}")
     norms = np.linalg.norm(dense, axis=0)

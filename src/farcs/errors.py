@@ -3,9 +3,11 @@
 The checks here are the package's one definition of a valid number: an
 integer is a non-bool ``numbers.Integral`` (numpy integers included), a
 real a non-bool ``numbers.Real``, and an array of numbers whatever numpy
-converts to the dtype asked for.  Each check returns the value it accepted
-and raises the error class it is given, ``ConfigurationError`` unless the
-caller passes another (``DomainError`` for data values).
+converts to the dtype asked for (``check_array``) or reads as numbers
+(``check_numbers``).  Each check returns the value it accepted.
+The scalar checks raise the error class they are given, ``ConfigurationError``
+unless the caller passes another (``DomainError`` for data values);
+the array checks read data, so they always raise ``DomainError``.
 """
 
 import math
@@ -82,9 +84,22 @@ def check_positive(name, value, zero_ok=False, error=ConfigurationError):
     return value
 
 
-def check_array(name, value, dtype, error=ConfigurationError) -> np.ndarray:
-    """``np.asarray(value, dtype)``, or ``error`` where numpy cannot convert ``value``."""
+def check_numbers(name, value):
+    """``value`` itself if it is a number or an array numpy reads as numbers, else DomainError."""
+    if isinstance(value, numbers.Number):
+        return value
+    try:
+        kind = np.asarray(value).dtype.kind
+    except (TypeError, ValueError):  # a ragged sequence
+        kind = "O"
+    if kind not in "biufc":
+        raise DomainError(f"{name} must be a number or an array of numbers, got {value!r:.80}")
+    return value
+
+
+def check_array(name, value, dtype) -> np.ndarray:
+    """``np.asarray(value, dtype)``, or ``DomainError`` where numpy cannot convert ``value``."""
     try:
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError):
-        raise error(f"{name} must be an array of numbers, got {value!r:.80}") from None
+        raise DomainError(f"{name} must be an array of numbers, got {value!r:.80}") from None

@@ -725,8 +725,8 @@ def _bounds_key(config, case) -> tuple[int, int, float]:
     """An (N, M, delta) sweep triple as int, int, float.
 
     N and M must be integers >= 1 (``errors.check_integer``) and delta a real
-    number (``errors.check_real``), or the entry is a ConfigurationError;
-    ``max_recoverable_K`` checks delta's range.
+    number (``errors.check_real``) within the float range, or the entry is a
+    ConfigurationError; ``max_recoverable_K`` checks delta's range.
     """
     try:
         n_pulses, n_hrr_bins, delta = case
@@ -735,7 +735,11 @@ def _bounds_key(config, case) -> tuple[int, int, float]:
                                  f"got {case!r}") from None
     n_pulses = check_integer(f"N of bounds sweep entry {case!r}", n_pulses, 1)
     n_hrr_bins = check_integer(f"M of bounds sweep entry {case!r}", n_hrr_bins, 1)
-    return n_pulses, n_hrr_bins, float(check_real(f"delta of bounds sweep entry {case!r}", delta))
+    try:
+        delta = float(check_real(f"delta of bounds sweep entry {case!r}", delta))
+    except OverflowError:  # an integer too large for a float
+        raise ConfigurationError(f"delta of bounds sweep entry {case!r} exceeds floats") from None
+    return n_pulses, n_hrr_bins, delta
 
 
 def _bounds_collect(config, cases, outcomes):

@@ -141,20 +141,23 @@ class SensingMatrix:
     """
 
     def __init__(self, params: RadarParams, codes: FrequencyCodes):
-        if not (isinstance(params, RadarParams) and isinstance(codes, FrequencyCodes)):
-            raise ConfigurationError(f"a SensingMatrix takes RadarParams and FrequencyCodes, got "
-                                     f"{type(params).__name__} and {type(codes).__name__}")
-        if codes.n_pulses != params.n_pulses:
-            raise ShapeError(
-                f"codes has {codes.n_pulses} pulses, params expects {params.n_pulses}"
-            )
+        try:
+            n_pulses, n_code_pulses = params.n_pulses, codes.n_pulses
+        except AttributeError:
+            raise ConfigurationError(
+                f"a SensingMatrix takes RadarParams and FrequencyCodes, got "
+                f"{type(params).__name__} and {type(codes).__name__}") from None
+        if n_code_pulses != n_pulses:
+            raise ShapeError(f"codes has {n_code_pulses} pulses, params expects {n_pulses}")
         if codes.is_discrete and codes.n_codes != params.n_codes:
             raise ConfigurationError(
                 f"codes come from a hop set of {codes.n_codes}, params has {params.n_codes}"
             )
         self.params = params
         self.codes = codes
-        self._R = build_R(codes, params.n_hrr_bins)
+        # build_R without its check of M, which RadarParams made
+        self._R = _hop_responses(codes.codes if codes.hops is None else codes.hops,
+                                 codes.n_codes, params.n_hrr_bins)
         self._D = build_D(params, codes)
 
     # --- shape bookkeeping -------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, ShapeError, check_array, check_integer,
-                     check_positive, check_real)
+                     check_numbers, check_positive, check_real)
 
 TWO_PI = 2.0 * math.pi
 # speed of light in vacuum, m/s: exact by the SI definition of the metre
@@ -167,7 +167,7 @@ class FrequencyCodes:
         return instance
 
     def __post_init__(self):
-        arr = check_array("codes", self.codes, np.float64, DomainError)
+        arr = check_array("codes", self.codes, np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ShapeError(f"codes must be a 1-D non-empty array, got shape {arr.shape}")
         if not np.all((arr >= 0.0) & (arr < 1.0)):
@@ -240,7 +240,7 @@ def zeta(code, bandwidth_hz, carrier_hz):
     Accepts a scalar code or an array of codes.  In APPROXIMATE mode the
     scaling is 1 (``pulse_doppler_scalings``).
     """
-    code = check_array("code", code, np.float64, DomainError)
+    code = check_array("code", code, np.float64)
     if not np.all((code >= 0.0) & (code < 1.0)):
         raise DomainError("codes must lie in [0, 1)")
     check_positive("carrier_hz", carrier_hz)
@@ -341,10 +341,10 @@ class Scene:
 
 
 def flat_grid_index(hrr_idx, doppler_idx, n_pulses) -> int:
-    """Column n + m * N of grid cell (m, n); integers m >= 0, 0 <= n < N, else DomainError."""
+    """Column n + m * N of cell (m, n): integers m >= 0, 0 <= n < N (else DomainError), N >= 1."""
     hrr_idx = check_integer("hrr_idx", hrr_idx, 0, DomainError)
     doppler_idx = check_integer("doppler_idx", doppler_idx, 0, DomainError)
-    n_pulses = check_integer("n_pulses", n_pulses, 1, DomainError)
+    n_pulses = check_integer("n_pulses", n_pulses, 1)
     if doppler_idx >= n_pulses:
         raise DomainError(f"doppler_idx={doppler_idx} outside [0, {n_pulses})")
     return doppler_idx + hrr_idx * n_pulses
@@ -400,7 +400,7 @@ def add_noise(y, sigma2, seed) -> np.ndarray:
     E|noise|^2 = sigma2.  ``seed`` may be an int or a Generator.
     """
     check_positive("sigma2", sigma2, zero_ok=True)
-    y = check_array("y", y, np.complex128, DomainError)
+    y = check_array("y", y, np.complex128)
     if sigma2 == 0:
         return y.copy()
     rng = _default_rng(seed)
@@ -423,15 +423,15 @@ def to_physical(p, q, amplitude, params: RadarParams):
 
     range = -M c p / (4 pi B), velocity = -c q / (4 pi f_c T_r),
     intensity = |amplitude|.  The phases are taken as-is (no wrapping), so
-    the map is the exact inverse of ``from_physical``.  Non-real phases and
-    amplitudes that are not finite numbers are DomainErrors.
+    the map is the exact inverse of ``from_physical``.  Each argument is a
+    number or an array of numbers, else DomainError.
     """
     _require_physical(params, need_pri=True)
-    check_real("p", p, DomainError)
-    check_real("q", q, DomainError)
+    check_numbers("p", p)
+    check_numbers("q", q)
     rng_m = -params.n_hrr_bins * _SPEED_OF_LIGHT * p / (4.0 * math.pi * params.bandwidth_hz)
     vel = -_SPEED_OF_LIGHT * q / (4.0 * math.pi * params.carrier_hz * params.pri_s)
-    return rng_m, vel, abs(_amplitude(amplitude))
+    return rng_m, vel, abs(check_numbers("amplitude", amplitude))
 
 
 def from_physical(range_m, velocity_mps, params: RadarParams):
@@ -439,11 +439,12 @@ def from_physical(range_m, velocity_mps, params: RadarParams):
 
     p = -4 pi B range / (M c), q = -4 pi f_c velocity T_r / c.  The result is
     not wrapped into [0, 2*pi); wrap with ``p % (2*pi)`` before building a
-    ``Scatterer`` if needed.  A non-real range or velocity is a DomainError.
+    ``Scatterer`` if needed.  Each argument is a number or an array of
+    numbers, else DomainError.
     """
     _require_physical(params, need_pri=True)
-    check_real("range_m", range_m, DomainError)
-    check_real("velocity_mps", velocity_mps, DomainError)
+    check_numbers("range_m", range_m)
+    check_numbers("velocity_mps", velocity_mps)
     p = -4.0 * math.pi * params.bandwidth_hz * range_m / (params.n_hrr_bins * _SPEED_OF_LIGHT)
     q = -4.0 * math.pi * params.carrier_hz * velocity_mps * params.pri_s / _SPEED_OF_LIGHT
     return p, q

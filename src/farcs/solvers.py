@@ -86,7 +86,7 @@ def _operands(phi, y):
         got = (f"one in {phi.params.mode.name} mode" if isinstance(phi, SensingMatrix)
                else type(phi).__name__)
         raise ConfigurationError(f"solvers take an APPROXIMATE-mode SensingMatrix, got {got}")
-    y = check_array("y", y, np.complex128, DomainError)
+    y = check_array("y", y, np.complex128)
     n_rows = phi.shape[0]
     if y.shape != (n_rows,):
         raise ShapeError(f"y must have shape ({n_rows},), got {y.shape}")
@@ -576,7 +576,7 @@ def extract_support(x_hat, K: int | None = None, eps: float = 1e-2) -> tuple[int
     a ``ShapeError``, and one that is not numbers a ``DomainError``.
     """
     check_positive("eps", eps)
-    mag = np.abs(check_array("x_hat", x_hat, np.complex128, DomainError))
+    mag = np.abs(check_array("x_hat", x_hat, np.complex128))
     if mag.ndim != 1:
         raise ShapeError(f"x_hat must be 1-D, got shape {mag.shape}")
     if K is None:

@@ -35,6 +35,7 @@ from farcs.errors import (
     ShapeError,
     check_array,
     check_integer,
+    check_numbers,
     check_positive,
     check_real,
 )
@@ -61,6 +62,8 @@ def test_checks_return_the_value_they_accept():
     assert check_positive("x", np.float64(2.5)) == 2.5
     arr = check_array("y", [1, 2], np.complex128)
     assert arr.dtype == np.complex128 and arr.tolist() == [1, 2]
+    for value in (True, 1 + 2j, math.nan, [1.0, 2.0], np.arange(3), [[1j]]):
+        assert check_numbers("x", value) is value
 
 
 @pytest.mark.parametrize("value", [10**400, -10**400, math.inf, math.nan, True, "1"], ids=repr)
@@ -79,7 +82,15 @@ def test_check_real_refuses_bools_and_non_reals(value):
 @pytest.mark.parametrize("value", ["abc", [[1.0], [1.0, 2.0]], {"a": 1}, [1j]], ids=repr)
 def test_check_array_refuses_what_numpy_cannot_convert(value):
     with pytest.raises(DomainError, match="^codes must be an array of numbers"):
-        check_array("codes", value, np.float64, DomainError)
+        check_array("codes", value, np.float64)
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", None, [1.0, "a"], [[1.0], [1.0, 2.0]], {}],
+                         ids=repr)
+def test_check_numbers_refuses_what_numpy_does_not_read_as_numbers(value):
+    # np.asarray("1.5", float) and np.asarray(None, float) convert; check_numbers refuses them
+    with pytest.raises(DomainError, match="^x must be a number or an array of numbers"):
+        check_numbers("x", value)
 
 
 _PARAMS = RadarParams.abstract(8, 4)
@@ -100,7 +111,7 @@ _UNTYPED_BEFORE = [
     ("spark-eps_svd", lambda: spark_enumeration(_SPARK_PHI, "x"), DomainError),
     ("spark-max_submatrices",
      lambda: spark_enumeration(_SPARK_PHI, max_submatrices="x"), ConfigurationError),
-    ("flat_grid_index-n_pulses", lambda: flat_grid_index(0, 0, "6"), DomainError),
+    ("flat_grid_index-n_pulses", lambda: flat_grid_index(0, 0, "6"), ConfigurationError),
     ("to_physical-p", lambda: to_physical("a", 0.0, 1.0, _PHYSICAL), DomainError),
     ("to_physical-q", lambda: to_physical(0.0, "a", 1.0, _PHYSICAL), DomainError),
     ("to_physical-amplitude", lambda: to_physical(0.0, 0.0, "a", _PHYSICAL), DomainError),
@@ -146,3 +157,9 @@ def test_typed_entry_points_still_accept_what_they_took():
     assert Scatterer(1.0, np.float32(0.5), 0).p == np.float32(0.5)
     assert flat_grid_index(1, 2, np.int64(8)) == 10
     assert extract_support([0.0, -2.0, 1.0], K=1) == (1,)
+    # the physical conversions still map arrays element-wise
+    p, q = np.array([0.5, 1.0]), np.array([-0.25, 2.0])
+    rng_m, vel, intensity = to_physical(p, q, np.array([3 - 4j, 1.0]), _PHYSICAL)
+    assert np.allclose(from_physical(rng_m, vel, _PHYSICAL), (p, q), rtol=1e-12, atol=0)
+    assert intensity.tolist() == [5.0, 1.0]
+    assert math.isnan(to_physical(0.0, 0.0, math.nan, _PHYSICAL)[2])

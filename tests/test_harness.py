@@ -672,6 +672,7 @@ def test_run_bounds_rejects_bad_case():
     dataclasses.replace(default_config("bounds"), sweep=((64, 0, 0.1),)),
     dataclasses.replace(default_config("bounds"), sweep=((64, 8, "0.1"),)),
     dataclasses.replace(default_config("bounds"), sweep=((64, 8, True),)),
+    dataclasses.replace(default_config("bounds"), sweep=((64, 8, 10**400),)),
     dataclasses.replace(default_config("bounds"), sweep=((64, 8, 0.1, 1),)),
     dataclasses.replace(SPARK_TINY, sweep=(1,)),
 ], ids=lambda config: f"{config.experiment}-{config.sweep!r}")
