@@ -156,8 +156,9 @@ def _coherence_us() -> dict:
 
 def _census_us() -> dict:
     """A warm spark chunk per trial, and one census of a new class."""
-    chunk = harness._spark_tasks(default_config("spark"))[0]
-    config, _, trials, params = chunk
+    config = default_config("spark")
+    chunk = harness._chunk_tasks(config, [harness._spark_point(config, None)[1]])[0]
+    _, _, trials, (params, _) = chunk
     harness._spark_work(chunk)  # every class of the chunk is censused once here
     codes = sample_codes(0, config.n_pulses, params.n_codes)
     return {

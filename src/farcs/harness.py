@@ -6,15 +6,18 @@ matched filtering vs. basis pursuit), ``noisy`` (subspace pursuit vs. lasso
 under noise), and ``bounds`` (tabulated sparsity guarantees).
 
 ``run_experiment`` is the one driver.  It looks the experiment up in a
-table that gives its CSV columns, a sweep check, a task list with the work
-function that runs each task, and a function that collects the outcomes into
-rows and aggregates.  Every Monte-Carlo task is ``(config, s, trials,
-params)``: a chunk of at most ``_CHUNK`` trials of sweep point s (``spark``
-is one point), with the point's ``RadarParams``, which the task list builds
-once per point before any task runs.  The work function returns one outcome
-per trial of its chunk, and the driver flattens them in sweep and trial
-order; the tasks run in order in this process, or through one process pool
-with ``threads > 1``.  ``bounds`` has no tasks.  Trial t of sweep point s
+table that gives its CSV columns, a point function, the work function that
+runs each task, and a function that collects the outcomes into rows and
+aggregates.  The point function reads one sweep point (``spark`` has one,
+``None``) once, before any task runs: it refuses a bad point and returns the
+point's key and value, everything the point's trials use (its
+``RadarParams``, and M*, sparsity or noise power).  Every Monte-Carlo task
+is ``(config, s, trials, value)``: a chunk of at most ``_CHUNK`` trials of
+sweep point s.  The work function returns one outcome per trial of its
+chunk, and the driver flattens them in sweep and trial order; the tasks run
+in order in this process, or through one process pool with ``threads > 1``.
+Neither the work function nor the collector reads ``config.sweep``: they
+read the values.  ``bounds`` has no tasks.  Trial t of sweep point s
 always runs on the seed ``master_seed + s * n_trials + t``, whatever task
 it falls in, so results are reproducible record for record regardless of
 worker count or chunk size.
@@ -336,14 +339,14 @@ def _trial_seed(config: ExperimentConfig, sweep_idx: int, trial_idx: int) -> int
 _CHUNK = 32
 
 
-def _chunk_tasks(config: ExperimentConfig, params: list) -> list:
-    """One task ``(config, s, trials, params[s])`` per chunk of point s, in sweep and trial order.
+def _chunk_tasks(config: ExperimentConfig, values) -> list:
+    """One task ``(config, s, trials, values[s])`` per chunk of point s, in sweep and trial order.
 
     ``trials`` is a range of at most ``_CHUNK`` trial indices.
     """
     n = config.n_trials
-    return [(config, s, range(start, min(start + _CHUNK, n)), point)
-            for s, point in enumerate(params) for start in range(0, n, _CHUNK)]
+    return [(config, s, range(start, min(start + _CHUNK, n)), value)
+            for s, value in enumerate(values) for start in range(0, n, _CHUNK)]
 
 
 def _convergence(runs) -> dict:
@@ -389,18 +392,18 @@ class _CensusOutcome(NamedTuple):
     det_nonsingular_min: float | None
 
 
-def _no_sweep(config, point):
-    raise ConfigurationError(f"{config.experiment} takes no sweep, got {point!r}")
+def _spark_point(config, point):
+    """Spark's one point, ``None``: the APPROXIMATE-mode ``RadarParams`` of every census, and M*.
 
-
-def _spark_tasks(config):
-    """The chunks of spark's one point, on the APPROXIMATE-mode ``RadarParams`` of every census.
-
-    Continuous codes take M* = M there, whatever ``n_codes`` says.
+    M* is None for continuous codes, whose ``RadarParams`` take M* = M
+    whatever ``n_codes`` says.  A sweep point is a ConfigurationError.
     """
+    if point is not None:
+        raise ConfigurationError(f"spark takes no sweep, got {point!r}")
     discrete = config.code_distribution == "discrete"
-    return _chunk_tasks(config, [RadarParams.abstract(
-        config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes if discrete else None)])
+    params = RadarParams.abstract(config.n_pulses, config.n_hrr_bins,
+                                  n_codes=config.n_codes if discrete else None)
+    return None, (params, params.n_codes if discrete else None)
 
 
 def _spark_work(task) -> list[_CensusOutcome]:
@@ -408,8 +411,7 @@ def _spark_work(task) -> list[_CensusOutcome]:
 
     A discrete draw reads ``_class_census`` of its ``_census_key``; a continuous one is censused.
     """
-    config, s, trials, params = task
-    n_codes = params.n_codes if config.code_distribution == "discrete" else None
+    config, s, trials, (params, n_codes) = task
     draws = (sample_codes(_trial_seed(config, s, t), config.n_pulses, n_codes) for t in trials)
     if n_codes is None:
         return [_census(params, codes, config.eps_svd, config.max_submatrices) for codes in draws]
@@ -457,7 +459,7 @@ def _census_key(codes) -> tuple:
     return min(tuple([(k - hops[0]) % q for k in hops]), tuple([(hops[0] - k) % q for k in hops]))
 
 
-def _spark_collect(config, keys, outcomes):
+def _spark_collect(config, keys, values, outcomes):
     """One row per trial, from its census outcome.
 
     The sidecar records which route classified the census (``census_route``)
@@ -501,19 +503,16 @@ def _spark_collect(config, keys, outcomes):
 
 # --- mip ---------------------------------------------------------------------
 
-def _mip_key(config, arm) -> str:
-    if arm == "continuous":
-        return arm
-    arm = check_positive("mip sweep entries (B/f_c, or 'continuous')", arm, zero_ok=True)
-    return repr(abs(float(arm)))  # -0.0 is the arm 0.0
-
-
-def _mip_tasks(config):
-    """The chunks of every arm, each arm's ``RadarParams`` built once."""
-    return _chunk_tasks(config, [
-        RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes,
-                             relative_bandwidth=0.0 if arm == "continuous" else float(arm))
-        for arm in config.sweep])
+def _mip_point(config, arm):
+    """An arm's key, and its ``RadarParams`` with M*, or None for continuous codes."""
+    continuous = arm == "continuous"
+    bandwidth = 0.0 if continuous else abs(float(check_positive(  # -0.0 is the arm 0.0
+        "mip sweep entries (B/f_c, or 'continuous')", arm, zero_ok=True)))
+    params = RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes,
+                                  relative_bandwidth=bandwidth)
+    if continuous:
+        return arm, (params, None)
+    return repr(bandwidth), (params, params.n_codes)
 
 
 def _mip_work(task) -> list[float]:
@@ -525,8 +524,7 @@ def _mip_work(task) -> list[float]:
     and scores it with the FFT shortcut ``coherence`` runs on one operator
     (at N=64, M=16 a 32-trial chunk peaks at 0.9 MiB under tracemalloc).
     """
-    config, s, trials, params = task
-    n_codes = None if config.sweep[s] == "continuous" else params.n_codes
+    config, s, trials, (params, n_codes) = task
     seeds = [_trial_seed(config, s, t) for t in trials]
     if params.mode is BandwidthMode.EXACT:
         return [coherence(build_phi(params, sample_codes(seed, config.n_pulses, n_codes))).mu
@@ -536,7 +534,7 @@ def _mip_work(task) -> list[float]:
     return _dft_coherence(responses, overwrite=True).tolist()
 
 
-def _mip_collect(config, keys, mus):
+def _mip_collect(config, keys, values, mus):
     """Coherence draws per arm, with the union-bound exceedance curve."""
     n = config.n_trials
     per_arm = {key: np.array(mus[s * n:(s + 1) * n]) for s, key in enumerate(keys)}
@@ -559,13 +557,13 @@ def _mip_collect(config, keys, mus):
 
 # --- phase transition and noisy recovery -----------------------------------------
 
-def _recovery_collect(config, keys, outcomes, solvers, values):
+def _recovery_collect(config, keys, outcomes, solvers, labels):
     """Rows, success rates and convergence of a two-solver recovery sweep.
 
     ``outcomes`` holds one ``(successes, runs, extra)`` per trial, in sweep
     order: each solver's exact-support verdict, the (converged, iterations)
     run of each iterative solver by name, and a value that comes back per
-    point as is.  Point s shows as ``values[s]`` in rows, ``keys[s]`` in
+    point as is.  Point s shows as ``labels[s]`` in rows, ``keys[s]`` in
     the summaries.
     """
     n = config.n_trials
@@ -573,9 +571,9 @@ def _recovery_collect(config, keys, outcomes, solvers, values):
     rates = {solver: {} for solver in solvers}
     convergence = {solver: {} for solver in outcomes[0][1]}
     extras = {}
-    for s, (key, value) in enumerate(zip(keys, values)):
+    for s, (key, label) in enumerate(zip(keys, labels)):
         successes, runs, extras[key] = zip(*outcomes[s * n:(s + 1) * n])
-        rows.extend((solver, value, t, bool(ok))
+        rows.extend((solver, label, t, bool(ok))
                     for t, oks in enumerate(successes) for solver, ok in zip(solvers, oks))
         for solver, oks in zip(solvers, zip(*successes)):
             rates[solver][key] = sum(oks) / n
@@ -584,33 +582,29 @@ def _recovery_collect(config, keys, outcomes, solvers, values):
     return rows, rates, convergence, extras
 
 
-def _recovery_tasks(config):
-    """The chunks of every point; all of them run on one APPROXIMATE-mode ``RadarParams``."""
-    params = RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes)
-    return _chunk_tasks(config, [params] * len(config.sweep))
-
-
 def _recovery_trial(config, s, t, params, sparsity):
     """Draw trial t of point s: (rng, Phi, noiseless y, true support) of a scene."""
     rng = np.random.default_rng(_trial_seed(config, s, t))
-    codes = sample_codes(rng, config.n_pulses, config.n_codes or config.n_hrr_bins)
+    codes = sample_codes(rng, config.n_pulses, params.n_codes)
     phi = build_phi(params, codes)
     support = np.sort(rng.choice(phi.n_columns, size=sparsity, replace=False))
     amplitudes = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=sparsity))
     return rng, phi, phi.columns(support) @ amplitudes, tuple(int(i) for i in support)
 
 
-def _phase_key(config, k) -> str:
+def _phase_point(config, k):
+    """A sparsity's key, and the point's APPROXIMATE-mode ``RadarParams`` with the sparsity."""
     k = check_integer("phase sweep entries", k, 1)
     if k > config.n_pulses * config.n_hrr_bins:
         raise ConfigurationError(f"phase sweep entries must be sparsities in [1, NM], got {k!r}")
-    return str(k)
+    return str(k), (RadarParams.abstract(config.n_pulses, config.n_hrr_bins,
+                                         n_codes=config.n_codes), k)
 
 
 def _phase_work(task):
     """Outcomes of one chunk's trials, each solved right after its draw."""
-    config, s, trials, params = task
-    sparsity, settings = config.sweep[s], config.solver
+    config, s, trials, (params, sparsity) = task
+    settings = config.solver
     outcomes = []
     for t in trials:
         _, phi, y, truth = _recovery_trial(config, s, t, params, sparsity)
@@ -623,53 +617,50 @@ def _phase_work(task):
     return outcomes
 
 
-def _phase_collect(config, keys, outcomes):
+def _phase_collect(config, keys, values, outcomes):
     """Noiseless exact-support rates for matched filtering and basis pursuit.
 
     The sidecar also records, per sparsity, how many basis-pursuit solves
     did not converge, how many stopped on a dual certificate, and the median
     and maximum of their iteration counts.
     """
+    sparsities = [k for _, k in values]
     rows, rates, convergence, certified = _recovery_collect(
-        config, keys, outcomes, ("mf", "bp"), config.sweep)
+        config, keys, outcomes, ("mf", "bp"), sparsities)
     for key, flags in certified.items():
         convergence["bp"][key]["certified"] = sum(flags)
-    aggregates = {"success_rate": rates, "sparsities": list(config.sweep),
+    aggregates = {"success_rate": rates, "sparsities": sparsities,
                   "convergence": convergence}
     return rows, aggregates
 
 
-def _noisy_db(db) -> float:
-    return float(db) + 0.0  # -0.0 + 0.0 is 0.0: -0.0 dB is the point 0.0
+_NOISE_HEADROOM = 1024.0  # times N sigma^2, the expected ||noise||^2; see _noisy_point
 
 
-def _noisy_sigma2(db) -> float:
-    """The noise power 10^(dB/10) of a point, inf where it overflows."""
-    try:
-        return 10.0 ** (float(db) / 10.0)
-    except OverflowError:
-        return math.inf
+def _noisy_point(config, db):
+    """A noise point's key, and its ``RadarParams``, sigma^2, lam and dB.
 
-
-_NOISE_HEADROOM = 1024.0  # times N sigma^2, the expected ||noise||^2; see _noisy_key
-
-
-def _noisy_key(config, db) -> str:
-    """A noise point's key; a point at which no trial can run is a ConfigurationError.
-
-    The point must be a real number of dB (``errors.check_real``), and sigma^2 = 10^(dB/10)
-    must be > 0, and 1,024 N sigma^2 and lam = ``lasso_lambda_factor`` sigma^2 finite: the
-    solvers form sums of squares up to about twice ||y||^2 (the lasso objective, its duality
-    gap), and ||y||^2 exceeds 100 N sigma^2 with probability below 1e-43 at any N.  Those
-    tests refuse NaN and +-inf dB too, and a dB too large for a float takes sigma^2 = inf.
+    A point at which no trial can run is a ConfigurationError.  The point must be a real
+    number of dB (``errors.check_real``), and sigma^2 = 10^(dB/10) must be > 0, and 1,024 N
+    sigma^2 and lam = ``lasso_lambda_factor`` sigma^2 finite: the solvers form sums of squares
+    up to about twice ||y||^2 (the lasso objective, its duality gap), and ||y||^2 exceeds
+    100 N sigma^2 with probability below 1e-43 at any N.  Those tests refuse NaN and +-inf dB
+    too, and a dB too large for a float takes sigma^2 = inf.  This lam is the one the lasso
+    solves with.
     """
-    sigma2 = _noisy_sigma2(check_real("noisy sweep entries (dB)", db))
+    check_real("noisy sweep entries (dB)", db)
+    try:
+        sigma2 = 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
     headroom = _NOISE_HEADROOM * config.n_pulses * sigma2
     lam = config.solver.lasso_lambda_factor * sigma2
     if not (sigma2 > 0.0 and math.isfinite(headroom) and math.isfinite(lam)):
         raise ConfigurationError(f"noisy sweep entry {db!r} dB: sigma2 = {sigma2!r} must be > 0, "
                                  f"1024 N sigma2 = {headroom!r} and lam = {lam!r} finite")
-    return _fmt(_noisy_db(db))
+    db = float(db) + 0.0  # -0.0 + 0.0 is 0.0: -0.0 dB is the point 0.0
+    params = RadarParams.abstract(config.n_pulses, config.n_hrr_bins, n_codes=config.n_codes)
+    return _fmt(db), (params, sigma2, lam, db)
 
 
 def _noisy_work(task):
@@ -678,9 +669,8 @@ def _noisy_work(task):
     The trials are drawn in order and subspace pursuit runs on each as it is
     drawn; lasso then solves all of them as one block (``lasso_block``).
     """
-    config, s, trials, params = task
+    config, s, trials, (params, sigma2, lam, _) = task
     settings = config.solver
-    sigma2 = _noisy_sigma2(config.sweep[s])
     draws = []
     for t in trials:
         rng, phi, y, truth = _recovery_trial(config, s, t, params, config.n_scatterers)
@@ -688,7 +678,6 @@ def _noisy_work(task):
         sp = subspace_pursuit(phi, y, config.n_scatterers, settings.sp_config)
         draws.append((phi, y, truth, sp))
     phis, ys, truths, sp_results = zip(*draws)
-    lam = settings.lasso_lambda_factor * sigma2
     la_results = lasso_block(phis, ys, [lam] * len(phis), settings.lasso_config)
     return [((sp.support == truth, la.support == truth),
              {"sp": (sp.converged, sp.iterations), "lasso": (la.converged, la.iterations)},
@@ -696,7 +685,7 @@ def _noisy_work(task):
             for truth, sp, la in zip(truths, sp_results, la_results)]
 
 
-def _noisy_collect(config, keys, outcomes):
+def _noisy_collect(config, keys, values, outcomes):
     """Exact-support rates vs. noise power for subspace pursuit and lasso.
 
     The sidecar also records, per noise power and solver, how many solves
@@ -704,7 +693,7 @@ def _noisy_collect(config, keys, outcomes):
     and, under ``lasso_exit``, the median and maximum relative duality gap
     of the lasso solutions and the median count of their nonzero entries.
     """
-    sigma2_db = [_noisy_db(db) for db in config.sweep]
+    sigma2_db = [db for *_, db in values]
     rows, rates, convergence, exits = _recovery_collect(
         config, keys, outcomes, ("sp", "lasso"), sigma2_db)
     lasso_exit = {}
@@ -721,8 +710,8 @@ def _noisy_collect(config, keys, outcomes):
 
 # --- bounds ----------------------------------------------------------------------
 
-def _bounds_key(config, case) -> tuple[int, int, float]:
-    """An (N, M, delta) sweep triple as int, int, float.
+def _bounds_point(config, case):
+    """An (N, M, delta) sweep triple as int, int, float: the point's key; it has no value.
 
     N and M must be integers >= 1 (``errors.check_integer``) and delta a real
     number (``errors.check_real``) within the float range, or the entry is a
@@ -739,10 +728,10 @@ def _bounds_key(config, case) -> tuple[int, int, float]:
         delta = float(check_real(f"delta of bounds sweep entry {case!r}", delta))
     except OverflowError:  # an integer too large for a float
         raise ConfigurationError(f"delta of bounds sweep entry {case!r} exceeds floats") from None
-    return n_pulses, n_hrr_bins, delta
+    return (n_pulses, n_hrr_bins, delta), None
 
 
-def _bounds_collect(config, cases, outcomes):
+def _bounds_collect(config, cases, values, outcomes):
     """Tabulate the coherence-based and l0 sparsity guarantees per setup.
 
     A table, not a Monte-Carlo study: it has no tasks.
@@ -765,30 +754,30 @@ class _Experiment(NamedTuple):
     """How ``run_experiment`` runs one experiment."""
 
     columns: tuple[str, ...]
-    sweep_key: Callable  # (config, sweep point) -> its key; raises on a bad point
-    tasks: Callable  # config -> its chunks of trials (_chunk_tasks), in order
-    work: Callable | None  # task -> one outcome per trial; runs in a pool worker when threads > 1
-    collect: Callable  # (config, sweep keys, outcomes of all trials) -> (rows, aggregates)
+    point: Callable  # (config, sweep point) -> (key, value); raises on a bad point
+    work: Callable | None  # task (config, s, trials, value) -> one outcome per trial; runs in a
+    #                        pool worker when threads > 1; None: the experiment has no tasks
+    collect: Callable  # (config, keys, values, outcomes of all trials) -> (rows, aggregates)
     defaults: dict  # the fields ``default_config`` sets
 
 
 _EXPERIMENTS = {
     "spark": _Experiment(("trial", "sigma_omega", "n_below_eps"),
-                         _no_sweep, _spark_tasks, _spark_work, _spark_collect,
+                         _spark_point, _spark_work, _spark_collect,
                          dict(n_pulses=6, n_hrr_bins=3, n_codes=3, n_trials=2000)),
     "mip": _Experiment(("arm", "trial", "mu"),
-                       _mip_key, _mip_tasks, _mip_work, _mip_collect,
+                       _mip_point, _mip_work, _mip_collect,
                        dict(n_pulses=64, n_hrr_bins=16, n_trials=10_000,
                             sweep=(0.0, 0.1, 0.5, "continuous"))),
     "phase": _Experiment(("solver", "K", "trial", "success"),
-                         _phase_key, _recovery_tasks, _phase_work, _phase_collect,
+                         _phase_point, _phase_work, _phase_collect,
                          dict(n_pulses=64, n_hrr_bins=8, n_trials=200, sweep=tuple(range(1, 11)))),
     "noisy": _Experiment(("solver", "sigma2_db", "trial", "success"),
-                         _noisy_key, _recovery_tasks, _noisy_work, _noisy_collect,
+                         _noisy_point, _noisy_work, _noisy_collect,
                          dict(n_pulses=64, n_hrr_bins=8, n_trials=200, n_scatterers=3,
                               sweep=(-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0))),
     "bounds": _Experiment(("n_pulses", "n_hrr_bins", "delta", "k_mip", "k_l0"),
-                          _bounds_key, lambda config: [], None, _bounds_collect,
+                          _bounds_point, None, _bounds_collect,
                           dict(n_pulses=64, n_hrr_bins=8, n_trials=1,
                                sweep=((64, 8, 0.1), (512, 32, 0.1)))),
 }
@@ -803,12 +792,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     """
     check_integer("threads", threads, 1)
     experiment = _EXPERIMENTS[config.experiment]
-    keys = [experiment.sweep_key(config, point) for point in config.sweep]
+    keys, values = zip(*[experiment.point(config, point) for point in config.sweep or (None,)])
     if len(set(keys)) < len(keys):
         raise ConfigurationError(f"{config.experiment} sweep repeats a point: {config.sweep!r}")
-    chunks = _run_tasks(experiment.work, experiment.tasks(config), threads)
-    rows, aggregates = experiment.collect(config, keys,
-                                          [outcome for chunk in chunks for outcome in chunk])
+    outcomes = []
+    if experiment.work is not None:
+        chunks = _run_tasks(experiment.work, _chunk_tasks(config, values), threads)
+        outcomes = [outcome for chunk in chunks for outcome in chunk]
+    rows, aggregates = experiment.collect(config, keys, values, outcomes)
     return ExperimentResult(config.experiment, experiment.columns,
                             [TrialRecord(values) for values in rows],
                             aggregates, _config_record(config))

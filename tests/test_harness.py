@@ -306,7 +306,7 @@ def test_census_outcome_depends_only_on_the_class(monkeypatch, tmp_path, fresh_c
     key = _census_key(FrequencyCodes(hops / 3, n_codes=3))
     assert key == _census_key(FrequencyCodes(np.array(other) / 3, n_codes=3))
     cfg = dataclasses.replace(SPARK_TINY, n_trials=2)
-    params = harness._spark_tasks(cfg)[0][3]
+    params = harness._spark_point(cfg, None)[1][0]
     runs = []
     for order in ([first, other], [other, first]):
         fresh_class_census.cache_clear()
@@ -360,7 +360,7 @@ def test_class_census_serves_repeat_discrete_runs(monkeypatch, tmp_path, fresh_c
     first = [p.read_bytes() for p in run_experiment(cfg).write(tmp_path / "first.csv")]
     n_censused = len(calls)
     assert n_censused == fresh_class_census.cache_info().currsize > 4
-    params = harness._spark_tasks(cfg)[0][3]
+    params = harness._spark_point(cfg, None)[1][0]
     assert all(not fresh_class_census(params, _census_key(sample_codes(t, 6, 3)), cfg.eps_svd,
                                       cfg.max_submatrices).hist.flags.writeable
                for t in range(cfg.n_trials))
@@ -729,7 +729,7 @@ def test_loudest_admitted_noise_point_runs_without_warnings():
 
     def admitted(db):
         try:
-            harness._noisy_key(config, db)
+            harness._noisy_point(config, db)
         except ConfigurationError:
             return False
         return True
@@ -802,6 +802,32 @@ def test_worker_count_does_not_change_results():
         pooled = run_experiment(config, threads=2)
         assert serial.to_csv() == pooled.to_csv()
         assert _written(serial.aggregates) == _written(pooled.aggregates)
+
+
+@pytest.mark.parametrize("config", [
+    dataclasses.replace(SPARK_TINY, n_trials=harness._CHUNK + 8),  # two chunks
+    dataclasses.replace(SPARK_TINY, n_trials=harness._CHUNK + 8, code_distribution="continuous"),
+    dataclasses.replace(MIP_TINY, sweep=(0.0, 0.1, 0.5, "continuous")),  # both modes
+    PHASE_TINY,
+    dataclasses.replace(NOISY_TINY, sweep=(0.0, 15.0)),
+], ids=lambda config: f"{config.experiment}-{config.code_distribution}")
+def test_work_reads_each_point_from_its_value_not_the_sweep(fresh_class_census, config):
+    # the chunks run the same on a config whose sweep is gone once the
+    # points are read, in this process and in a pool
+    experiment = harness._EXPERIMENTS[config.experiment]
+    values = [experiment.point(config, point)[1] for point in config.sweep or (None,)]
+    blind = dataclasses.replace(config)
+    object.__setattr__(blind, "sweep", None)
+
+    def outcomes(config, threads):
+        chunks = harness._run_tasks(experiment.work, harness._chunk_tasks(config, values), threads)
+        return [o._replace(hist=o.hist.tolist()) if hasattr(o, "hist") else o
+                for chunk in chunks for o in chunk]
+
+    expected = outcomes(config, 1)
+    assert len(expected) == len(values) * config.n_trials
+    assert outcomes(blind, 1) == expected
+    assert outcomes(blind, 2) == expected
 
 
 def test_master_seed_changes_draws():
