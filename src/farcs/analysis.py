@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, ResourceError, ShapeError, check_array,
-                     check_integer, check_positive, check_real)
+                     check_attributes, check_integer, check_positive, check_real)
 from .sensing import SensingMatrix
 from .signal_model import (TWO_PI, BandwidthMode, FrequencyCodes, RadarParams, _default_rng,
                            pulse_doppler_scalings)
@@ -264,15 +264,16 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
     > 0 (DomainError).
     """
     check_positive("eps_svd", eps_svd, error=DomainError)
-    N, n_cols = phi.shape
+    (N, n_cols), params, codes = check_attributes("a SensingMatrix", phi,
+                                                  "shape", "params", "codes")
     total = math.comb(n_cols, N)
     if total > check_real("max_submatrices", max_submatrices):
         raise ResourceError(
             f"C({n_cols}, {N}) = {total} submatrices exceeds the budget of "
             f"{max_submatrices}; raise max_submatrices to force the enumeration"
         )
-    M, n_codes = phi.params.n_hrr_bins, phi.codes.n_codes
-    periodic = phi.params.mode is BandwidthMode.APPROXIMATE
+    M, n_codes = params.n_hrr_bins, codes.n_codes
+    periodic = params.mode is BandwidthMode.APPROXIMATE
     range_wrap = periodic and n_codes is not None and M % n_codes == 0
     reps, orbit_of = _orbit_table(N, M, periodic, range_wrap)
     gap = _determinant_gap_applies(phi)
@@ -334,11 +335,12 @@ def chi(params: RadarParams, codes: FrequencyCodes, p: float, q: float) -> compl
     for Doppler offset l - N; EXACT mode is not, and its negative Doppler
     offsets are outside the q range accepted here.
     """
-    _validate_on_grid(p, params.n_hrr_bins, "p")
-    _validate_on_grid(q, params.n_pulses, "q")
-    n_scaled = np.arange(params.n_pulses) * pulse_doppler_scalings(params, codes)
-    vals = np.exp(1j * (p * params.n_hrr_bins * codes.codes + q * n_scaled))
-    return complex(vals.sum() / params.n_pulses)
+    M, N = check_attributes("RadarParams", params, "n_hrr_bins", "n_pulses")
+    _validate_on_grid(p, M, "p")
+    _validate_on_grid(q, N, "q")
+    n_scaled = np.arange(N) * pulse_doppler_scalings(params, codes)
+    vals = np.exp(1j * (p * M * codes.codes + q * n_scaled))
+    return complex(vals.sum() / N)
 
 
 @dataclass
@@ -495,17 +497,17 @@ def chi_statistics(params: RadarParams, p: float, q: float, n_trials: int,
     and away from the degenerate all-real offset (pi, pi) the real and
     imaginary parts each carry variance 1/(2N) with zero covariance.
     """
-    if params.n_codes != params.n_hrr_bins:
+    N, M, n_codes = check_attributes("RadarParams", params, "n_pulses", "n_hrr_bins", "n_codes")
+    if n_codes != M:
         raise ConfigurationError(
             "chi statistics are defined for the full-alphabet hop set "
-            f"(n_codes == n_hrr_bins), got n_codes={params.n_codes}"
+            f"(n_codes == n_hrr_bins), got n_codes={n_codes}"
         )
-    m = _validate_on_grid(p, params.n_hrr_bins, "p")
-    _validate_on_grid(q, params.n_pulses, "q")
+    m = _validate_on_grid(p, M, "p")
+    _validate_on_grid(q, N, "q")
     if m == 0:
         raise DomainError("p = 0 makes chi deterministic; pick an off-bin offset")
     n_trials = check_integer("n_trials", n_trials, 2)
-    N, M = params.n_pulses, params.n_hrr_bins
     rng = _default_rng(seed)
     n_phase = q * np.arange(N)
     chi_vals = np.empty(n_trials, dtype=np.complex128)

@@ -4,7 +4,9 @@ The checks here are the package's one definition of a valid number: an
 integer is a non-bool ``numbers.Integral`` (numpy integers included), a
 real a non-bool ``numbers.Real``, and an array of numbers whatever numpy
 converts to the dtype asked for (``check_array``) or reads as numbers
-(``check_numbers``).  Each check returns the value it accepted.
+(``check_numbers``), and an object (parameters, codes, an operator, a
+scene) whatever has the attributes read from it (``check_attributes``).
+Each check returns the value it accepted, or the attributes it read.
 The scalar checks raise the error class they are given, ``ConfigurationError``
 unless the caller passes another (``DomainError`` for data values);
 the array checks read data, so they always raise ``DomainError``.
@@ -82,6 +84,14 @@ def check_positive(name, value, zero_ok=False, error=ConfigurationError):
     if not ok:
         raise error(f"{name} must be a finite number {'>=' if zero_ok else '>'} 0, got {value!r}")
     return value
+
+
+def check_attributes(kind, value, *names) -> tuple:
+    """``value``'s attributes ``names``; a value without one is no ``kind``: ConfigurationError."""
+    try:
+        return tuple([getattr(value, name) for name in names])
+    except AttributeError:
+        raise ConfigurationError(f"expected {kind}, got {type(value).__name__}") from None
 
 
 def check_numbers(name, value):

@@ -35,6 +35,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -146,6 +147,8 @@ class ExperimentConfig:
                 f"code_distribution must be 'discrete' or 'continuous', "
                 f"got {self.code_distribution!r}"
             )
+        if not isinstance(self.solver, SolverSettings):
+            raise ConfigurationError(f"solver must be SolverSettings, got {self.solver!r}")
         check_positive("epsilon_max", self.epsilon_max)
         check_positive("eps_svd", self.eps_svd)
         if self.experiment == "noisy" and self.n_scatterers > self.n_pulses:
@@ -166,7 +169,13 @@ def default_config(experiment: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read a JSON config; keys not in ExperimentConfig are errors."""
+    """Read a JSON config; keys not in ExperimentConfig are errors.
+
+    ``path`` names a file: an integer, which ``open`` would take as a file
+    descriptor, is a ConfigurationError.
+    """
+    if isinstance(path, numbers.Integral):
+        raise ConfigurationError(f"config path must name a file, got {path!r}")
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -786,10 +795,13 @@ _EXPERIMENTS = {
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run any experiment from its config; ``threads > 1`` pools its tasks.
 
-    A bad or repeated sweep point, or a point whose ``RadarParams`` cannot
-    be built, or a ``threads`` that is not an integer >= 1, raises
-    ``ConfigurationError`` before any task runs.
+    A ``config`` that is not an ``ExperimentConfig``, a bad or repeated
+    sweep point, or a point whose ``RadarParams`` cannot be built, or a
+    ``threads`` that is not an integer >= 1, raises ``ConfigurationError``
+    before any task runs.
     """
+    if not isinstance(config, ExperimentConfig):
+        raise ConfigurationError(f"run_experiment takes an ExperimentConfig, got {config!r}")
     check_integer("threads", threads, 1)
     experiment = _EXPERIMENTS[config.experiment]
     keys, values = zip(*[experiment.point(config, point) for point in config.sweep or (None,)])

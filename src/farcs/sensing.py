@@ -23,6 +23,7 @@ from .errors import (
     ResourceError,
     ShapeError,
     UnsupportedModeError,
+    check_attributes,
     check_integer,
 )
 from .signal_model import (
@@ -62,8 +63,8 @@ def build_R(codes: FrequencyCodes, n_hrr_bins: int) -> np.ndarray:
     codes and tables over the entry budget use that formula.
     """
     n_hrr_bins = check_integer("n_hrr_bins", n_hrr_bins, 1)
-    draw = codes.codes if codes.hops is None else codes.hops
-    return _hop_responses(draw, codes.n_codes, n_hrr_bins)
+    values, hops, n_codes = check_attributes("FrequencyCodes", codes, "codes", "hops", "n_codes")
+    return _hop_responses(values if hops is None else hops, n_codes, n_hrr_bins)
 
 
 def _hop_responses(draws: np.ndarray, n_codes: int | None, n_hrr_bins: int) -> np.ndarray:
@@ -119,9 +120,13 @@ def build_D(params: RadarParams, codes: FrequencyCodes) -> np.ndarray:
     D is bit for bit the direct formula's.  Continuous codes, and tables
     over the entry budget, take the direct formula.
     """
-    N = params.n_pulses
-    if codes.n_pulses != N:
-        raise ShapeError(f"codes has {codes.n_pulses} pulses, params expects {N}")
+    try:
+        N, n_code_pulses = params.n_pulses, codes.n_pulses
+    except AttributeError:
+        raise ConfigurationError(f"build_D takes RadarParams and FrequencyCodes, got "
+                                 f"{type(params).__name__} and {type(codes).__name__}") from None
+    if n_code_pulses != N:
+        raise ShapeError(f"codes has {n_code_pulses} pulses, params expects {N}")
     if params.mode is BandwidthMode.APPROXIMATE:
         return _inverse_dft(N)
     if codes.hops is None or codes.n_codes * N * N > _PHASE_TABLE_BUDGET:
@@ -298,11 +303,12 @@ def build_iwr_psi(params: RadarParams) -> np.ndarray:
     APPROXIMATE mode — per-pulse Doppler stretching breaks the Kronecker
     structure.
     """
-    if params.mode is not BandwidthMode.APPROXIMATE:
+    mode, M, N = check_attributes("RadarParams", params, "mode", "n_hrr_bins", "n_pulses")
+    if mode is not BandwidthMode.APPROXIMATE:
         raise UnsupportedModeError(
             "the stepped-frequency dictionary is only defined in APPROXIMATE mode"
         )
-    return np.kron(_inverse_dft(params.n_hrr_bins), _inverse_dft(params.n_pulses))
+    return np.kron(_inverse_dft(M), _inverse_dft(N))
 
 
 def phi_row_sampling_check(phi: SensingMatrix, psi: np.ndarray) -> bool:
@@ -312,11 +318,11 @@ def phi_row_sampling_check(phi: SensingMatrix, psi: np.ndarray) -> bool:
     Requires discrete codes whose offsets M * d_n = M * k_n / M* are
     integers, as every code's are when the hop set size M* equals M.
     """
-    M, N = phi.params.n_hrr_bins, phi.params.n_pulses
+    params, codes = check_attributes("a SensingMatrix", phi, "params", "codes")
+    M, N = params.n_hrr_bins, params.n_pulses
     psi = np.asarray(psi)
     if psi.shape != (M * N, M * N):
         raise ShapeError(f"psi must be ({M * N}, {M * N}), got {psi.shape}")
-    codes = phi.codes
     if not codes.is_discrete or np.any(codes.hops * M % codes.n_codes):
         raise DomainError(
             "row-sampling check needs discrete codes with integer M * d_n "

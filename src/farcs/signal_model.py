@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigurationError, DomainError, ShapeError, check_array, check_integer,
-                     check_numbers, check_positive, check_real)
+from .errors import (ConfigurationError, DomainError, ShapeError, check_array, check_attributes,
+                     check_integer, check_numbers, check_positive, check_real)
 
 TWO_PI = 2.0 * math.pi
 # speed of light in vacuum, m/s: exact by the SI definition of the metre
@@ -251,12 +251,15 @@ def zeta(code, bandwidth_hz, carrier_hz):
 
 def pulse_doppler_scalings(params: RadarParams, codes: FrequencyCodes) -> np.ndarray:
     """zeta_n for every pulse of a code realization, shape (N,)."""
-    if codes.n_pulses != params.n_pulses:
-        raise ShapeError(
-            f"codes has {codes.n_pulses} pulses, params expects {params.n_pulses}"
-        )
+    try:
+        n_pulses, n_code_pulses = params.n_pulses, codes.n_pulses
+    except AttributeError:
+        raise ConfigurationError(f"pulse Doppler scalings take RadarParams and FrequencyCodes, "
+                                 f"got {type(params).__name__} and {type(codes).__name__}") from None
+    if n_code_pulses != n_pulses:
+        raise ShapeError(f"codes has {n_code_pulses} pulses, params expects {n_pulses}")
     if params.mode is BandwidthMode.APPROXIMATE:
-        return np.ones(params.n_pulses)
+        return np.ones(n_pulses)
     return zeta(codes.codes, params.bandwidth_hz, params.carrier_hz)
 
 
@@ -357,9 +360,9 @@ def scene_to_vector(scene: Scene, params: RadarParams) -> np.ndarray:
     ``Scatterer.on_grid`` carry their indices, otherwise the indices are
     recovered from (p, q), within 1e-9 of a cell, and taken mod M and N.
     """
-    M, N = params.n_hrr_bins, params.n_pulses
+    M, N = check_attributes("RadarParams", params, "n_hrr_bins", "n_pulses")
     x = np.zeros(N * M, dtype=np.complex128)
-    for s in scene.scatterers:
+    for s in check_attributes("a Scene", scene, "scatterers")[0]:
         if s.grid is not None:
             m, n = s.grid
             if abs(s.p - TWO_PI * m / M) > 1e-12 or abs(s.q - TWO_PI * n / N) > 1e-12:
@@ -387,7 +390,7 @@ def synthesize_echoes(params: RadarParams, codes: FrequencyCodes, scene: Scene) 
     zetas = pulse_doppler_scalings(params, codes)
     n_idx = np.arange(params.n_pulses)
     y = np.zeros(params.n_pulses, dtype=np.complex128)
-    for s in scene.scatterers:
+    for s in check_attributes("a Scene", scene, "scatterers")[0]:
         phase = s.p * params.n_hrr_bins * codes.codes + s.q * n_idx * zetas
         y += s.amplitude * np.exp(1j * phase)
     return y
@@ -410,11 +413,13 @@ def add_noise(y, sigma2, seed) -> np.ndarray:
 
 
 def _require_physical(params: RadarParams, need_pri: bool):
-    if not params.carrier_hz:
+    carrier_hz, bandwidth_hz, pri_s = check_attributes("RadarParams", params, "carrier_hz",
+                                                       "bandwidth_hz", "pri_s")
+    if not carrier_hz:
         raise ConfigurationError("physical conversion needs carrier_hz")
-    if not params.bandwidth_hz:
+    if not bandwidth_hz:
         raise ConfigurationError("physical conversion needs a positive bandwidth_hz")
-    if need_pri and not params.pri_s:
+    if need_pri and not pri_s:
         raise ConfigurationError("physical conversion needs pri_s")
 
 

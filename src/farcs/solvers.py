@@ -398,9 +398,15 @@ def lasso_block(phis, ys, lams, config: SolverConfig | None = None) -> list[Reco
     returns; the block only changes how many products run at once.
     """
     cfg = _config(config, _LASSO_DEFAULTS)
-    if not phis or not len(phis) == len(ys) == len(lams):
-        raise ShapeError(f"a lasso block needs as many operators ({len(phis)}) as "
-                         f"measurements ({len(ys)}) and lambdas ({len(lams)}), at least one")
+    try:
+        n_phis, n_ys, n_lams = len(phis), len(ys), len(lams)
+    except TypeError:
+        raise ShapeError(f"a lasso block takes sequences of operators, measurements and "
+                         f"lambdas, got {type(phis).__name__}, {type(ys).__name__} and "
+                         f"{type(lams).__name__}") from None
+    if not n_phis or not n_phis == n_ys == n_lams:
+        raise ShapeError(f"a lasso block needs as many operators ({n_phis}) as "
+                         f"measurements ({n_ys}) and lambdas ({n_lams}), at least one")
     for lam_i in lams:
         check_positive("lam", lam_i, zero_ok=True)
     lam = np.array(lams, dtype=np.float64)

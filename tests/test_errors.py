@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from farcs import (
+    ExperimentConfig,
     FrequencyCodes,
     RadarParams,
     Scatterer,
     Scene,
     add_noise,
     basis_pursuit,
+    build_D,
+    build_iwr_psi,
     build_phi,
+    build_R,
     chi,
     chi_statistics,
     coherence,
@@ -20,12 +24,17 @@ from farcs import (
     flat_grid_index,
     from_physical,
     lasso,
+    lasso_block,
+    load_config,
     matched_filter,
     omp,
     phi_row_sampling_check,
+    run_experiment,
     sample_codes,
+    scene_to_vector,
     spark_enumeration,
     subspace_pursuit,
+    synthesize_echoes,
     to_physical,
     zeta,
 )
@@ -39,6 +48,7 @@ from farcs.errors import (
     check_positive,
     check_real,
 )
+from farcs.signal_model import pulse_doppler_scalings
 
 
 @pytest.mark.parametrize("check,args", [(check_integer, (1,)), (check_real, ()),
@@ -142,6 +152,44 @@ _UNTYPED_BEFORE = [
     ("Scene-not-a-sequence", lambda: Scene(5), ConfigurationError),
     ("build_phi-params", lambda: build_phi("abc", _CODES), ConfigurationError),
     ("build_phi-codes", lambda: build_phi(_PARAMS, "abc"), ConfigurationError),
+    # parameters, codes, operators and scenes of the wrong type
+    ("spark_enumeration-phi", lambda: spark_enumeration("x"), ConfigurationError),
+    ("chi-params", lambda: chi("x", _CODES, 0, 0), ConfigurationError),
+    ("chi-codes", lambda: chi(_PARAMS, "x", 0, 0), ConfigurationError),
+    ("chi_statistics-params", lambda: chi_statistics("x", math.pi / 2, 0.0, 10),
+     ConfigurationError),
+    ("build_R-codes", lambda: build_R("x", 3), ConfigurationError),
+    ("build_D-params", lambda: build_D("x", _CODES), ConfigurationError),
+    ("build_D-codes", lambda: build_D(_PARAMS, "x"), ConfigurationError),
+    ("pulse_doppler_scalings-params", lambda: pulse_doppler_scalings("x", _CODES),
+     ConfigurationError),
+    ("pulse_doppler_scalings-codes", lambda: pulse_doppler_scalings(_PARAMS, "x"),
+     ConfigurationError),
+    ("scene_to_vector-scene", lambda: scene_to_vector("x", _PARAMS), ConfigurationError),
+    ("scene_to_vector-params", lambda: scene_to_vector(Scene(()), "x"), ConfigurationError),
+    ("synthesize_echoes-params", lambda: synthesize_echoes("x", _CODES, Scene(())),
+     ConfigurationError),
+    ("synthesize_echoes-codes", lambda: synthesize_echoes(_PARAMS, "x", Scene(())),
+     ConfigurationError),
+    ("synthesize_echoes-scene", lambda: synthesize_echoes(_PARAMS, _CODES, "x"),
+     ConfigurationError),
+    ("to_physical-params", lambda: to_physical(0, 0, 1, "x"), ConfigurationError),
+    ("from_physical-params", lambda: from_physical(0, 0, "x"), ConfigurationError),
+    ("phi_row_sampling_check-phi",
+     lambda: phi_row_sampling_check("x", build_iwr_psi(_PARAMS)), ConfigurationError),
+    ("build_iwr_psi-params", lambda: build_iwr_psi("x"), ConfigurationError),
+    ("lasso_block-phis", lambda: lasso_block(None, [], []), ShapeError),
+    ("lasso_block-lams", lambda: lasso_block([_PHI], [_Y], None), ShapeError),
+    # driver inputs; the spark config used to census every trial and then fail
+    ("ExperimentConfig-solver-spark",
+     lambda: ExperimentConfig(experiment="spark", solver={"bp_max_iter": 5}), ConfigurationError),
+    ("ExperimentConfig-solver-noisy",
+     lambda: ExperimentConfig(experiment="noisy", sweep=(0.0,), solver={"bp_max_iter": 5}),
+     ConfigurationError),
+    ("run_experiment-config", lambda: run_experiment("x"), ConfigurationError),
+    # open() would take an integer as a file descriptor (0 would read standard input)
+    *((f"load_config-{path!r}", lambda path=path: load_config(path), ConfigurationError)
+      for path in (999_999, np.int64(999_999), True)),
 ]
 
 
