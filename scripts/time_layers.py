@@ -31,6 +31,12 @@ line of times in microseconds:
   already kept), divided by 32: the draw, the class key and the cache read;
 - ``census_miss``: one census of a class at N=6, M=M*=3,
   ``spark_enumeration(build_phi(...))``, which a trial of a new class runs;
+- ``census_round_random``/``census_round_probe``: one warm round of the
+  benchmark's ``census-random`` (10 trials, master seed fixed at
+  ``CENSUS_SEED``) or ``census-probe`` config (1 trial, its own seed):
+  ``run_experiment`` with every class already censused, then ``to_csv()``
+  and ``to_json()`` of the result, the per-run cost that the ``census``
+  workload's ``trials_per_s`` mostly measures;
 - ``sample_codes_6_3``: one ``sample_codes(seed, 6, 3)`` call on an int
   seed, the draw of a default ``spark`` trial, and ``build_phi_exact``: one
   ``build_phi`` at N=64, M=M*=16 in EXACT mode at B/f_c = 0.5, its Doppler
@@ -55,6 +61,7 @@ imported.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -64,13 +71,14 @@ from pathlib import Path
 
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 os.environ.update(PINNED)  # before numpy loads BLAS
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
 from farcs import (RadarParams, SolverConfig, add_noise, basis_pursuit, build_phi,  # noqa: E402
-                   coherence, default_config, harness, lasso_block, run_experiment,
-                   sample_codes, spark_enumeration)
+                   coherence, default_config, harness, lasso_block, load_config,
+                   run_experiment, sample_codes, spark_enumeration)
 from farcs.analysis import _dft_coherence  # noqa: E402
 from farcs.sensing import _fft_matvec, _fft_rmatvec, _hop_responses  # noqa: E402
 
@@ -80,6 +88,7 @@ STACK_ROWS = 15
 LASSO_ROWS = (1, 15, 200)
 SHORT, LONG = 20, 120
 REPEATS = 7
+CENSUS_SEED = 8_101  # the census-random master seed of scripts/output_hashes.py
 NEVER = 1e-300  # a relative objective change this small only comes from an exact fixed point
 
 
@@ -168,6 +177,23 @@ def _census_us() -> dict:
     }
 
 
+def _census_round_us() -> dict:
+    """One warm round of each census config of the benchmark, its result's text included."""
+    us = {}
+    for name in ("random", "probe"):
+        config = load_config(ROOT / "perfbench" / "configs" / f"census-{name}.json")
+        if name == "random":  # the benchmark draws a new seed each round
+            config = dataclasses.replace(config, master_seed=CENSUS_SEED)
+
+        def round_(_, config=config):
+            result = run_experiment(config)
+            return result.to_csv(), result.to_json()
+
+        round_(None)  # every class of the round's draws is censused once here
+        us[f"census_round_{name}"] = _per_call_us(round_, None, calls=100)
+    return us
+
+
 def _entry_us() -> dict:
     """One code draw of a spark trial, and one EXACT-mode operator of a mip trial."""
     params = RadarParams.abstract(N_PULSES, MIP_HRR_BINS, relative_bandwidth=EXACT_BANDWIDTH)
@@ -221,6 +247,7 @@ def main() -> int:
     us["bp_solve_3_fixed"] = us["bp_solve_3"] - solve.iterations * us["admm_iteration"]
     us.update(_coherence_us())
     us.update(_census_us())
+    us.update(_census_round_us())
     us.update(_entry_us())
     us.update(_output_us())
     print(json.dumps({"us": {name: round(value, 2) for name, value in us.items()},

@@ -251,11 +251,8 @@ def zeta(code, bandwidth_hz, carrier_hz):
 
 def pulse_doppler_scalings(params: RadarParams, codes: FrequencyCodes) -> np.ndarray:
     """zeta_n for every pulse of a code realization, shape (N,)."""
-    try:
-        n_pulses, n_code_pulses = params.n_pulses, codes.n_pulses
-    except AttributeError:
-        raise ConfigurationError(f"pulse Doppler scalings take RadarParams and FrequencyCodes, "
-                                 f"got {type(params).__name__} and {type(codes).__name__}") from None
+    n_pulses = check_attributes("RadarParams", params, "n_pulses")[0]
+    n_code_pulses = check_attributes("FrequencyCodes", codes, "n_pulses")[0]
     if n_code_pulses != n_pulses:
         raise ShapeError(f"codes has {n_code_pulses} pulses, params expects {n_pulses}")
     if params.mode is BandwidthMode.APPROXIMATE:
