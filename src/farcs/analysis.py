@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (ConfigurationError, DomainError, ResourceError, ShapeError, check_array,
                      check_attributes, check_integer, check_positive, check_real)
 from .sensing import SensingMatrix
-from .signal_model import (TWO_PI, BandwidthMode, FrequencyCodes, RadarParams, _default_rng,
+from .signal_model import (BandwidthMode, FrequencyCodes, RadarParams, _default_rng, _phase_cell,
                            pulse_doppler_scalings)
 
 
@@ -313,17 +313,6 @@ def spark_enumeration(phi: SensingMatrix, eps_svd: float = 1e-15,
     )
 
 
-def _validate_on_grid(value, size, name):
-    """The index k in [0, size) of an on-grid phase value = 2*pi*k/size."""
-    if not 0.0 <= check_real(name, value, DomainError) < TWO_PI:
-        raise DomainError(f"{name}={value} outside [0, 2*pi)")
-    step = TWO_PI / size
-    ratio = value / step
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise DomainError(f"{name}={value} is not a multiple of {step}")
-    return int(round(ratio)) % size  # a value just under 2*pi is index 0
-
-
 def chi(params: RadarParams, codes: FrequencyCodes, p: float, q: float) -> complex:
     """Normalized cross-correlation of two sensing columns separated by (p, q).
 
@@ -336,8 +325,8 @@ def chi(params: RadarParams, codes: FrequencyCodes, p: float, q: float) -> compl
     offsets are outside the q range accepted here.
     """
     M, N = check_attributes("RadarParams", params, "n_hrr_bins", "n_pulses")
-    _validate_on_grid(p, M, "p")
-    _validate_on_grid(q, N, "q")
+    _phase_cell(p, M, "p")
+    _phase_cell(q, N, "q")
     n_scaled = np.arange(N) * pulse_doppler_scalings(params, codes)
     vals = np.exp(1j * (p * M * codes.codes + q * n_scaled))
     return complex(vals.sum() / N)
@@ -503,8 +492,8 @@ def chi_statistics(params: RadarParams, p: float, q: float, n_trials: int,
             "chi statistics are defined for the full-alphabet hop set "
             f"(n_codes == n_hrr_bins), got n_codes={n_codes}"
         )
-    m = _validate_on_grid(p, M, "p")
-    _validate_on_grid(q, N, "q")
+    m = _phase_cell(p, M, "p")
+    _phase_cell(q, N, "q")
     if m == 0:
         raise DomainError("p = 0 makes chi deterministic; pick an off-bin offset")
     n_trials = check_integer("n_trials", n_trials, 2)

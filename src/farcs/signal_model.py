@@ -275,28 +275,20 @@ class Scatterer:
     """One point scatterer in phase coordinates.
 
     ``amplitude`` is a finite number; ``p`` and ``q`` are the range and
-    Doppler phases in [0, 2*pi); ``grid`` optionally records the integer
-    grid cell (m, n) with p = 2*pi*m/M and q = 2*pi*n/N.  Anything else is
-    a DomainError.
+    Doppler phases in [0, 2*pi).  Anything else is a DomainError.  An
+    on-grid scatterer's cell (m, n) follows from its phases,
+    p = 2*pi*m/M and q = 2*pi*n/N.
     """
 
     amplitude: complex
     p: float
     q: float
-    grid: tuple[int, int] | None = None
 
     def __post_init__(self):
         _amplitude(self.amplitude)
         for name, val in (("p", self.p), ("q", self.q)):
             if not 0.0 <= check_real(name, val, DomainError) < TWO_PI:
                 raise DomainError(f"{name}={val} outside [0, 2*pi)")
-        if self.grid is not None:
-            try:
-                m, n = self.grid
-            except (TypeError, ValueError):
-                raise DomainError(f"grid must be an (m, n) pair, got {self.grid!r}") from None
-            check_integer("m", m, 0, DomainError)
-            check_integer("n", n, 0, DomainError)
 
     @classmethod
     def on_grid(cls, m, n, params: RadarParams, amplitude=1.0 + 0.0j) -> "Scatterer":
@@ -310,7 +302,6 @@ class Scatterer:
             amplitude=_amplitude(amplitude),
             p=TWO_PI * m / params.n_hrr_bins,
             q=TWO_PI * n / params.n_pulses,
-            grid=(m, n),
         )
 
 
@@ -350,31 +341,27 @@ def flat_grid_index(hrr_idx, doppler_idx, n_pulses) -> int:
     return doppler_idx + hrr_idx * n_pulses
 
 
+def _phase_cell(value, size, name) -> int:
+    """The cell k in [0, size) of an on-grid phase value = 2*pi*k/size, else DomainError."""
+    if not 0.0 <= check_real(name, value, DomainError) < TWO_PI:
+        raise DomainError(f"{name}={value} outside [0, 2*pi)")
+    step = TWO_PI / size
+    ratio = value / step
+    if abs(ratio - round(ratio)) > 1e-9:
+        raise DomainError(f"{name}={value} is not a multiple of {step}")
+    return int(round(ratio)) % size  # a value just under 2*pi is index 0
+
+
 def scene_to_vector(scene: Scene, params: RadarParams) -> np.ndarray:
     """Vectorize an on-grid scene into the length-N*M coefficient vector.
 
-    Every scatterer must sit on the (m, n) grid; scatterers constructed via
-    ``Scatterer.on_grid`` carry their indices, otherwise the indices are
-    recovered from (p, q), within 1e-9 of a cell, and taken mod M and N.
+    Each scatterer's cell (m, n) is read from its phases (p, q), which must
+    lie within 1e-9 of a cell (``_phase_cell``), else DomainError.
     """
     M, N = check_attributes("RadarParams", params, "n_hrr_bins", "n_pulses")
     x = np.zeros(N * M, dtype=np.complex128)
     for s in check_attributes("a Scene", scene, "scatterers")[0]:
-        if s.grid is not None:
-            m, n = s.grid
-            if abs(s.p - TWO_PI * m / M) > 1e-12 or abs(s.q - TWO_PI * n / N) > 1e-12:
-                raise DomainError(
-                    f"scatterer grid {s.grid} inconsistent with (p, q)=({s.p}, {s.q})"
-                )
-        else:
-            m = s.p * M / TWO_PI
-            n = s.q * N / TWO_PI
-            if abs(m - round(m)) > 1e-9 or abs(n - round(n)) > 1e-9:
-                raise DomainError(f"scatterer at (p, q)=({s.p}, {s.q}) is off-grid")
-            m, n = int(round(m)) % M, int(round(n)) % N
-        if not 0 <= m < M:
-            raise DomainError(f"grid index m={m} outside [0, {M})")
-        x[flat_grid_index(m, n, N)] += s.amplitude
+        x[flat_grid_index(_phase_cell(s.p, M, "p"), _phase_cell(s.q, N, "q"), N)] += s.amplitude
     return x
 
 

@@ -288,7 +288,6 @@ def test_scatterer_on_grid():
     s = Scatterer.on_grid(3, 5, params, amplitude=2j)
     assert_allclose(s.p, 2 * math.pi * 3 / 4)
     assert_allclose(s.q, 2 * math.pi * 5 / 8)
-    assert s.grid == (3, 5)
     with pytest.raises(DomainError):
         Scatterer.on_grid(4, 0, params)
 
@@ -304,21 +303,10 @@ def test_grid_indices_must_be_integers():
             flat_grid_index(bad, 2, 8)
         with pytest.raises(DomainError, match="must be an integer >= 0"):
             flat_grid_index(2, bad, 8)
-        with pytest.raises(DomainError, match="must be an integer >= 0"):
-            Scatterer(1.0, 0.0, 0.0, grid=(bad, 1))
-        with pytest.raises(DomainError, match="must be an integer >= 0"):
-            Scatterer(1.0, 0.0, 0.0, grid=(0, bad))
     # numpy integers are integers
     s = Scatterer.on_grid(np.int64(3), np.uint8(5), params)
-    assert s.grid == (3, 5) and all(type(i) is int for i in s.grid)
+    assert s == Scatterer.on_grid(3, 5, params)
     assert flat_grid_index(np.int32(2), np.int64(3), 8) == 3 + 2 * 8
-    assert Scatterer(1.0, 0.0, 0.0, grid=(np.int64(0), np.int64(0))).grid == (0, 0)
-
-
-@pytest.mark.parametrize("grid", [(1,), (1, 2, 3), 5, (), "1"])
-def test_scatterer_grid_must_be_a_pair(grid):
-    with pytest.raises(DomainError, match=r"grid must be an \(m, n\) pair"):
-        Scatterer(1.0, 0.0, 0.0, grid=grid)
 
 
 @pytest.mark.parametrize("amplitude", [complex(math.nan), math.nan, complex(0.0, math.inf),
@@ -390,11 +378,22 @@ def test_scene_to_vector_rejects_off_grid():
         scene_to_vector(Scene((Scatterer(1.0, 0.1234, 0.0),)), params)
 
 
-def test_scene_to_vector_rejects_inconsistent_grid_tag():
-    params = RadarParams.abstract(8, 4)
-    bad = Scatterer(1.0, 2 * math.pi * 1 / 4, 0.0, grid=(2, 0))
-    with pytest.raises(DomainError):
-        scene_to_vector(Scene((bad,)), params)
+@pytest.mark.parametrize("n_pulses,n_hrr_bins", [(8, 4), (64, 16), (1024, 1000), (1024, 1024)])
+def test_on_grid_cells_come_back_through_their_phases(n_pulses, n_hrr_bins):
+    # a scatterer is its phases: scene_to_vector finds each on_grid cell from (p, q)
+    params = RadarParams.abstract(n_pulses, n_hrr_bins)
+    if n_pulses * n_hrr_bins <= 4096:
+        cells = {(m, n) for m in range(n_hrr_bins) for n in range(n_pulses)}
+    else:  # every range bin, every Doppler bin, and both edges of each
+        cells = {(m, n) for m in range(n_hrr_bins) for n in (0, n_pulses - 1)}
+        cells |= {(m, n) for n in range(n_pulses) for m in (0, n_hrr_bins - 1)}
+    cells = sorted(cells)
+    scene = Scene(tuple(Scatterer.on_grid(m, n, params, amplitude=i + 1)
+                        for i, (m, n) in enumerate(cells)))
+    x = scene_to_vector(scene, params)
+    flat = [flat_grid_index(m, n, n_pulses) for m, n in cells]
+    assert x[flat].tolist() == [i + 1 for i in range(len(cells))]
+    assert np.count_nonzero(x) == len(cells)
 
 
 # --- echo synthesis --------------------------------------------------------------
