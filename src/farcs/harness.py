@@ -35,7 +35,7 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
+import os
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -171,11 +171,14 @@ def default_config(experiment: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Read a JSON config; keys not in ExperimentConfig are errors.
 
-    ``path`` names a file: an integer, which ``open`` would take as a file
-    descriptor, is a ConfigurationError.
+    ``path`` names a file (str, bytes or ``os.PathLike``): anything else,
+    an integer that ``open`` would take as a file descriptor included, is a
+    ConfigurationError.
     """
-    if isinstance(path, numbers.Integral):
-        raise ConfigurationError(f"config path must name a file, got {path!r}")
+    try:
+        path = os.fspath(path)
+    except TypeError:
+        raise ConfigurationError(f"config path must name a file, got {path!r}") from None
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -239,11 +242,15 @@ class ExperimentResult:
     def write(self, out_path) -> tuple[Path, Path]:
         """Write the CSV and its JSON sidecar; returns both paths.
 
+        ``out_path`` is a str or ``os.PathLike``, else ConfigurationError.
         The CSV holds ``to_csv()``.  The sidecar holds ``to_json()``: exactly
         the text ``json.dumps(payload, sort_keys=True, indent=2)`` writes,
         numpy values taken as their ``.tolist()``, and a newline.
         """
-        path = Path(out_path)
+        try:
+            path = Path(out_path)
+        except TypeError:
+            raise ConfigurationError(f"output path must name a file, got {out_path!r}") from None
         if path.parent != Path(""):
             path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.to_csv())

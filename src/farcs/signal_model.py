@@ -293,16 +293,13 @@ class Scatterer:
     @classmethod
     def on_grid(cls, m, n, params: RadarParams, amplitude=1.0 + 0.0j) -> "Scatterer":
         """Scatterer sitting exactly on grid cell (m, n)."""
+        M, N = check_attributes("RadarParams", params, "n_hrr_bins", "n_pulses")
         m, n = check_integer("m", m, 0, DomainError), check_integer("n", n, 0, DomainError)
-        if m >= params.n_hrr_bins:
-            raise DomainError(f"m={m} outside [0, {params.n_hrr_bins})")
-        if n >= params.n_pulses:
-            raise DomainError(f"n={n} outside [0, {params.n_pulses})")
-        return cls(
-            amplitude=_amplitude(amplitude),
-            p=TWO_PI * m / params.n_hrr_bins,
-            q=TWO_PI * n / params.n_pulses,
-        )
+        if m >= M:
+            raise DomainError(f"m={m} outside [0, {M})")
+        if n >= N:
+            raise DomainError(f"n={n} outside [0, {N})")
+        return cls(amplitude=_amplitude(amplitude), p=TWO_PI * m / M, q=TWO_PI * n / N)
 
 
 @dataclass(frozen=True)
@@ -396,14 +393,14 @@ def add_noise(y, sigma2, seed) -> np.ndarray:
     return y + scale * noise
 
 
-def _require_physical(params: RadarParams, need_pri: bool):
+def _require_physical(params: RadarParams):
     carrier_hz, bandwidth_hz, pri_s = check_attributes("RadarParams", params, "carrier_hz",
                                                        "bandwidth_hz", "pri_s")
     if not carrier_hz:
         raise ConfigurationError("physical conversion needs carrier_hz")
     if not bandwidth_hz:
         raise ConfigurationError("physical conversion needs a positive bandwidth_hz")
-    if need_pri and not pri_s:
+    if not pri_s:
         raise ConfigurationError("physical conversion needs pri_s")
 
 
@@ -415,7 +412,7 @@ def to_physical(p, q, amplitude, params: RadarParams):
     the map is the exact inverse of ``from_physical``.  Each argument is a
     number or an array of numbers, else DomainError.
     """
-    _require_physical(params, need_pri=True)
+    _require_physical(params)
     check_numbers("p", p)
     check_numbers("q", q)
     rng_m = -params.n_hrr_bins * _SPEED_OF_LIGHT * p / (4.0 * math.pi * params.bandwidth_hz)
@@ -431,7 +428,7 @@ def from_physical(range_m, velocity_mps, params: RadarParams):
     ``Scatterer`` if needed.  Each argument is a number or an array of
     numbers, else DomainError.
     """
-    _require_physical(params, need_pri=True)
+    _require_physical(params)
     check_numbers("range_m", range_m)
     check_numbers("velocity_mps", velocity_mps)
     p = -4.0 * math.pi * params.bandwidth_hz * range_m / (params.n_hrr_bins * _SPEED_OF_LIGHT)

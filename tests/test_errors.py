@@ -7,6 +7,7 @@ import pytest
 
 from farcs import (
     ExperimentConfig,
+    ExperimentResult,
     FrequencyCodes,
     RadarParams,
     Scatterer,
@@ -109,6 +110,7 @@ _PHI = build_phi(_PARAMS, _CODES)
 _Y = _PHI.columns(3) * (1.0 + 0.0j)
 _PHYSICAL = RadarParams(n_pulses=8, n_hrr_bins=4, carrier_hz=9e9, bandwidth_hz=4e6, pri_s=1e-3)
 _SPARK_PHI = build_phi(RadarParams.abstract(6, 3), sample_codes(0, 6, 3))
+_RESULT = ExperimentResult("bounds", ("a",), [], {}, {})
 
 # each call raised a bare TypeError, ValueError or AttributeError before the
 # checks were shared
@@ -155,6 +157,9 @@ _UNTYPED_BEFORE = [
     # parameters, codes, operators and scenes of the wrong type
     ("spark_enumeration-phi", lambda: spark_enumeration("x"), ConfigurationError),
     ("chi-params", lambda: chi("x", _CODES, 0, 0), ConfigurationError),
+    ("Scatterer.on_grid-params-str", lambda: Scatterer.on_grid(0, 0, "x"), ConfigurationError),
+    ("Scatterer.on_grid-params-None", lambda: Scatterer.on_grid(0, 0, None),
+     ConfigurationError),
     ("chi-codes", lambda: chi(_PARAMS, "x", 0, 0), ConfigurationError),
     ("chi_statistics-params", lambda: chi_statistics("x", math.pi / 2, 0.0, 10),
      ConfigurationError),
@@ -190,6 +195,11 @@ _UNTYPED_BEFORE = [
     # open() would take an integer as a file descriptor (0 would read standard input)
     *((f"load_config-{path!r}", lambda path=path: load_config(path), ConfigurationError)
       for path in (999_999, np.int64(999_999), True)),
+    # paths that are neither str, bytes nor os.PathLike
+    *((f"load_config-{path!r}", lambda path=path: load_config(path), ConfigurationError)
+      for path in (None, 1.5, ["a.json"])),
+    *((f"ExperimentResult.write-{path!r}", lambda path=path: _RESULT.write(path),
+       ConfigurationError) for path in (None, 5)),
 ]
 
 

@@ -179,6 +179,31 @@ def test_phase_tables_are_cached_read_only_and_bounded():
     assert _exact_doppler_table.cache_info().misses == misses
 
 
+@pytest.mark.parametrize("n_pulses, n_hrr_bins, n_codes, relative_bandwidth",
+                         [(64, 16, 16, 0.5), (64, 8, 12, 0.1), (16, 4, 4, 0.0), (64, 16, 16, 0.0)])
+def test_phase_table_fallbacks_equal_the_tables(monkeypatch, n_pulses, n_hrr_bins, n_codes,
+                                                relative_bandwidth):
+    # over the entry budget R, D and a hop-response stack take the direct
+    # formulas, bit for bit the rows the cached tables hold
+    params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes,
+                                  relative_bandwidth=relative_bandwidth)
+    draws = [sample_codes(seed, n_pulses, n_codes) for seed in range(5)]
+    hops = np.array([codes.hops for codes in draws])
+    tabled = [(build_R(codes, n_hrr_bins), build_D(params, codes)) for codes in draws]
+    stack = _hop_responses(hops, n_codes, n_hrr_bins)
+
+    def no_table(*args):
+        raise AssertionError("a phase table was read over the budget")
+
+    monkeypatch.setattr(sensing, "_PHASE_TABLE_BUDGET", 0)
+    monkeypatch.setattr(sensing, "_hop_table", no_table)
+    monkeypatch.setattr(sensing, "_exact_doppler_table", no_table)
+    for codes, (R, D) in zip(draws, tabled):
+        assert build_R(codes, n_hrr_bins).tobytes() == R.tobytes()
+        assert build_D(params, codes).tobytes() == D.tobytes()
+    assert _hop_responses(hops, n_codes, n_hrr_bins).tobytes() == stack.tobytes()
+
+
 # --- sensing matrix ---------------------------------------------------------------
 
 def test_phi_shape_and_column_norms():

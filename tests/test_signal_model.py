@@ -530,3 +530,9 @@ def test_physical_mapping_needs_fields():
         to_physical(0.1, 0.1, 1.0, bare)
     with pytest.raises(ConfigurationError):
         from_physical(1.0, 1.0, bare)
+    # a carrier and a bandwidth, but no pulse repetition interval
+    no_pri = RadarParams(n_pulses=8, n_hrr_bins=4, carrier_hz=9e9, bandwidth_hz=4e6)
+    with pytest.raises(ConfigurationError, match="needs pri_s"):
+        to_physical(0.1, 0.1, 1.0, no_pri)
+    with pytest.raises(ConfigurationError, match="needs pri_s"):
+        from_physical(1.0, 1.0, no_pri)
