@@ -37,6 +37,10 @@ line of times in microseconds:
   ``run_experiment`` with every class already censused, then ``to_csv()``
   and ``to_json()`` of the result, the per-run cost that the ``census``
   workload's ``trials_per_s`` mostly measures;
+- ``census_round_write_random``: the same ``census-random`` round with
+  ``ExperimentResult.write`` in place of the two texts, each round's CSV and
+  sidecar new files in one temporary directory, as the benchmark's round
+  clock covers them;
 - ``sample_codes_6_3``: one ``sample_codes(seed, 6, 3)`` call on an int
   seed, the draw of a default ``spark`` trial, and ``build_phi_exact``: one
   ``build_phi`` at N=64, M=M*=16 in EXACT mode at B/f_c = 0.5, its Doppler
@@ -63,9 +67,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -177,20 +183,33 @@ def _census_us() -> dict:
     }
 
 
+def _census_config(name: str):
+    """The benchmark's ``census-<name>`` config; the random one at master seed ``CENSUS_SEED``."""
+    config = load_config(ROOT / "perfbench" / "configs" / f"census-{name}.json")
+    if name == "random":  # the benchmark draws a new seed each round
+        config = dataclasses.replace(config, master_seed=CENSUS_SEED)
+    return config
+
+
 def _census_round_us() -> dict:
-    """One warm round of each census config of the benchmark, its result's text included."""
+    """One warm round of each census config of the benchmark, its result's text included.
+
+    The ``census-random`` round is also timed with its two files written.
+    """
     us = {}
     for name in ("random", "probe"):
-        config = load_config(ROOT / "perfbench" / "configs" / f"census-{name}.json")
-        if name == "random":  # the benchmark draws a new seed each round
-            config = dataclasses.replace(config, master_seed=CENSUS_SEED)
-
-        def round_(_, config=config):
+        def round_(_, config=_census_config(name)):
             result = run_experiment(config)
             return result.to_csv(), result.to_json()
 
         round_(None)  # every class of the round's draws is censused once here
         us[f"census_round_{name}"] = _per_call_us(round_, None, calls=100)
+    config = _census_config("random")
+    with tempfile.TemporaryDirectory() as out_dir:
+        # new files each round, as the benchmark writes them
+        paths = (Path(out_dir) / f"r{r}.csv" for r in itertools.count())
+        us["census_round_write_random"] = _per_call_us(
+            lambda _: run_experiment(config).write(next(paths)), None, calls=100)
     return us
 
 

@@ -44,7 +44,6 @@ from .analysis import (
     coherence,
     l0_limit,
     max_recoverable_K,
-    min_singular_normalized,
     rayleigh_tail_bound,
     spark_enumeration,
     union_bound,

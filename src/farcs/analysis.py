@@ -27,19 +27,6 @@ from .signal_model import (BandwidthMode, FrequencyCodes, RadarParams, _default_
                            pulse_doppler_scalings)
 
 
-def min_singular_normalized(submatrix: np.ndarray) -> float:
-    """Smallest singular value of a square submatrix, divided by sqrt(N).
-
-    The normalization makes 1 the scale of a perfectly conditioned submatrix,
-    since every sensing column has norm sqrt(N).
-    """
-    submatrix = np.asarray(submatrix)
-    if submatrix.ndim != 2 or submatrix.shape[0] != submatrix.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {submatrix.shape}")
-    s = np.linalg.svd(submatrix, compute_uv=False)
-    return float(s[-1]) / math.sqrt(submatrix.shape[0])
-
-
 # bins 0.02 wide centred on 0, 0.02, ..., 1.2: sigma = 1 (orthogonal columns)
 # sits in the middle of a bin, so rounding cannot move it across an edge
 SIGMA_HIST_EDGES = np.linspace(-0.01, 1.21, 62)

@@ -230,7 +230,12 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        """The sidecar text of ``write``."""
+        """The sidecar text of ``write``, from ``_json_text``.
+
+        The text of a read-only 1-D numeric array, such as the histogram
+        edges or the ``mip`` union-bound curves, comes from a per-process
+        cache keyed by the array's content, so it is encoded once.
+        """
         payload = {
             "experiment": self.experiment,
             "columns": list(self.columns),
@@ -245,15 +250,22 @@ class ExperimentResult:
         ``out_path`` is a str or ``os.PathLike``, else ConfigurationError.
         The CSV holds ``to_csv()``.  The sidecar holds ``to_json()``: exactly
         the text ``json.dumps(payload, sort_keys=True, indent=2)`` writes,
-        numpy values taken as their ``.tolist()``, and a newline.
+        numpy values taken as their ``.tolist()``, and a newline.  The CSV
+        is written first; only if that raises ``FileNotFoundError`` are the
+        missing parent directories made and the write tried again.  Any
+        other ``OSError`` (a parent that is a regular file raises
+        ``NotADirectoryError``) propagates.
         """
         try:
             path = Path(out_path)
         except TypeError:
             raise ConfigurationError(f"output path must name a file, got {out_path!r}") from None
-        if path.parent != Path(""):
+        csv_text = self.to_csv()
+        try:
+            path.write_text(csv_text)
+        except FileNotFoundError:  # the directory is made only when it is missing
             path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_csv())
+            path.write_text(csv_text)
         sidecar = path.with_suffix(".json") if path.suffix == ".csv" \
             else Path(str(path) + ".json")
         sidecar.write_text(self.to_json())
@@ -293,20 +305,40 @@ def _json_text(obj, pad: str = "\n") -> str:
     1-D int or float array is written in one join of its elements' reprs,
     which is the text json writes for them; anything json cannot write is a
     ``TypeError``.  It stands in for the pure-Python encoder that json
-    falls back to whenever it indents (CPython 3.10 to 3.12).
+    falls back to whenever it indents (CPython 3.10 to 3.12).  The text of
+    a read-only 1-D int or float array of at most ``_MEMO_MAX_SIZE``
+    entries is kept per (dtype, bytes, pad) in a small cache, so a constant
+    such as ``SIGMA_HIST_EDGES`` is encoded once per process.
     """
-    if isinstance(obj, str):
+    kind = type(obj)  # a payload is mostly strings, floats, ints and containers: tested exactly
+    if kind is str:
         return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
+    if kind is float:
         return _json_float(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is not dict and kind is not list and kind is not tuple:
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, float):
+            return _json_float(obj)
+        if isinstance(obj, np.ndarray):
+            if (not obj.flags.writeable and obj.ndim == 1 and obj.size <= _MEMO_MAX_SIZE
+                    and obj.dtype.kind in "iuf"):
+                return _memo_array_text(obj.dtype.str, obj.tobytes(), pad)
+            return _array_text(obj, pad)
+        if isinstance(obj, np.generic):
+            return _json_text(obj.tolist(), pad)
+        if not isinstance(obj, (dict, list, tuple)):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -314,16 +346,27 @@ def _json_text(obj, pad: str = "\n") -> str:
         return ("{" + inner + ("," + inner).join(
             f"{_json_key(key)}: {_json_text(value, inner)}" for key, value in sorted(obj.items()))
             + pad + "}")
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + pad + "]"
-    if (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size and obj.dtype.kind in "iuf"
-            and (obj.dtype.kind != "f" or np.isfinite(obj).all())):
-        return "[" + inner + ("," + inner).join(map(repr, obj.tolist())) + pad + "]"
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return _json_text(obj.tolist(), pad)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return "[]"
+    return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + pad + "]"
+
+
+def _array_text(arr: np.ndarray, pad: str) -> str:
+    """``_json_text`` of an array: a finite 1-D int or float one in one join, else its list."""
+    if (arr.ndim == 1 and arr.size and arr.dtype.kind in "iuf"
+            and (arr.dtype.kind != "f" or np.isfinite(arr).all())):
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(map(repr, arr.tolist())) + pad + "]"
+    return _json_text(arr.tolist(), pad)
+
+
+_MEMO_MAX_SIZE = 4096  # entries of the largest array whose text ``_memo_array_text`` keeps
+
+
+@functools.lru_cache(maxsize=16)
+def _memo_array_text(dtype: str, data: bytes, pad: str) -> str:
+    """``_array_text`` of the 1-D array of ``dtype`` whose bytes are ``data``."""
+    return _array_text(np.frombuffer(data, dtype), pad)
 
 
 def _json_key(key) -> str:
@@ -398,6 +441,7 @@ class _CensusOutcome(NamedTuple):
     """What the spark experiment keeps of one code vector's census."""
 
     sigma_omega: float
+    sigma_omega_bin: int  # _sigma_bin(sigma_omega)
     n_below_eps: int
     hist: np.ndarray
     n_submatrices: int
@@ -454,9 +498,25 @@ def _census(params, codes, eps_svd, max_submatrices) -> _CensusOutcome:
     below = sigmas < eps_svd
     below_max = float(sigmas[below].max()) if below.any() else None
     above_min = float(sigmas[~below].min()) if not below.all() else None
-    return _CensusOutcome(report.sigma_omega, report.n_below_eps, report.sigma_hist_counts,
-                          report.n_submatrices, below_max, above_min, report.route,
-                          report.det_singular_max, report.det_nonsingular_min)
+    return _CensusOutcome(report.sigma_omega, _sigma_bin(report.sigma_omega), report.n_below_eps,
+                          report.sigma_hist_counts, report.n_submatrices, below_max, above_min,
+                          report.route, report.det_singular_max, report.det_nonsingular_min)
+
+
+_N_SIGMA_BINS = len(SIGMA_HIST_EDGES) - 1
+
+
+def _sigma_bin(sigma: float) -> int:
+    """The bin of ``SIGMA_HIST_EDGES`` that ``np.histogram`` counts ``sigma`` in.
+
+    ``_N_SIGMA_BINS`` stands for no bin.  Bin i holds edges[i] <= sigma <
+    edges[i + 1], and the last bin also sigma = edges[-1]; a sigma off the
+    edges, or NaN, is in none.
+    """
+    if sigma == SIGMA_HIST_EDGES[-1]:
+        return _N_SIGMA_BINS - 1
+    i = int(np.searchsorted(SIGMA_HIST_EDGES, sigma, "right")) - 1
+    return i if 0 <= i < _N_SIGMA_BINS else _N_SIGMA_BINS
 
 
 def _census_key(codes) -> tuple:
@@ -504,7 +564,9 @@ def _spark_collect(config, keys, values, outcomes):
         "sigma_above_eps_min": min(above_min, default=None),
         "sigma_hist_edges": SIGMA_HIST_EDGES,
         "sigma_hist_counts": hist_total,
-        "sigma_omega_hist_counts": np.histogram(sigma_omegas, bins=SIGMA_HIST_EDGES)[0],
+        # np.histogram's counts, from each outcome's bin: a spare last bin holds the binless
+        "sigma_omega_hist_counts": np.bincount([o.sigma_omega_bin for o in outcomes],
+                                               minlength=_N_SIGMA_BINS + 1)[:-1],
         "census_route": route,
     }
     if route == "determinant_gap":

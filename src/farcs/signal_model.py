@@ -162,8 +162,7 @@ class FrequencyCodes:
         hops.setflags(write=False)
         codes = hops / n_codes
         codes.setflags(write=False)
-        for name, value in (("codes", codes), ("n_codes", n_codes), ("hops", hops)):
-            object.__setattr__(instance, name, value)
+        instance.__dict__.update(codes=codes, n_codes=n_codes, hops=hops)
         return instance
 
     def __post_init__(self):

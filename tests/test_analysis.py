@@ -24,7 +24,6 @@ from farcs import (
     coherence,
     l0_limit,
     max_recoverable_K,
-    min_singular_normalized,
     rayleigh_tail_bound,
     sample_codes,
     spark_enumeration,
@@ -44,6 +43,20 @@ def _dft(n):
 
 
 # --- min_singular_normalized ---------------------------------------------------
+
+
+def min_singular_normalized(submatrix: np.ndarray) -> float:
+    """Smallest singular value of a square submatrix, divided by sqrt(N).
+
+    The normalization makes 1 the scale of a perfectly conditioned submatrix,
+    since every sensing column has norm sqrt(N).  The reference route for the
+    census sigmas below.
+    """
+    submatrix = np.asarray(submatrix)
+    if submatrix.ndim != 2 or submatrix.shape[0] != submatrix.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {submatrix.shape}")
+    s = np.linalg.svd(submatrix, compute_uv=False)
+    return float(s[-1]) / math.sqrt(submatrix.shape[0])
 
 
 def test_min_singular_of_dft_is_one():

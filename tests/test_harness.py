@@ -859,6 +859,11 @@ _JSON_SCALARS = st.one_of(
     st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
     st.booleans().map(np.bool_),
 )
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
 _ARRAY_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)
 _JSON_ARRAYS = st.one_of(
     hnp.arrays(np.float64, _ARRAY_SHAPES,
@@ -867,6 +872,8 @@ _JSON_ARRAYS = st.one_of(
       for dtype in (np.float64, np.float32, np.int64, np.int8, np.uint64, np.bool_)),
     hnp.arrays(object, _ARRAY_SHAPES, elements=_JSON_SCALARS),
 )
+# read-only arrays are the ones whose text the writer keeps, per content
+_JSON_ARRAYS = _JSON_ARRAYS | _JSON_ARRAYS.map(_read_only)
 _JSON_PAYLOADS = st.recursive(
     _JSON_SCALARS | _JSON_ARRAYS,
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
@@ -890,10 +897,88 @@ _JSON_PAYLOADS = st.recursive(
 @example([1, 2j])
 @example(np.array([1j]))
 @example({(1, 2): 0})
+@example([_read_only(np.arange(3.0))] * 2 + [[_read_only(np.arange(3.0))]])
+@example([_read_only(np.zeros(3)), _read_only(np.zeros(3, np.int64))])
+@example({"e": _read_only(np.arange(harness._MEMO_MAX_SIZE + 1.0))})
+@example(_read_only(np.array([0.5, np.nan, -0.0])))
 def test_sidecar_text_is_json_dumps(obj):
     # the sidecar writer gives json.dumps's text, or fails where it fails
     reference = functools.partial(json.dumps, sort_keys=True, indent=2, default=_json_hook)
     assert _json_or_type_error(_json_text, obj) == _json_or_type_error(reference, obj)
+
+
+def test_sidecar_text_of_a_read_only_array_is_kept():
+    def kept(arr):
+        before = harness._memo_array_text.cache_info()
+        assert _json_text(arr) == json.dumps(arr.tolist(), indent=2)
+        after = harness._memo_array_text.cache_info()
+        return after.hits + after.misses - before.hits - before.misses
+
+    _json_text(SIGMA_HIST_EDGES)
+    hits = harness._memo_array_text.cache_info().hits
+    assert kept(SIGMA_HIST_EDGES) == 1
+    assert harness._memo_array_text.cache_info().hits == hits + 1
+    # a writable array, or one over the size limit, is encoded every time
+    assert kept(SIGMA_HIST_EDGES.copy()) == 0
+    assert kept(_read_only(np.arange(harness._MEMO_MAX_SIZE + 1))) == 0
+
+
+def test_sigma_bins_count_as_np_histogram():
+    # the kept bin of each census outcome counts a trial where np.histogram does,
+    # on the edges, a step either side of each, off the edges and at random
+    edges = SIGMA_HIST_EDGES
+    sigmas = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                             [-np.inf, np.inf, 0.0, 1.0, 2.0],
+                             np.random.default_rng(0).uniform(-0.1, 1.3, 500)])
+    bins = [harness._sigma_bin(float(sigma)) for sigma in sigmas]
+    counts = np.bincount(bins, minlength=harness._N_SIGMA_BINS + 1)[:-1]
+    assert np.array_equal(counts, np.histogram(sigmas, bins=edges)[0])
+    assert harness._sigma_bin(math.nan) == harness._N_SIGMA_BINS
+
+
+def _readme_sidecar_keys() -> dict:
+    """README's sidecar key tables: the set of key paths under each ``####`` heading."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n### Sidecar keys\n", 1)[1].split("\n## ", 1)[0]
+    tables = {}
+    for block in section.split("\n#### ")[1:]:
+        heading, *lines = block.splitlines()
+        tables[heading.strip("`")] = {line.split("`")[1] for line in lines
+                                      if line.startswith("| `")}
+    return tables
+
+
+def _sidecar_key_paths(payload, points, path=()) -> set:
+    """The dotted key paths of a sidecar payload's leaves, a key in ``points`` as ``<point>``.
+
+    ``config`` counts as one leaf.
+    """
+    if not isinstance(payload, dict) or path == ("config",):
+        return {".".join(path)}
+    return set().union(*(_sidecar_key_paths(value, points,
+                                            path + ("<point>" if key in points else key,))
+                         for key, value in payload.items()))
+
+
+_GAP_ROUTE_KEYS = {"aggregates.det_singular_max", "aggregates.det_nonsingular_min"}
+
+
+@pytest.mark.parametrize("config, points, absent", [
+    (SPARK_TINY, set(), set()),
+    (dataclasses.replace(SPARK_TINY, n_pulses=3, n_hrr_bins=2, n_trials=2,
+                         code_distribution="continuous"), set(), _GAP_ROUTE_KEYS),
+    (MIP_TINY, {"0.0", "continuous"}, set()),
+    (PHASE_TINY, {"1", "2"}, set()),
+    (NOISY_TINY, {"15.0"}, set()),
+    (default_config("bounds"), {"N=64,M=8", "N=512,M=32"}, set()),
+], ids=["spark", "spark-continuous", "mip", "phase", "noisy", "bounds"])
+def test_sidecar_keys_are_the_readme_tables(config, points, absent):
+    # every key path a sidecar writes is in its README table, and every row is written
+    # (the determinant-gap margins only on that route)
+    tables = _readme_sidecar_keys()
+    payload = json.loads(run_experiment(config).to_json())
+    documented = tables["Every experiment"] | tables[config.experiment]
+    assert _sidecar_key_paths(payload, points) == documented - absent
 
 
 def test_to_csv_layout():
@@ -922,6 +1007,27 @@ def test_write_creates_csv_and_sidecar(tmp_path):
     assert payload["aggregates"]["epsilon_grid"][0] == 0.0
     header = csv_path.read_text().splitlines()[0]
     assert header == "n_pulses,n_hrr_bins,delta,k_mip,k_l0"
+
+
+def test_write_into_an_existing_directory_makes_none(tmp_path, monkeypatch):
+    def no_mkdir(*args, **kwargs):
+        raise AssertionError("write made a directory that exists")
+
+    monkeypatch.setattr(Path, "mkdir", no_mkdir)
+    csv_path, sidecar = run_experiment(default_config("bounds")).write(tmp_path / "b.csv")
+    assert csv_path.exists() and sidecar.exists()
+
+
+def test_write_under_a_regular_file_is_an_os_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = run_experiment(default_config("bounds"))
+    with pytest.raises(NotADirectoryError):
+        result.write(blocker / "b.csv")
+    assert main(["bounds", "--out", str(blocker / "sub" / "b.csv")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NotADirectoryError"
+    assert blocker.read_text() == ""
 
 
 def test_write_non_csv_suffix_appends_json(tmp_path):
