@@ -17,7 +17,9 @@ codes (300 trials), every perfbench config file at a fixed master seed
 (census, coherence, recovery), small ``mip``, ``phase`` and ``noisy`` runs,
 one ``mip``, ``phase`` and ``spark`` run each with a hop set larger than
 the range-bin count (M* > M), so the phase tables are checked off the
-M* = M diagonal as well, and default ``spark`` once more at the end
+M* = M diagonal as well, a continuous-code ``mip`` run at M = 12
+(``mip-odd-bins``), whose hop responses end on a partial block of powers
+(M not a power of two), and default ``spark`` once more at the end
 (``spark-again``), whose censuses are cache reads of the first run's, so
 its line shows that a cache read hashes like a fresh census. OpenBLAS,
 OpenMP and MKL are pinned to one thread, and the source tree next to this
@@ -63,6 +65,8 @@ def fixed_runs() -> dict:
     runs["phase-wide-hops"] = dataclasses.replace(default_config("phase"), n_codes=16,
                                                   n_trials=10, sweep=(1, 4, 8))
     runs["spark-wide-hops"] = dataclasses.replace(spark, n_codes=6, n_trials=100)
+    runs["mip-odd-bins"] = dataclasses.replace(default_config("mip"), n_hrr_bins=12,
+                                               n_trials=200, sweep=("continuous",))
     runs["spark-again"] = spark  # reads the censuses that "spark" cached
     return runs
 

@@ -21,11 +21,15 @@ line of times in microseconds:
   the solve less ``bp_solve_3_iterations`` times ``admm_iteration``;
 - ``coherence_approximate``/``coherence_exact``: one lone ``coherence`` call
   on an operator already built, APPROXIMATE mode (the FFT shortcut) and
-  EXACT mode at B/f_c = 0.5 (two products with D);
+  EXACT mode at B/f_c = 0.5 (one product of D with [R, conj(R)]);
 - ``coherence_chunk_30_per_trial``: 30 trials' discrete draws (one arm of
   the benchmark's ``coherence`` config) scored the way a ``mip`` chunk
   scores its trials, the gather of their (30, N, M) hop-response stack and
   one batched FFT shortcut, divided by 30;
+- ``hop_responses_continuous_30``: the (30, N, M) hop-response stack of 30
+  trials' continuous codes, ``sensing._hop_responses``, which the
+  continuous arm of a ``coherence`` chunk builds before scoring it, each
+  stack dropped before the next, as a chunk drops it;
 - ``census_hit_per_trial``: one warm ``harness._spark_work`` call on the
   first 32-trial chunk of a default ``spark`` run (every class's census
   already kept), divided by 32: the draw, the class key and the cache read;
@@ -160,12 +164,16 @@ def _coherence_us() -> dict:
                                                          relative_bandwidth=bandwidth), codes[0])
                           for bandwidth in (0.0, EXACT_BANDWIDTH))
     hops = np.array([c.hops for c in codes])
+    continuous = np.array([sample_codes(seed, N_PULSES, None).codes
+                           for seed in range(CHUNK_TRIALS)])
     return {
         "coherence_approximate": _per_call_us(coherence, approximate),
         "coherence_exact": _per_call_us(coherence, exact),
         "coherence_chunk_30_per_trial": _per_call_us(
             lambda draws: _dft_coherence(_hop_responses(draws, MIP_HRR_BINS, MIP_HRR_BINS),
                                          overwrite=True), hops, calls=20) / CHUNK_TRIALS,
+        f"hop_responses_continuous_{CHUNK_TRIALS}": _each_call_us(
+            lambda: _hop_responses(continuous, None, MIP_HRR_BINS), calls=200),
     }
 
 

@@ -5,9 +5,10 @@ per orbit of column subsets under the symmetries of the sensing matrix, by
 the determinant gap where every minor is a Gaussian or Eisenstein integer),
 the mutual coherence (a shortcut that reads the Gram matrix's dependence
 on the column-cell difference alone from the operator's factors: one
-Doppler FFT of the hop response in APPROXIMATE mode, two products with D
-in EXACT mode; a plain matrix takes its Gram), Rayleigh tail bounds on the
-column cross-correlations, and the resulting sparsity guarantees.
+Doppler FFT of the hop response in APPROXIMATE mode, one product of D with
+the hop response and its conjugate in EXACT mode; a plain matrix takes its
+Gram), Rayleigh tail bounds on the column cross-correlations, and the
+resulting sparsity guarantees.
 """
 
 from __future__ import annotations
@@ -165,15 +166,21 @@ def _gram_sigma_bounds(lam: np.ndarray, n: int):
     """Normalized sigma estimates from Gram eigenvalues, and their intervals.
 
     ``lam`` holds the smallest computed eigenvalue of each N x N Gram A^H A
-    of a submatrix A of Phi.  Every entry of A has unit modulus, so
-    ||A||_F^2 = N^2: the Gram's rounding error (inner products of N terms of
-    modulus 1) and the Hermitian eigensolver's backward error are each about
-    N^3 eps in the 2-norm, and by Weyl's inequality the exact sigma_N(A)^2
-    lies within delta = 16 N^3 eps of ``lam``.  The SVD's own absolute error
-    is about N eps ||A||_2 <= N^2 eps, bounded by tau = 16 N^2 eps.  So the
-    value the SVD returns, like the estimate sqrt(max(lam, 0)), lies in
-    [sqrt(max(lam - delta, 0)) - tau, sqrt(lam + delta) + tau].  Returns the
-    estimate and both ends, each divided by sqrt(N).
+    of a submatrix A of Phi.  Every entry of A has modulus 1 up to
+    rounding: within 2 eps where R takes one exponential per entry, and
+    within about M/2 eps for continuous codes, whose R holds powers of one
+    exponential per pulse (measured: 2 eps at N=6, M=3, 323 eps at N=2,
+    M=700).  So ||A||_F^2 = N^2 (1 + rho) with rho about M eps, under 1e-9
+    at any M the default census budget admits: the Gram's rounding error
+    (inner products of N terms of modulus about 1) and the Hermitian
+    eigensolver's backward error are each about N^3 eps (1 + rho)^2 in the
+    2-norm, and by Weyl's inequality the exact sigma_N(A)^2 lies within
+    delta = 16 N^3 eps of ``lam``, a factor of about 8 to spare.  The SVD's
+    own absolute error is about N eps ||A||_2 <= N^2 eps (1 + rho), bounded
+    by tau = 16 N^2 eps.  So the value the SVD returns, like the estimate
+    sqrt(max(lam, 0)), lies in [sqrt(max(lam - delta, 0)) - tau,
+    sqrt(lam + delta) + tau].  Returns the estimate and both ends, each
+    divided by sqrt(N).
     """
     eps = np.finfo(np.float64).eps
     delta, tau = 16 * n ** 3 * eps, 16 * n ** 2 * eps
@@ -337,8 +344,9 @@ def coherence(phi) -> CoherenceSample:
     for dl <= 0, whatever the base cell.  So chi+ = D^T R / N and
     chi- = D^H R / N hold every normalized Gram entry up to conjugation, and
     mu is their largest magnitude off (dm, dl) = (0, 0).  In EXACT mode
-    these are two dense products.  In APPROXIMATE mode D is the unnormalized
-    inverse DFT: its columns are orthogonal, so the dm = 0 entries vanish
+    they come from one dense product, D^T [R, conj(R)], since |D^H R| is
+    |D^T conj(R)|.  In APPROXIMATE mode D is the unnormalized inverse DFT:
+    its columns are orthogonal, so the dm = 0 entries vanish
     exactly and are not evaluated, and D^H R is the forward DFT of R's
     columns, whose magnitudes are those of D^T R with dl mirrored to
     (N - dl) mod N.  One FFT over the pulses of R's other M - 1 columns
@@ -350,12 +358,10 @@ def coherence(phi) -> CoherenceSample:
         R = phi.hop_response
         if phi.is_row_orthogonal():
             return CoherenceSample(mu=float(_dft_coherence(R[None])[0]), method="shortcut")
-        D = phi.doppler_response
-        chi_pos = np.abs(D.T @ R)  # (dl, dm), dl >= 0
-        chi_neg = np.abs(D.conj().T @ R)  # (-dl, dm), dl <= 0
-        chi_pos[0, 0] = chi_neg[0, 0] = 0.0  # each column with itself
-        peak = max(chi_pos.max(), chi_neg.max())
-        return CoherenceSample(mu=float(min(peak / phi.n_pulses, 1.0)), method="shortcut")
+        # |D^T conj(R)| = |D^H R|: (dl, dm) with dl >= 0, then (-dl, dm) with dl <= 0
+        chi = np.abs(phi.doppler_response.T @ np.concatenate((R, R.conj()), axis=1))
+        chi[0, 0] = chi[0, R.shape[1]] = 0.0  # each column with itself
+        return CoherenceSample(mu=float(min(chi.max() / phi.n_pulses, 1.0)), method="shortcut")
     dense = check_array("phi", phi, np.complex128)
     if dense.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {dense.shape}")

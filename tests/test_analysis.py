@@ -617,6 +617,24 @@ def test_coherence_exact_mode_shortcut_matches_gram(relative_bandwidth, n_codes)
         assert sample.mu == pytest.approx(coherence(phi.to_dense()).mu, abs=1e-12)
 
 
+_EXACT_CONFIGS = [(64, 16, 16, 0.5), (64, 8, 12, 0.1)]  # (N, M, M*, B/f_c)
+
+
+@pytest.mark.parametrize("n_pulses, n_hrr_bins, n_codes, relative_bandwidth", _EXACT_CONFIGS)
+def test_coherence_exact_mode_one_product_is_the_two_product_mu(n_pulses, n_hrr_bins, n_codes,
+                                                                 relative_bandwidth):
+    # |D^T [R, conj(R)]| holds |D^T R| and |D^H R| bit for bit
+    params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes,
+                                  relative_bandwidth=relative_bandwidth)
+    for seed in range(300):
+        phi = build_phi(params, sample_codes(seed, n_pulses, n_codes))
+        R, D = phi.hop_response, phi.doppler_response
+        chi_pos, chi_neg = np.abs(D.T @ R), np.abs(D.conj().T @ R)
+        chi_pos[0, 0] = chi_neg[0, 0] = 0.0
+        two_products = min(max(chi_pos.max(), chi_neg.max()) / n_pulses, 1.0)
+        assert coherence(phi).mu == two_products
+
+
 def _gram_mu(dense):
     """mu from the column-normalized Gram of a dense matrix, diagonal excluded."""
     normed = dense / np.linalg.norm(dense, axis=0)
@@ -663,20 +681,30 @@ def test_stacked_dft_coherence_is_coherence_bit_for_bit(n_pulses, n_hrr_bins, n_
         assert mu == pytest.approx(coherence(phi.to_dense()).mu, abs=1e-12)
 
 
-def _extended_mu(codes, n_pulses, n_hrr_bins):
-    """APPROXIMATE-mode mu in extended precision, every phase reduced to [0, 1) turns."""
+def _extended_mu(codes, n_pulses, n_hrr_bins, relative_bandwidth=0.0):
+    """mu in extended precision, every phase reduced to [0, 1) turns; EXACT mode for B/f_c > 0."""
     turn = 2 * np.longdouble("3.14159265358979323846264338327950288")
     m = np.arange(n_hrr_bins)
     if codes.is_discrete:  # m k_n / M*, reduced mod M*
         hop_turns = (np.outer(codes.hops, m) % codes.n_codes).astype(np.longdouble)
         hop_turns /= codes.n_codes
+        d = codes.hops / np.longdouble(codes.n_codes)
     else:
-        hop_turns = np.outer(codes.codes.astype(np.longdouble), m) % 1
+        d = codes.codes.astype(np.longdouble)
+        hop_turns = np.outer(d, m) % 1
     n = np.arange(n_pulses)
-    doppler_turns = (np.outer(n, n) % n_pulses).astype(np.longdouble) / n_pulses
+    if relative_bandwidth:  # l n zeta_n / N, with zeta_n = 1 + d_n B/f_c
+        zetas = 1 + np.longdouble(relative_bandwidth) * d
+        doppler_turns = np.outer(n * zetas, n) / n_pulses % 1
+    else:
+        doppler_turns = (np.outer(n, n) % n_pulses).astype(np.longdouble) / n_pulses
     R = np.exp(1j * turn * hop_turns.astype(np.clongdouble))
     D = np.exp(1j * turn * doppler_turns.astype(np.clongdouble))
-    return float(np.abs(D.T @ R[:, 1:]).max() / n_pulses)
+    if not relative_bandwidth:  # dm = 0 vanishes and |D^H R| mirrors |D^T R| (see coherence)
+        return float(np.abs(D.T @ R[:, 1:]).max() / n_pulses)
+    chi_pos, chi_neg = np.abs(D.T @ R), np.abs(D.conj().T @ R)
+    chi_pos[0, 0] = chi_neg[0, 0] = 0
+    return float(max(chi_pos.max(), chi_neg.max()) / n_pulses)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
@@ -698,6 +726,20 @@ def test_coherence_fft_route_against_extended_precision(n_pulses, n_codes):
         gemm_errors.append(abs(gemm - exact))
     assert max(fft_errors) <= 1e-14
     assert max(fft_errors) <= max(gemm_errors)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("n_pulses, n_hrr_bins, n_codes, relative_bandwidth", _EXACT_CONFIGS)
+def test_coherence_exact_mode_against_extended_precision(n_pulses, n_hrr_bins, n_codes,
+                                                         relative_bandwidth):
+    # the cached Doppler table's phases 2 pi l n zeta_n / N are unreduced
+    params = RadarParams.abstract(n_pulses, n_hrr_bins, n_codes=n_codes,
+                                  relative_bandwidth=relative_bandwidth)
+    for seed in range(100):
+        codes = sample_codes(seed, n_pulses, n_codes)
+        exact = _extended_mu(codes, n_pulses, n_hrr_bins, relative_bandwidth)
+        assert abs(coherence(build_phi(params, codes)).mu - exact) <= 1e-14
 
 
 def test_coherence_single_bin_is_zero():

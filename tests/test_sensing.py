@@ -132,7 +132,39 @@ def test_hop_response_stack_rows_are_build_R(n_codes):
     assert stack.shape == (9, 24, 16)
     for codes, R in zip(draws, stack):
         assert R.tobytes() == build_R(codes, 16).tobytes()
-        assert np.array_equal(R, _direct_R(codes, 16))
+        if n_codes is not None:
+            assert np.array_equal(R, _direct_R(codes, 16))
+        else:  # powers of column 1: accuracy in test_continuous_hop_responses_...
+            assert np.array_equal(R[:, :2], _direct_R(codes, 2))
+
+
+def _extended_R(codes, n_hrr_bins):
+    """R of continuous codes in extended precision, every phase m d_n reduced to [0, 1) turns."""
+    turn = 2 * np.longdouble("3.14159265358979323846264338327950288")
+    turns = np.multiply.outer(codes.astype(np.longdouble), np.arange(n_hrr_bins)) % 1
+    return np.exp(1j * turn * turns.astype(np.clongdouble))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("n_pulses, n_hrr_bins",
+                         [(24, 1), (24, 2), (6, 3), (64, 16), (64, 17), (8, 1000)])
+def test_continuous_hop_responses_against_extended_precision(n_pulses, n_hrr_bins):
+    # continuous codes take powers of one exponential per pulse: within
+    # 8 M eps of the exact R, a bound the one-exponential-per-entry formula
+    # also meets, and no farther from it than that formula, give or take an
+    # eps: z * z rounds once more than column 2's doubled phase, so at M = 3
+    # the powers can sit about half an eps farther (6.6 against 6.2 eps over
+    # 20,000 codes)
+    draws = [sample_codes(seed, n_pulses, None) for seed in range(20)]
+    raw = np.array([codes.codes for codes in draws])
+    exact = _extended_R(raw, n_hrr_bins)
+    direct = np.array([_direct_R(codes, n_hrr_bins) for codes in draws])
+    eps = np.finfo(np.float64).eps
+    powers_error = float(np.abs(_hop_responses(raw, None, n_hrr_bins) - exact).max())
+    direct_error = float(np.abs(direct - exact).max())
+    assert max(powers_error, direct_error) <= 8 * n_hrr_bins * eps
+    assert powers_error <= direct_error + eps
 
 
 def test_discrete_codes_carry_their_hop_indices():
